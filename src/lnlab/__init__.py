@@ -3,14 +3,7 @@ placement, residual step scaling, and a numerical stability diagnostics
 suite (analytic Jacobians, growth and transport bounds, divergence trials).
 """
 
-from .attention import (
-    AttentionParams,
-    FfnParams,
-    attn_forward,
-    attn_jacobian,
-    ffn_forward,
-    ffn_jacobian,
-)
+from .attention import AttentionParams, FfnParams, attn_forward, ffn_forward
 from .control import hamiltonian_maximizer, integrate_projected_flow, postln_projection
 from .diagnostics import BoundReport, dro_bound, layer_moments, peri_growth_check
 from .model import (

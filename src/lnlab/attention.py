@@ -1,4 +1,4 @@
-"""Multi-head self-attention and feedforward sublayers with per-token Jacobians.
+"""Multi-head self-attention and feedforward sublayers with their full Jacobians.
 
 The attention map is
 
@@ -131,68 +131,35 @@ def attn_forward(X: np.ndarray, p: AttentionParams) -> np.ndarray:
     return out
 
 
-def attn_jacobian(X: np.ndarray, p: AttentionParams, i: int, j: int) -> np.ndarray:
-    """d x d block d[f_attn(X)]_j / d x_i of the attention map.
+def attn_jacobian_full(X: np.ndarray, p: AttentionParams) -> np.ndarray:
+    """nd x nd Jacobian of f_attn under column-major vectorization.
 
-    Per head, with a = softmax((K X)^T Q x_j / sqrt(k)) and the softmax
-    Jacobian S = diag(a) - a a^T:
+    Block (j, i) holds d[f_attn]_j / d x_i.  Per head, with attention weights
+    a_ij = softmax_i((K X)^T Q x_j / sqrt(k)), their softmax Jacobian
+    S_j = diag(a_j) - a_j a_j^T, m_j = X a_j and u_j = K^T Q x_j / sqrt(k):
 
-        W V (a_i I + X S M),   M = (e_i x_j^T Q^T K + 1_{i=j} X^T K^T Q) / sqrt(k)
+        W V (a_ij (I + (x_i - m_j) u_j^T) + 1_{i=j} X S_j X^T K^T Q / sqrt(k))
 
-    The block depends linearly on V and on W, which is what makes the
+    Every block depends linearly on V and on W, which is what makes the
     pre-norm sensitivity scale with the weights and the peri-norm one not.
     """
     X = _check_state(X, p)
     d, n = X.shape
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"attn_jacobian: token indices ({i}, {j}) out of range for n={n}")
     scale = 1.0 / np.sqrt(p.key_dim)
-    jac = np.zeros((d, d))
+    diag = np.arange(n)
+    full = np.zeros((n, d, n, d))  # [j, :, i, :] is block (j, i)
     for h in range(p.heads):
-        kx = p.k[h] @ X
-        qxj = p.q[h] @ X[:, j]
-        a = softmax_columns((kx.T @ qxj * scale)[:, None])[:, 0]
-        soft = np.diag(a) - np.outer(a, a)
-        # e_i (K^T Q x_j)^T fills row i; the i=j indicator adds X^T K^T Q.
-        m = np.zeros((n, d))
-        m[i, :] = p.k[h].T @ qxj
-        if i == j:
-            m += kx.T @ p.q[h]
-        m *= scale
-        wv = p.w[h] @ p.v[h]
-        jac += wv * a[i] + wv @ (X @ (soft @ m))
-    return jac
-
-
-def attn_jacobian_full(X: np.ndarray, p: AttentionParams) -> np.ndarray:
-    """nd x nd Jacobian of f_attn under column-major vectorization.
-
-    Block (j, i) holds d[f_attn]_j / d x_i; shared per-head quantities are
-    hoisted out of the n^2 block loop.
-    """
-    X = _check_state(X, p)
-    d, n = X.shape
-    scale = 1.0 / np.sqrt(p.key_dim)
-    full = np.zeros((n * d, n * d))
-    for h in range(p.heads):
-        kx = p.k[h] @ X
-        qx = p.q[h] @ X
-        attn = softmax_columns(kx.T @ qx * scale)
-        wv = p.w[h] @ p.v[h]
-        ktq_x = p.k[h].T @ qx  # column j holds K^T Q x_j
-        xtk_q = kx.T @ p.q[h]  # n x d, the indicator term
-        for j in range(n):
-            a = attn[:, j]
-            soft = np.diag(a) - np.outer(a, a)
-            x_soft = X @ soft
-            for i in range(n):
-                m = np.zeros((n, d))
-                m[i, :] = ktq_x[:, j]
-                if i == j:
-                    m += xtk_q
-                block = wv * a[i] + wv @ (x_soft @ (m * scale))
-                full[j * d : (j + 1) * d, i * d : (i + 1) * d] += block
-    return full
+        ktq = p.k[h].T @ p.q[h] * scale
+        attn = softmax_columns((p.k[h] @ X).T @ (p.q[h] @ X) * scale)
+        means = X @ attn
+        spread = X[:, :, None] - means[:, None, :]  # [:, i, j] = x_i - m_j
+        inner = attn.T[:, None, :, None] * (
+            np.eye(d)[None, :, None, :] + np.einsum("aij,bj->jaib", spread, ktq @ X)
+        )
+        cov = np.einsum("aij,cij->jac", spread * attn, spread)  # X S_j X^T
+        inner[diag, :, diag, :] += cov @ ktq
+        full += np.einsum("ab,jbic->jaic", p.w[h] @ p.v[h], inner)
+    return full.reshape(n * d, n * d)
 
 
 def ffn_forward(X: np.ndarray, p: FfnParams) -> np.ndarray:
@@ -201,21 +168,13 @@ def ffn_forward(X: np.ndarray, p: FfnParams) -> np.ndarray:
     return p.w2 @ phi(p.w1 @ X)
 
 
-def ffn_jacobian(X: np.ndarray, p: FfnParams, j: int) -> np.ndarray:
-    """d x d token Jacobian W2 diag(phi'(W1 x_j)) W1; off-token blocks are zero."""
-    X = _check_state(X, p)
-    if not (0 <= j < X.shape[1]):
-        raise IndexError(f"ffn_jacobian: token index {j} out of range for n={X.shape[1]}")
-    pre = p.w1 @ X[:, j]
-    dphi = activation_derivative(p.activation, pre)
-    return (p.w2 * dphi) @ p.w1
-
-
 def ffn_jacobian_blockdiag(X: np.ndarray, p: FfnParams) -> np.ndarray:
-    """nd x nd Jacobian of token-wise f_ffn (block diagonal)."""
+    """nd x nd Jacobian of token-wise f_ffn: block j is W2 diag(phi'(W1 x_j)) W1
+    on the diagonal, and off-token blocks are zero."""
     X = _check_state(X, p)
     d, n = X.shape
-    out = np.zeros((n * d, n * d))
-    for j in range(n):
-        out[j * d : (j + 1) * d, j * d : (j + 1) * d] = ffn_jacobian(X, p, j)
-    return out
+    dphi = activation_derivative(p.activation, p.w1 @ X)
+    diag = np.arange(n)
+    out = np.zeros((n, d, n, d))
+    out[diag, :, diag, :] = np.einsum("am,mj,mb->jab", p.w2, dphi, p.w1)
+    return out.reshape(n * d, n * d)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gradcheck, suites
 from .diagnostics import BoundReport
-from .model import ModelConfig, model_forward, random_model
+from .model import PLACEMENTS, ModelConfig, model_forward, random_model
 from .numerics import RngStream, moments, wasserstein_exact
 from .reports import (
     BOUNDS_COLUMNS,
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--placement", choices=("off", "pre", "peri", "post"))
+    parser.add_argument("--placement", choices=PLACEMENTS)
     parser.add_argument("--delta-t", dest="delta_t", type=float, help="residual step scale")
     parser.add_argument("--depth", type=int, help="number of blocks")
     parser.add_argument("--instances", type=int, help="randomized suite size")
@@ -410,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return HANDLERS[args.command](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

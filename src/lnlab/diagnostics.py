@@ -260,9 +260,7 @@ def rescale_invariance_test(
         scaled_block = BlockParams(b.attn.scaled(c1, c2), b.ffn, b.ln)
     else:
         if b.ffn.activation == RELU:
-            trace = tape.traces[block_index].ffn
-            core_in = trace.ln_in_out if trace.ln_in_out is not None else trace.x
-            pre = b.ffn.w1 @ core_in
+            pre = b.ffn.w1 @ tape.traces[block_index].ffn.core_in
             # the sublayer input is unchanged by the rescale, so the scaled
             # pre-activation is exactly c1 * pre
             if np.any((pre > 0) != (c1 * pre > 0)):

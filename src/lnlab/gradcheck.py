@@ -48,7 +48,7 @@ def _rand_cfg(gen: np.random.Generator, depth_max: int = 4) -> model_mod.ModelCo
         m=int(gen.integers(3, 9)),
         heads=int(gen.integers(1, 3)),
         depth=int(gen.integers(1, depth_max + 1)),
-        placement=("off", "pre", "peri", "post")[int(gen.integers(4))],
+        placement=model_mod.PLACEMENTS[int(gen.integers(len(model_mod.PLACEMENTS)))],
         delta_t=float(gen.uniform(0.1, 1.0)),
         activation="tanh",
         epsilon=1e-5,

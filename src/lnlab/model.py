@@ -1,23 +1,30 @@
 """Transformer blocks under a normalization placement with residual step scaling.
 
 A block applies the attention sublayer and then the feedforward sublayer,
-each wrapped according to the placement:
+each wrapped in up to three LN stages, switched on by the placement's row
+``(norm_in, norm_out, norm_sum)`` of ``STAGES``:
 
-    off :  out = x + dt * f(x)
-    pre :  out = x + dt * f(LN_in(x))
-    peri:  out = x + dt * LN_out(f(LN_in(x)))
-    post:  out = LN_out(x + dt * f(x))
+    z   = LN_in(x)            if norm_in,  else x
+    y   = LN_out(f(z))        if norm_out, else f(z)
+    out = LN_out(x + dt * y)  if norm_sum, else x + dt * y
 
-``dt`` multiplies the sublayer output inside the residual sum for every
-placement; dt = 1 recovers the unscaled composition bit-exactly.  The
-forward pass records every intermediate state on a tape, from which the
-analytic per-block sensitivities, backpropagated gradient products, and
-parameter gradients are assembled.
+    off : (F, F, F)  out = x + dt * f(x)
+    pre : (T, F, F)  out = x + dt * f(LN_in(x))
+    peri: (T, T, F)  out = x + dt * LN_out(f(LN_in(x)))
+    post: (F, F, T)  out = LN_out(x + dt * f(x))
+
+The output and sum stages share the ``*_out`` LN site.  ``dt`` multiplies
+the sublayer output inside the residual sum for every placement; dt = 1
+recovers the unscaled composition bit-exactly.  The forward pass records
+every intermediate state on a tape; the reverse sweep (parameter gradients)
+and the analytic per-block sensitivities read the same stage row back from
+it, so a new placement is one new row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,19 +42,29 @@ OFF = "off"
 PRE = "pre"
 PERI = "peri"
 POST = "post"
-PLACEMENTS = (OFF, PRE, PERI, POST)
 
 ATTN_IN = "attn_in"
 ATTN_OUT = "attn_out"
 FFN_IN = "ffn_in"
 FFN_OUT = "ffn_out"
+_SITES = {"attn": (ATTN_IN, ATTN_OUT), "ffn": (FFN_IN, FFN_OUT)}  # (in, out/sum)
 
-_SITES_BY_PLACEMENT = {
-    OFF: (),
-    PRE: (ATTN_IN, FFN_IN),
-    PERI: (ATTN_IN, ATTN_OUT, FFN_IN, FFN_OUT),
-    POST: (ATTN_OUT, FFN_OUT),
+
+class Stages(NamedTuple):
+    """Which LN stages wrap each sublayer: its input, its output, the residual sum."""
+
+    norm_in: bool
+    norm_out: bool
+    norm_sum: bool
+
+
+STAGES = {
+    OFF: Stages(False, False, False),
+    PRE: Stages(True, False, False),
+    PERI: Stages(True, True, False),
+    POST: Stages(False, False, True),
 }
+PLACEMENTS = tuple(STAGES)
 
 # nd x nd sensitivities are desk-scale objects; refuse to materialize beyond this.
 MATERIALIZE_LIMIT = 64
@@ -65,10 +82,21 @@ class PlacementError(ValueError):
     """A check or operation was asked for an incompatible placement."""
 
 
-def sites_for_placement(placement: str) -> tuple[str, ...]:
-    if placement not in PLACEMENTS:
+def stages_for_placement(placement: str) -> Stages:
+    if placement not in STAGES:
         raise PlacementError(f"unknown placement {placement!r}, expected one of {PLACEMENTS}")
-    return _SITES_BY_PLACEMENT[placement]
+    return STAGES[placement]
+
+
+def sites_for_placement(placement: str) -> tuple[str, ...]:
+    st = stages_for_placement(placement)
+    sites: list[str] = []
+    for site_in, site_out in _SITES.values():
+        if st.norm_in:
+            sites.append(site_in)
+        if st.norm_out or st.norm_sum:
+            sites.append(site_out)
+    return tuple(sites)
 
 
 @dataclass(frozen=True)
@@ -85,10 +113,7 @@ class ModelConfig:
     epsilon: float = norm.DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.placement not in PLACEMENTS:
-            raise PlacementError(
-                f"unknown placement {self.placement!r}, expected one of {PLACEMENTS}"
-            )
+        stages_for_placement(self.placement)
         if not (0.0 < self.delta_t <= 1.0):
             raise ValueError(f"delta_t must lie in (0, 1], got {self.delta_t}")
         if self.depth < 1:
@@ -219,11 +244,16 @@ class SublayerTrace:
     """Intermediates of one placement-wrapped sublayer application."""
 
     x: np.ndarray                      # sublayer input
-    ln_in_out: np.ndarray | None       # LN_in(x), pre/peri only
-    raw: np.ndarray                    # f(core input)
-    ln_out_out: np.ndarray | None      # LN_out(raw), peri only
-    summed: np.ndarray | None          # x + dt * raw, post only (pre-LN residual sum)
+    ln_in_out: np.ndarray | None       # LN_in(x), norm_in only
+    raw: np.ndarray                    # f(core_in)
+    ln_out_out: np.ndarray | None      # LN_out(raw), norm_out only
+    summed: np.ndarray | None          # x + dt * raw, norm_sum only (pre-LN residual sum)
     out: np.ndarray
+
+    @property
+    def core_in(self) -> np.ndarray:
+        """What the bare sublayer map was applied to."""
+        return self.ln_in_out if self.ln_in_out is not None else self.x
 
 
 @dataclass(frozen=True)
@@ -270,30 +300,18 @@ def _ln_at_site(X: np.ndarray, p: norm.LNParams, block: int, site: str) -> np.nd
 def _apply_sublayer(
     X: np.ndarray, b: BlockParams, cfg: ModelConfig, which: str, block: int
 ) -> SublayerTrace:
-    dt = cfg.delta_t
-    if which == "attn":
-        f = lambda z: attn_mod.attn_forward(z, b.attn)
-        site_in, site_out = ATTN_IN, ATTN_OUT
-    else:
-        f = lambda z: attn_mod.ffn_forward(z, b.ffn)
-        site_in, site_out = FFN_IN, FFN_OUT
-    if cfg.placement == OFF:
-        raw = f(X)
-        return SublayerTrace(X, None, raw, None, None, X + dt * raw)
-    if cfg.placement == PRE:
-        z = _ln_at_site(X, b.ln[site_in], block, site_in)
-        raw = f(z)
-        return SublayerTrace(X, z, raw, None, None, X + dt * raw)
-    if cfg.placement == PERI:
-        z = _ln_at_site(X, b.ln[site_in], block, site_in)
-        raw = f(z)
-        y = _ln_at_site(raw, b.ln[site_out], block, site_out)
-        return SublayerTrace(X, z, raw, y, None, X + dt * y)
-    # post: normalize the residual sum itself
-    raw = f(X)
-    summed = X + dt * raw
+    st = STAGES[cfg.placement]
+    f = attn_mod.attn_forward if which == "attn" else attn_mod.ffn_forward
+    weights = b.attn if which == "attn" else b.ffn
+    site_in, site_out = _SITES[which]
+    z = _ln_at_site(X, b.ln[site_in], block, site_in) if st.norm_in else None
+    raw = f(X if z is None else z, weights)
+    y = _ln_at_site(raw, b.ln[site_out], block, site_out) if st.norm_out else None
+    summed = X + cfg.delta_t * (raw if y is None else y)
+    if not st.norm_sum:
+        return SublayerTrace(X, z, raw, y, None, summed)
     out = _ln_at_site(summed, b.ln[site_out], block, site_out)
-    return SublayerTrace(X, None, raw, None, summed, out)
+    return SublayerTrace(X, z, raw, y, summed, out)
 
 
 def block_forward(X: np.ndarray, b: BlockParams, cfg: ModelConfig, index: int = 0):
@@ -341,10 +359,9 @@ def model_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -
 
 def _core_jacobian(trace: SublayerTrace, b: BlockParams, which: str) -> np.ndarray:
     """nd x nd Jacobian of the bare sublayer map at its recorded core input."""
-    core_in = trace.ln_in_out if trace.ln_in_out is not None else trace.x
     if which == "attn":
-        return attn_mod.attn_jacobian_full(core_in, b.attn)
-    return attn_mod.ffn_jacobian_blockdiag(core_in, b.ffn)
+        return attn_mod.attn_jacobian_full(trace.core_in, b.attn)
+    return attn_mod.ffn_jacobian_blockdiag(trace.core_in, b.ffn)
 
 
 def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
@@ -356,25 +373,19 @@ def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
             f"refusing to materialize a {nd}x{nd} sensitivity "
             f"(limit {MATERIALIZE_LIMIT}); use param_gradients for large models"
         )
+    st = STAGES[cfg.placement]
     b = tape.params[i]
     trace = getattr(tape.traces[i], which)
-    dt = cfg.delta_t
-    ln_in = b.ln.get(ATTN_IN if which == "attn" else FFN_IN)
-    ln_out = b.ln.get(ATTN_OUT if which == "attn" else FFN_OUT)
-    core = _core_jacobian(trace, b, which)
-    eye = np.eye(nd)
-    if cfg.placement == OFF:
-        return eye + dt * core
-    if cfg.placement == PRE:
-        return eye + dt * core @ norm.ln_jacobian_blockdiag(trace.x, ln_in)
-    if cfg.placement == PERI:
-        return eye + dt * (
-            norm.ln_jacobian_blockdiag(trace.raw, ln_out)
-            @ core
-            @ norm.ln_jacobian_blockdiag(trace.x, ln_in)
-        )
-    # post
-    return norm.ln_jacobian_blockdiag(trace.summed, ln_out) @ (eye + dt * core)
+    site_in, site_out = _SITES[which]
+    update = _core_jacobian(trace, b, which)
+    if st.norm_out:
+        update = norm.ln_jacobian_blockdiag(trace.raw, b.ln[site_out]) @ update
+    if st.norm_in:
+        update = update @ norm.ln_jacobian_blockdiag(trace.x, b.ln[site_in])
+    jac = np.eye(nd) + cfg.delta_t * update
+    if st.norm_sum:
+        jac = norm.ln_jacobian_blockdiag(trace.summed, b.ln[site_out]) @ jac
+    return jac
 
 
 def local_sensitivity(tape: ForwardTape, i: int) -> np.ndarray:
@@ -435,51 +446,36 @@ def _ffn_vjp(Z: np.ndarray, p: attn_mod.FfnParams, gbar: np.ndarray):
     return gz, {"ffn.w1": gw1, "ffn.w2": gw2}
 
 
+def _ln_backward(
+    X: np.ndarray, p: norm.LNParams, site: str, g: np.ndarray, grads: dict[str, np.ndarray]
+) -> np.ndarray:
+    """VJP through the LN at ``site``: records its parameter gradients in
+    ``grads`` and returns the gradient at its input ``X``."""
+    gx, grads[f"ln.{site}.gamma"], gbeta = norm.ln_vjp(X, p, g)
+    if gbeta is not None:
+        grads[f"ln.{site}.beta"] = gbeta
+    return gx
+
+
 def _sublayer_backward(
     trace: SublayerTrace, b: BlockParams, cfg: ModelConfig, which: str, g: np.ndarray
 ):
     """Backprop one placement-wrapped sublayer; returns (gx, grads dict)."""
-    dt = cfg.delta_t
+    st = STAGES[cfg.placement]
     vjp = _attn_vjp if which == "attn" else _ffn_vjp
-    params = b.attn if which == "attn" else b.ffn
-    ln_in = b.ln.get(ATTN_IN if which == "attn" else FFN_IN)
-    ln_out = b.ln.get(ATTN_OUT if which == "attn" else FFN_OUT)
-    site_in = ATTN_IN if which == "attn" else FFN_IN
-    site_out = ATTN_OUT if which == "attn" else FFN_OUT
+    weights = b.attn if which == "attn" else b.ffn
+    site_in, site_out = _SITES[which]
     grads: dict[str, np.ndarray] = {}
-
-    if cfg.placement == OFF:
-        gcore, fgrads = vjp(trace.x, params, dt * g)
-        grads.update(fgrads)
-        return g + gcore, grads
-    if cfg.placement == PRE:
-        gz, fgrads = vjp(trace.ln_in_out, params, dt * g)
-        grads.update(fgrads)
-        gx, ggamma, gbeta = norm.ln_vjp(trace.x, ln_in, gz)
-        grads[f"ln.{site_in}.gamma"] = ggamma
-        if gbeta is not None:
-            grads[f"ln.{site_in}.beta"] = gbeta
-        return g + gx, grads
-    if cfg.placement == PERI:
-        graw, ggamma_o, gbeta_o = norm.ln_vjp(trace.raw, ln_out, dt * g)
-        grads[f"ln.{site_out}.gamma"] = ggamma_o
-        if gbeta_o is not None:
-            grads[f"ln.{site_out}.beta"] = gbeta_o
-        gz, fgrads = vjp(trace.ln_in_out, params, graw)
-        grads.update(fgrads)
-        gx, ggamma_i, gbeta_i = norm.ln_vjp(trace.x, ln_in, gz)
-        grads[f"ln.{site_in}.gamma"] = ggamma_i
-        if gbeta_i is not None:
-            grads[f"ln.{site_in}.beta"] = gbeta_i
-        return g + gx, grads
-    # post
-    gsum, ggamma_o, gbeta_o = norm.ln_vjp(trace.summed, ln_out, g)
-    grads[f"ln.{site_out}.gamma"] = ggamma_o
-    if gbeta_o is not None:
-        grads[f"ln.{site_out}.beta"] = gbeta_o
-    gcore, fgrads = vjp(trace.x, params, dt * gsum)
+    if st.norm_sum:
+        g = _ln_backward(trace.summed, b.ln[site_out], site_out, g, grads)
+    gupdate = cfg.delta_t * g
+    if st.norm_out:
+        gupdate = _ln_backward(trace.raw, b.ln[site_out], site_out, gupdate, grads)
+    gcore, fgrads = vjp(trace.core_in, weights, gupdate)
     grads.update(fgrads)
-    return gsum + gcore, grads
+    if st.norm_in:
+        gcore = _ln_backward(trace.x, b.ln[site_in], site_in, gcore, grads)
+    return g + gcore, grads
 
 
 def backward(tape: ForwardTape, upstream: np.ndarray):

@@ -1,8 +1,9 @@
 """Toy-scale optimization harness for divergence-count trials.
 
 SGD with momentum and decoupled weight decay drives a model on synthetic
-tasks; a run is flagged as diverged as soon as the loss goes non-finite or
-the terminal hidden-state norm crosses the threshold.  Everything is keyed
+tasks; a run is flagged as diverged as soon as the loss goes non-finite, the
+terminal hidden-state norm crosses the threshold, or an LN denominator or a
+relu derivative is undefined at the iterate.  Everything is keyed
 off counter-based streams, so a TrainConfig determines its TrialOutcome
 bit for bit.
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .attention import ActivationKinkError
 from .model import (
     DivergenceError,
     ModelConfig,
@@ -22,6 +24,7 @@ from .model import (
     params_to_flat,
     random_model,
 )
+from .normalization import DegenerateTokenError
 from .numerics import Moments, RngStream, moments
 from .parallel import map_indexed
 
@@ -179,8 +182,9 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
                     for acc, g in zip(grad_accum, grads):
                         for k in acc:
                             acc[k] += g[k]
-        except DivergenceError:
-            # the predicate: loss non-finite, or terminal norm over threshold
+        except (DivergenceError, DegenerateTokenError, ActivationKinkError):
+            # the predicate: loss non-finite, terminal norm over threshold, or
+            # an LN site or relu derivative left undefined by the iterate
             diverged = True
             first_divergence = step
             losses.append(float("inf"))

@@ -102,6 +102,50 @@ def scripted_ffn(X, w1, w2, activation: str) -> np.ndarray:
     return w2 @ phi(w1 @ X)
 
 
+def scripted_attention_jacobian(X, q, k, v, w) -> np.ndarray:
+    """The attention Jacobian assembled block by block with loops.
+
+    Block (j, i) = sum_h W V (a_ij I + X S_j M_ij), where S_j is the softmax
+    Jacobian of column j and M_ij = (e_i (K^T Q x_j)^T + 1_{i=j} X^T K^T Q)
+    / sqrt(k) is the derivative of the logits column j by x_i.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    d, n = X.shape
+    scale = 1.0 / np.sqrt(q.shape[1])
+    full = np.zeros((n * d, n * d))
+    for h in range(q.shape[0]):
+        scores = (k[h] @ X).T @ (q[h] @ X) * scale
+        for j in range(n):
+            e = np.exp(scores[:, j] - scores[:, j].max())
+            a = e / e.sum()
+            soft = np.diag(a) - np.outer(a, a)
+            for i in range(n):
+                m = np.zeros((n, d))
+                m[i, :] = k[h].T @ q[h] @ X[:, j]
+                if i == j:
+                    m += X.T @ k[h].T @ q[h]
+                block = w[h] @ v[h] @ (a[i] * np.eye(d) + X @ soft @ (m * scale))
+                full[j * d:(j + 1) * d, i * d:(i + 1) * d] += block
+    return full
+
+
+def scripted_sublayer(placement: str, X, f, ln_in, ln_out, dt: float) -> np.ndarray:
+    """The README's placement formulas, transcribed one branch each.
+
+    ``f``, ``ln_in`` and ``ln_out`` map a d x n state to a d x n state;
+    the LN callables a placement does not use may be None.
+    """
+    if placement == "off":
+        return X + dt * f(X)
+    if placement == "pre":
+        return X + dt * f(ln_in(X))
+    if placement == "peri":
+        return X + dt * ln_out(f(ln_in(X)))
+    if placement == "post":
+        return ln_out(X + dt * f(X))
+    raise ValueError(f"unknown placement {placement!r}")
+
+
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x)."""
     lx = np.log(np.asarray(xs, dtype=np.float64))

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from oracles import central_diff_jacobian, relative_error, scripted_attention, scripted_ffn
+from oracles import (
+    central_diff_jacobian,
+    relative_error,
+    scripted_attention,
+    scripted_attention_jacobian,
+    scripted_ffn,
+)
 
 from lnlab.attention import (
     ActivationKinkError,
     AttentionParams,
     FfnParams,
     attn_forward,
-    attn_jacobian,
     attn_jacobian_full,
     ffn_forward,
-    ffn_jacobian,
     ffn_jacobian_blockdiag,
 )
 from lnlab.numerics import RngStream, ShapeMismatchError, unvec, vec
@@ -82,7 +86,7 @@ class TestAttnJacobian:
     def test_zero_weights_zero_jacobian(self):
         p = AttentionParams(*(np.zeros((1, 2, 3)),) * 3, np.zeros((1, 3, 2)))
         X = RngStream(4).generator().normal(size=(3, 3))
-        assert np.array_equal(attn_jacobian(X, p, 0, 1), np.zeros((3, 3)))
+        assert np.array_equal(attn_jacobian_full(X, p), np.zeros((9, 9)))
 
     def test_all_blocks_match_fd(self):
         gen = RngStream(5).generator()
@@ -96,12 +100,17 @@ class TestAttnJacobian:
             full_fd = central_diff_jacobian(
                 lambda v: vec(attn_forward(unvec(v, d, n), p)), vec(X)
             )
-            full = attn_jacobian_full(X, p)
-            assert relative_error(full, full_fd) <= 1e-6
-            # spot-check the per-block API against the assembled matrix
-            i, j = int(gen.integers(n)), int(gen.integers(n))
-            block = attn_jacobian(X, p, i, j)
-            assert np.allclose(block, full[j * d:(j + 1) * d, i * d:(i + 1) * d], atol=1e-12)
+            assert relative_error(attn_jacobian_full(X, p), full_fd) <= 1e-6
+
+    def test_matches_blockwise_loop(self):
+        # the broadcast form reorders the loop's sums, so allow a few hundred ulps
+        gen = RngStream(7).generator()
+        for _ in range(50):
+            d, n, k, heads = (int(gen.integers(1, 7)) for _ in range(4))
+            p = random_attention(gen, d, k, heads)
+            X = gen.normal(scale=3.0, size=(d, n))
+            reference = scripted_attention_jacobian(X, p.q, p.k, p.v, p.w)
+            assert relative_error(attn_jacobian_full(X, p), reference) <= 1e-13
 
     def test_linear_in_w_and_v(self):
         gen = RngStream(6).generator()
@@ -111,11 +120,6 @@ class TestAttnJacobian:
         for c1, c2 in ((10.0, 10.0), (1000.0, 0.01), (2.0, -3.0)):
             scaled = attn_jacobian_full(X, p.scaled(c1, c2))
             assert relative_error(scaled, c1 * c2 * base) <= 1e-12
-
-    def test_index_out_of_range(self):
-        p = random_attention(RngStream(7).generator(), 3, 2, 1)
-        with pytest.raises(IndexError):
-            attn_jacobian(np.zeros((3, 2)), p, 0, 2)
 
 
 class TestFfnForward:
@@ -145,8 +149,8 @@ class TestFfnForward:
 class TestFfnJacobian:
     def test_tanh_identity_at_zero(self):
         p = FfnParams(np.eye(3), np.eye(3), "tanh")
-        jac = ffn_jacobian(np.zeros((3, 2)), p, 0)
-        assert np.allclose(jac, np.eye(3), atol=1e-15)
+        jac = ffn_jacobian_blockdiag(np.zeros((3, 2)), p)
+        assert np.allclose(jac, np.eye(6), atol=1e-15)
 
     def test_matches_fd_tanh(self):
         gen = RngStream(11).generator()
@@ -161,18 +165,13 @@ class TestFfnJacobian:
         gen = RngStream(12).generator()
         p = random_ffn(gen, 4, 5, "relu")
         X = gen.normal(size=(4, 3))
-        base = ffn_jacobian(X, p, 1)
+        base = ffn_jacobian_blockdiag(X, p)
         for c1, c2 in ((10.0, 10.0), (1000.0, 0.01)):
-            scaled = ffn_jacobian(X, p.scaled(c1, c2), 1)
+            scaled = ffn_jacobian_blockdiag(X, p.scaled(c1, c2))
             assert relative_error(scaled, c1 * c2 * base) <= 1e-12
 
     def test_relu_kink_rejected(self):
         p = FfnParams(np.eye(2), np.eye(2), "relu")
         X = np.array([[0.0, 1.0], [1.0, 1.0]])  # exact zero pre-activation at token 0
         with pytest.raises(ActivationKinkError, match="tanh"):
-            ffn_jacobian(X, p, 0)
-
-    def test_index_out_of_range(self):
-        p = random_ffn(RngStream(13).generator(), 3, 4)
-        with pytest.raises(IndexError):
-            ffn_jacobian(np.zeros((3, 2)), p, 5)
+            ffn_jacobian_blockdiag(X, p)

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lnlab import cli
 from lnlab.cli import ConfigError, load_config, main
+from lnlab.normalization import DegenerateTokenError
 from lnlab.reports import (
     BOUNDS_COLUMNS,
     MOMENTS_COLUMNS,
@@ -140,6 +143,14 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), "--depth", "2", "diagnose"]) == 0
         assert (tmp_path / "moments.csv").exists()
 
+    def test_arithmetic_error_exits_two_with_message(self, tmp_path, monkeypatch, capsys):
+        def degenerate(cfg):
+            raise DegenerateTokenError("block 3, site ffn_in: constant token", 0)
+
+        monkeypatch.setitem(cli.HANDLERS, "diagnose", degenerate)
+        assert main(["--out", str(tmp_path), "diagnose"]) == 2
+        assert "block 3, site ffn_in" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_diagnose_byte_identical(self, tmp_path):
@@ -174,6 +185,18 @@ class TestTrainSubcommand:
         rows = read_report(tmp_path / "trials.csv")
         assert len(rows) == 1 and rows[0]["diverged"] == 0
         assert (tmp_path / "moments.csv").exists()
+
+    def test_degenerate_ln_recorded_as_divergence(self, tmp_path):
+        # relu at eps = 0 drives an FFN output to a constant token mid-run
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "aggressive.json").read_text())
+        cfg["model"].update(activation="relu", epsilon=0.0, placement="peri")
+        cfg["train"]["steps"] = 20
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 0
+        rows = read_report(tmp_path / "trials.csv")
+        assert rows[0]["diverged"] == 1
+        assert rows[0]["first_divergence_step"] is not None
 
 
 class TestSweepOrdering:

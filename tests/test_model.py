@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from oracles import central_diff_jacobian, central_diff_scalar_grad, relative_error
+from oracles import (
+    central_diff_jacobian,
+    central_diff_scalar_grad,
+    relative_error,
+    scripted_sublayer,
+)
 
 from lnlab import model as mdl
-from lnlab.attention import AttentionParams
+from lnlab.attention import AttentionParams, attn_forward, ffn_forward
 from lnlab.model import (
     DivergenceError,
     ModelConfig,
@@ -21,7 +26,7 @@ from lnlab.model import (
     sublayer_sensitivity,
     zero_weight_block,
 )
-from lnlab.normalization import DegenerateTokenError, ellipsoid_residual
+from lnlab.normalization import DegenerateTokenError, ellipsoid_residual, ln_forward_columns
 from lnlab.numerics import RngStream, unvec, vec
 
 
@@ -30,6 +35,17 @@ def cfg_for(placement, d=4, n=3, depth=2, dt=0.5, eps=1e-5, activation="tanh"):
         d=d, n=n, k=3, m=5, heads=2, depth=depth,
         placement=placement, delta_t=dt, activation=activation, epsilon=eps,
     )
+
+
+def placements_and_kinds():
+    """(placement, ln_kind) cases.  LayerNorm cases are identified by the
+    bare placement; off has no LN site, so it runs once."""
+    cases = [pytest.param(p, "layernorm", id=p) for p in ("off", "pre", "peri", "post")]
+    return cases + [pytest.param(p, "rmsnorm", id=f"{p}-rmsnorm") for p in ("pre", "peri", "post")]
+
+
+def _columnwise(p):
+    return None if p is None else (lambda Z: ln_forward_columns(Z, p))
 
 
 class TestBlockForward:
@@ -84,6 +100,27 @@ class TestBlockForward:
         X = np.ones((4, 3))  # constant tokens break LayerNorm at eps=0
         with pytest.raises(DegenerateTokenError, match=r"block 7.*attn_in"):
             block_forward(X, block, cfg, index=7)
+
+
+class TestPlacementSemantics:
+    @pytest.mark.parametrize("placement,ln_kind", placements_and_kinds())
+    @pytest.mark.parametrize("dt", [1.0, 0.7])
+    def test_block_forward_matches_scripted_formulas(self, placement, ln_kind, dt):
+        cfg = cfg_for(placement, dt=dt)
+        for seed in range(5):
+            b = random_model(cfg, RngStream(300 + seed), ln_kind=ln_kind)[0]
+            X = RngStream(400 + seed).generator().normal(size=(4, 3))
+            expected = X
+            for which, f in (("attn", lambda Z: attn_forward(Z, b.attn)),
+                             ("ffn", lambda Z: ffn_forward(Z, b.ffn))):
+                ln_in = _columnwise(b.ln.get(f"{which}_in"))
+                ln_out = _columnwise(b.ln.get(f"{which}_out"))
+                expected = scripted_sublayer(placement, expected, f, ln_in, ln_out, dt)
+            out, _ = block_forward(X, b, cfg)
+            if dt == 1.0:
+                assert np.array_equal(out, expected)
+            else:
+                assert relative_error(out, expected) <= 1e-14
 
 
 class TestModelForward:
@@ -147,12 +184,12 @@ class TestLocalSensitivity:
         tape = model_forward(X, params, cfg)
         assert np.allclose(local_sensitivity(tape, 0), np.eye(12), atol=1e-15)
 
-    @pytest.mark.parametrize("placement", ["off", "pre", "peri", "post"])
+    @pytest.mark.parametrize("placement,ln_kind", placements_and_kinds())
     @pytest.mark.parametrize("eps", [0.0, 1e-5])
-    def test_matches_fd_all_placements(self, placement, eps):
+    def test_matches_fd_all_placements(self, placement, ln_kind, eps):
         for seed in range(25):
             cfg = cfg_for(placement, eps=eps, dt=0.7)
-            params = random_model(cfg, RngStream(100 + seed))
+            params = random_model(cfg, RngStream(100 + seed), ln_kind=ln_kind)
             X = RngStream(200 + seed).generator().normal(size=(4, 3))
             tape = model_forward(X, params, cfg)
             fd = central_diff_jacobian(
@@ -200,7 +237,7 @@ class TestGradientProduct:
         tape = model_forward(X, params, cfg)
         assert np.array_equal(gradient_product(tape, 2), local_sensitivity(tape, 2))
 
-    @pytest.mark.parametrize("placement", ["pre", "peri", "post"])
+    @pytest.mark.parametrize("placement", ["off", "pre", "peri", "post"])
     def test_matches_fd_of_composite(self, placement):
         cfg = cfg_for(placement, d=3, n=2, depth=4, dt=0.6)
         params = random_model(cfg, RngStream(21))
@@ -236,10 +273,10 @@ class TestParamGradients:
         grads = param_gradients(tape, np.zeros(12))
         assert all(np.all(g == 0) for block in grads for g in block.values())
 
-    @pytest.mark.parametrize("placement", ["off", "pre", "peri", "post"])
-    def test_every_entry_matches_fd(self, placement):
+    @pytest.mark.parametrize("placement,ln_kind", placements_and_kinds())
+    def test_every_entry_matches_fd(self, placement, ln_kind):
         cfg = cfg_for(placement, d=3, n=2, depth=2, dt=0.8)
-        params = random_model(cfg, RngStream(24))
+        params = random_model(cfg, RngStream(24), ln_kind=ln_kind)
         X = RngStream(25).generator().normal(size=(3, 2))
         C = RngStream(26).generator().normal(size=(3, 2))
         tape = model_forward(X, params, cfg)
@@ -256,6 +293,8 @@ class TestParamGradients:
 
                 fd = central_diff_scalar_grad(loss, arr)
                 assert relative_error(grads[bi][name], fd) <= 1e-5, (placement, bi, name)
+        if ln_kind == "rmsnorm":
+            assert not any(name.endswith(".beta") for block in grads for name in block)
 
     def test_off_placement_is_plain_residual_net(self):
         # freezing all LN sites reproduces a plain residual network gradient

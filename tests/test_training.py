@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lnlab import training
+from lnlab.attention import ActivationKinkError
 from lnlab.model import ModelConfig
 from lnlab.numerics import RngStream
 from lnlab.training import (
@@ -127,6 +129,29 @@ class TestTrainRun:
         tc = small_tc(task=NOISY_COPY, noise_std=float("inf"), steps=3)
         out = train_run(tc)
         assert out.diverged and out.first_divergence_step == 0
+
+    def test_degenerate_ln_recorded_as_divergence(self):
+        cfg = ModelConfig(d=4, n=3, k=3, m=8, heads=1, depth=8, placement="peri",
+                          activation="relu", epsilon=0.0)
+        tc = TrainConfig(cfg=cfg, steps=20, lr=0.009, momentum=0.9, batch_size=2)
+        out = train_run(tc)
+        assert out.diverged and out.first_divergence_step is not None
+        assert len(out.loss_curve) == out.first_divergence_step + 1
+        assert out.loss_curve[-1] == float("inf")
+
+    def test_activation_kink_recorded_as_divergence(self, monkeypatch):
+        real = training.param_gradients
+        calls = []
+
+        def kinked(tape, upstream):
+            calls.append(1)
+            if len(calls) > 2:  # batch_size 2, so this is step 1
+                raise ActivationKinkError("relu pre-activation is exactly zero")
+            return real(tape, upstream)
+
+        monkeypatch.setattr(training, "param_gradients", kinked)
+        out = train_run(small_tc(steps=4))
+        assert out.diverged and out.first_divergence_step == 1
 
     def test_no_divergence_flag_without_predicate(self):
         out = train_run(small_tc(lr=0.001, steps=6))
