@@ -228,10 +228,14 @@ def cmd_train(cfg: dict) -> int:
         _moments_rows_from_outcome(outcome, tc.cfg, tc.seed),
         MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"],
     )
+    where = (
+        f" cause={outcome.cause} block={outcome.block} site={outcome.site}"
+        if outcome.diverged else ""
+    )
     print(
         f"train: diverged={outcome.diverged} "
         f"first_divergence_step={outcome.first_divergence_step} "
-        f"final_loss={outcome.final_loss:.6g}"
+        f"final_loss={outcome.final_loss:.6g}{where}"
     )
     return 0
 

@@ -69,13 +69,18 @@ PLACEMENTS = tuple(STAGES)
 # nd x nd sensitivities are desk-scale objects; refuse to materialize beyond this.
 MATERIALIZE_LIMIT = 64
 
+# the default cause of a DivergenceError, as training outcomes record it
+NONFINITE_STATE = "nonfinite_state"
+
 
 class DivergenceError(FloatingPointError):
-    """Forward pass produced a non-finite hidden state."""
+    """A run left the finite range: by default the forward pass produced a
+    non-finite hidden state at ``block``; ``cause`` names other predicates."""
 
-    def __init__(self, message: str, block: int):
+    def __init__(self, message: str, block: int | None, cause: str = NONFINITE_STATE):
         super().__init__(message)
         self.block = block
+        self.cause = cause
 
 
 class PlacementError(ValueError):
@@ -293,7 +298,7 @@ def _ln_at_site(X: np.ndarray, p: norm.LNParams, block: int, site: str) -> np.nd
         return norm.ln_forward_columns(X, p)
     except norm.DegenerateTokenError as exc:
         raise norm.DegenerateTokenError(
-            f"block {block}, site {site}: {exc}", exc.token_index
+            f"block {block}, site {site}: {exc}", exc.token_index, block, site
         ) from exc
 
 

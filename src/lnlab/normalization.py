@@ -1,9 +1,18 @@
 """LayerNorm and RMSNorm: forward maps, ellipsoid residuals, analytic Jacobians.
 
-Both norms act on a single token (a length-d vector); column-wise helpers
-apply them across a hidden state.  Jacobians are emitted with rows indexed
-by outputs and columns by inputs, i.e. ``J[a, b] = d out_a / d in_b``; every
-chain rule downstream of this module assumes that orientation.
+Both norms act on a single token (a length-d vector); the column-wise kernels
+apply them to every token of a d x n hidden state at once, as whole-array
+operations.  Jacobians are emitted with rows indexed by outputs and columns
+by inputs, i.e. ``J[a, b] = d out_a / d in_b``; every chain rule downstream
+of this module assumes that orientation.
+
+The backward pass forms no Jacobian.  With c the centered (LayerNorm) or raw
+(RMSNorm) token, s its denominator, x^ = c / s, g^ = gamma * gbar and means
+over the d entries of a token, the input gradient is
+
+    gx = (g^ - mean(g^) - x^ * mean(x^ * g^)) / s    (RMSNorm drops mean(g^))
+
+and over tokens ggamma = sum_j x^ * gbar, gbeta = sum_j gbar.
 """
 
 from __future__ import annotations
@@ -20,11 +29,15 @@ DEFAULT_EPSILON = 1e-5
 
 
 class DegenerateTokenError(ZeroDivisionError):
-    """Normalizing a constant (LayerNorm) or zero (RMSNorm) token at eps=0."""
+    """Normalizing a constant (LayerNorm) or zero (RMSNorm) token at eps=0;
+    a model's forward pass adds the block index and the LN site."""
 
-    def __init__(self, message: str, token_index: int | None = None):
+    def __init__(self, message: str, token_index: int | None = None,
+                 block: int | None = None, site: str | None = None):
         super().__init__(message)
         self.token_index = token_index
+        self.block = block
+        self.site = site
 
 
 @dataclass(frozen=True)
@@ -67,21 +80,27 @@ class LNParams:
         return LNParams(gamma, self.beta, self.epsilon, self.kind)
 
 
-def _denominator(x: np.ndarray, p: LNParams, token_index: int | None):
-    """(centered x, sqrt(spread + eps)) for LayerNorm; (x, rms) for RMSNorm."""
-    if p.kind == LAYERNORM:
-        c = x - x.mean()
-        s = np.sqrt(np.mean(c * c) + p.epsilon)
-        kind_msg = "constant token under LayerNorm"
-    else:
-        c = x
-        s = np.sqrt(np.mean(x * x) + p.epsilon)
-        kind_msg = "zero token under RMSNorm"
-    if s == 0.0:
-        where = "" if token_index is None else f" at token index {token_index}"
-        raise DegenerateTokenError(
-            f"division by zero: {kind_msg} with epsilon=0{where}", token_index
-        )
+def _column_mean(A: np.ndarray) -> np.ndarray:
+    """1 x n means of the columns; the same bits as ``np.mean`` without its wrapper."""
+    return np.add.reduce(A, axis=0, keepdims=True) / A.shape[0]
+
+
+def _column_stats(X: np.ndarray, p: LNParams, first_index: int | None = 0):
+    """Centered (LayerNorm) or raw (RMSNorm) columns and their 1 x n denominators.
+
+    A zero denominator raises DegenerateTokenError naming the first such
+    column, counted from ``first_index``; None leaves the token unnamed."""
+    if p.kind == LAYERNORM and X.shape[0] < 2:
+        raise ValueError("LayerNorm needs d >= 2")
+    c = X - _column_mean(X) if p.kind == LAYERNORM else X
+    s = np.sqrt(_column_mean(c * c) + p.epsilon)
+    zero = s[0] == 0.0
+    if zero.any():
+        kind_msg = ("constant token under LayerNorm" if p.kind == LAYERNORM
+                    else "zero token under RMSNorm")
+        index = None if first_index is None else first_index + int(np.argmax(zero))
+        where = "" if index is None else f" at token index {index}"
+        raise DegenerateTokenError(f"division by zero: {kind_msg} with epsilon=0{where}", index)
     return c, s
 
 
@@ -91,28 +110,16 @@ def ln_forward(x: np.ndarray, p: LNParams, token_index: int | None = None) -> np
     RMSNorm skips the mean subtraction and the bias: gamma * x / rms(x).
     """
     x = np.asarray(x, dtype=np.float64)
-    if p.kind == LAYERNORM and x.shape[0] < 2:
-        raise ValueError("ln_forward: LayerNorm needs d >= 2")
-    c, s = _denominator(x, p, token_index)
-    z = p.gamma * (c / s)
-    if p.kind == LAYERNORM:
-        z = z + p.beta
-    return z
+    c, s = _column_stats(x[:, None], p, token_index)
+    z = p.gamma * (c[:, 0] / s[0])
+    return z + p.beta if p.kind == LAYERNORM else z
 
 
 def ln_forward_columns(X: np.ndarray, p: LNParams) -> np.ndarray:
     """Apply ``ln_forward`` to every column of a d x n hidden state."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty_like(X)
-    for j in range(X.shape[1]):
-        out[:, j] = ln_forward(X[:, j], p, token_index=j)
-    return out
-
-
-def normalized_token(x: np.ndarray, p: LNParams) -> np.ndarray:
-    """The pre-scale normalized token (what gamma multiplies); used by VJPs."""
-    c, s = _denominator(np.asarray(x, dtype=np.float64), p, None)
-    return c / s
+    c, s = _column_stats(np.asarray(X, dtype=np.float64), p)
+    z = p.gamma[:, None] * (c / s)
+    return z + p.beta[:, None] if p.kind == LAYERNORM else z
 
 
 def ellipsoid_residual(z: np.ndarray, p: LNParams) -> float:
@@ -145,44 +152,39 @@ def ln_jacobian(x: np.ndarray, p: LNParams, token_index: int | None = None) -> n
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
-    if p.kind == LAYERNORM and d < 2:
-        raise ValueError("ln_jacobian: LayerNorm needs d >= 2")
-    c, s = _denominator(x, p, token_index)
-    if p.kind == LAYERNORM:
-        core = (np.eye(d) - np.full((d, d), 1.0 / d)) / s
-    else:
-        core = np.eye(d) / s
-    jac = p.gamma[:, None] * core - np.outer(p.gamma * c, c) / (d * s**3)
-    return jac
+    c, s = _column_stats(x[:, None], p, token_index)
+    c, s = c[:, 0], s[0, 0]
+    core = np.eye(d) - 1.0 / d if p.kind == LAYERNORM else np.eye(d)
+    return p.gamma[:, None] * (core / s) - np.outer(p.gamma * c, c) / (d * s**3)
 
 
 def ln_jacobian_blockdiag(X: np.ndarray, p: LNParams) -> np.ndarray:
-    """nd x nd block-diagonal Jacobian of column-wise normalization."""
+    """nd x nd block-diagonal Jacobian of column-wise normalization: block j
+    is ``ln_jacobian`` of token j, and off-token blocks are zero."""
     X = np.asarray(X, dtype=np.float64)
     d, n = X.shape
-    out = np.zeros((n * d, n * d))
-    for j in range(n):
-        out[j * d : (j + 1) * d, j * d : (j + 1) * d] = ln_jacobian(
-            X[:, j], p, token_index=j
-        )
-    return out
+    c, s = _column_stats(X, p)
+    s = s[0, :, None, None]
+    core = np.eye(d) - 1.0 / d if p.kind == LAYERNORM else np.eye(d)
+    gc = (p.gamma[:, None] * c).T[:, :, None]
+    diag = np.arange(n)
+    out = np.zeros((n, d, n, d))
+    out[diag, :, diag, :] = p.gamma[:, None] * (core / s) - gc * c.T[:, None, :] / (d * s**3)
+    return out.reshape(n * d, n * d)
 
 
 def ln_vjp(X: np.ndarray, p: LNParams, gbar: np.ndarray):
-    """Backward pass of column-wise normalization.
+    """Closed-form backward pass of column-wise normalization (module docstring).
 
     Given the loss gradient ``gbar`` with respect to the outputs, returns
-    ``(gx, ggamma, gbeta)``; ``gbeta`` is None for RMSNorm.
-    """
+    ``(gx, ggamma, gbeta)``; ``gbeta`` is None for RMSNorm."""
     X = np.asarray(X, dtype=np.float64)
     gbar = np.asarray(gbar, dtype=np.float64)
-    gx = np.empty_like(X)
-    ggamma = np.zeros_like(p.gamma)
-    gbeta = np.zeros_like(p.beta) if p.kind == LAYERNORM else None
-    for j in range(X.shape[1]):
-        jac = ln_jacobian(X[:, j], p, token_index=j)
-        gx[:, j] = jac.T @ gbar[:, j]
-        ggamma += normalized_token(X[:, j], p) * gbar[:, j]
-        if gbeta is not None:
-            gbeta += gbar[:, j]
-    return gx, ggamma, gbeta
+    c, s = _column_stats(X, p)
+    xhat = c / s
+    ghat = p.gamma[:, None] * gbar
+    proj = xhat * _column_mean(xhat * ghat)
+    ggamma = (xhat * gbar).sum(axis=1)
+    if p.kind == RMSNORM:
+        return (ghat - proj) / s, ggamma, None
+    return (ghat - _column_mean(ghat) - proj) / s, ggamma, gbar.sum(axis=1)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .attention import ActivationKinkError
 from .model import (
+    NONFINITE_STATE,
     DivergenceError,
     ModelConfig,
     flat_to_params,
@@ -31,6 +32,12 @@ from .parallel import map_indexed
 MEAN_REGRESSION = "mean_regression"
 NOISY_COPY = "noisy_copy"
 _TASKS = (MEAN_REGRESSION, NOISY_COPY)
+
+NORM_THRESHOLD = "norm_threshold"
+NONFINITE_LOSS = "nonfinite_loss"
+DEGENERATE_LN = "degenerate_ln"
+ACTIVATION_KINK = "activation_kink"
+CAUSES = (NORM_THRESHOLD, NONFINITE_LOSS, NONFINITE_STATE, DEGENERATE_LN, ACTIVATION_KINK)
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,19 @@ class TrialOutcome:
     final_loss: float
     loss_curve: tuple[float, ...]
     moment_curves: tuple[tuple[int, tuple[Moments, ...]], ...]
+    # why a diverged trial stopped, and the block and LN site where it did
+    # when known; all three are None for a trial that did not diverge
+    cause: str | None = None
+    block: int | None = None
+    site: str | None = None
 
     def __post_init__(self):
         if self.diverged and self.first_divergence_step is None:
             raise ValueError("diverged outcome must carry first_divergence_step")
+        if self.diverged and self.cause not in CAUSES:
+            raise ValueError(f"diverged outcome needs a cause in {CAUSES}, got {self.cause!r}")
+        if not self.diverged and (self.cause, self.block, self.site) != (None, None, None):
+            raise ValueError("an outcome that did not diverge has no cause, block or site")
 
 
 @dataclass(frozen=True)
@@ -142,6 +158,15 @@ def _is_weight_tensor(name: str) -> bool:
     return name.startswith(("attn.", "ffn."))
 
 
+def _divergence_cause(exc: ArithmeticError) -> tuple[str, int | None, str | None]:
+    """(cause, block, site) of an exception that ends a trial."""
+    if isinstance(exc, DivergenceError):
+        return exc.cause, exc.block, None
+    if isinstance(exc, DegenerateTokenError):
+        return DEGENERATE_LN, exc.block, exc.site
+    return ACTIVATION_KINK, None, None
+
+
 def train_run(tc: TrainConfig) -> TrialOutcome:
     """SGD + momentum with decoupled decay: theta <- (1 - lr*wd) theta - lr*m."""
     root = RngStream(tc.seed)
@@ -154,8 +179,8 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
 
     losses: list[float] = []
     checkpoints: list[tuple[int, tuple[Moments, ...]]] = []
-    diverged = False
     first_divergence = None
+    cause = block = site = None
 
     for step in range(tc.steps):
         params = [flat_to_params(f, b) for f, b in zip(flats, params)]
@@ -172,20 +197,20 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
                     if not np.isfinite(final_norm) or final_norm > tc.divergence_threshold:
                         raise DivergenceError(
                             f"terminal norm {final_norm:g} crossed threshold",
-                            block=tc.cfg.depth - 1,
+                            block=tc.cfg.depth - 1, cause=NORM_THRESHOLD,
                         )
                     loss, gbar = task.loss_and_grad(tape.x_final, y)
                     if not np.isfinite(loss):
-                        raise DivergenceError("loss is non-finite", block=tc.cfg.depth - 1)
+                        raise DivergenceError("loss is non-finite", None, NONFINITE_LOSS)
                     batch_loss += loss / tc.batch_size
                     grads = param_gradients(tape, gbar / tc.batch_size)
                     for acc, g in zip(grad_accum, grads):
                         for k in acc:
                             acc[k] += g[k]
-        except (DivergenceError, DegenerateTokenError, ActivationKinkError):
+        except (DivergenceError, DegenerateTokenError, ActivationKinkError) as exc:
             # the predicate: loss non-finite, terminal norm over threshold, or
             # an LN site or relu derivative left undefined by the iterate
-            diverged = True
+            cause, block, site = _divergence_cause(exc)
             first_divergence = step
             losses.append(float("inf"))
             break
@@ -198,11 +223,14 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
 
     final_loss = losses[-1] if losses else float("nan")
     return TrialOutcome(
-        diverged=diverged,
+        diverged=cause is not None,
         first_divergence_step=first_divergence,
         final_loss=final_loss,
         loss_curve=tuple(losses),
         moment_curves=tuple(checkpoints),
+        cause=cause,
+        block=block,
+        site=site,
     )
 
 

@@ -3,7 +3,10 @@
 Everything here is deliberately written without reference to the library's
 own derivative or transport code: central differences probe the forward
 maps, brute-force enumeration solves small transport problems, and
-extended-precision arithmetic recomputes the scalar kernels.
+extended-precision arithmetic recomputes the scalar kernels.  The one
+exception is the per-token LN VJP, which loops the materialized single-token
+``ln_jacobian`` (itself pinned against finite differences) to pin the
+closed-form column kernels.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from itertools import permutations
 
 import numpy as np
+
+from lnlab.normalization import LAYERNORM, ln_jacobian
 
 
 def central_diff_jacobian(f, x: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -127,6 +132,23 @@ def scripted_attention_jacobian(X, q, k, v, w) -> np.ndarray:
                 block = w[h] @ v[h] @ (a[i] * np.eye(d) + X @ soft @ (m * scale))
                 full[j * d:(j + 1) * d, i * d:(i + 1) * d] += block
     return full
+
+
+def scripted_ln_vjp(X, p, gbar):
+    """Column-wise LN backward pass, one token at a time: J_j^T gbar_j with the
+    materialized Jacobian of token j, plus the gamma and beta sums."""
+    X = np.asarray(X, dtype=np.float64)
+    d, n = X.shape
+    gx = np.zeros((d, n))
+    ggamma = np.zeros(d)
+    gbeta = np.zeros(d)
+    for j in range(n):
+        x = X[:, j]
+        gx[:, j] = ln_jacobian(x, p, token_index=j).T @ gbar[:, j]
+        c = x - x.mean() if p.kind == LAYERNORM else x
+        ggamma += c / np.sqrt(np.mean(c * c) + p.epsilon) * gbar[:, j]
+        gbeta += gbar[:, j]
+    return gx, ggamma, gbeta if p.kind == LAYERNORM else None
 
 
 def scripted_sublayer(placement: str, X, f, ln_in, ln_out, dt: float) -> np.ndarray:

@@ -186,7 +186,7 @@ class TestTrainSubcommand:
         assert len(rows) == 1 and rows[0]["diverged"] == 0
         assert (tmp_path / "moments.csv").exists()
 
-    def test_degenerate_ln_recorded_as_divergence(self, tmp_path):
+    def test_degenerate_ln_recorded_as_divergence(self, tmp_path, capsys):
         # relu at eps = 0 drives an FFN output to a constant token mid-run
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "aggressive.json").read_text())
         cfg["model"].update(activation="relu", epsilon=0.0, placement="peri")
@@ -196,7 +196,8 @@ class TestTrainSubcommand:
         assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 0
         rows = read_report(tmp_path / "trials.csv")
         assert rows[0]["diverged"] == 1
-        assert rows[0]["first_divergence_step"] is not None
+        assert rows[0]["first_divergence_step"] == 2
+        assert "cause=degenerate_ln block=6 site=ffn_out" in capsys.readouterr().out
 
 
 class TestSweepOrdering:

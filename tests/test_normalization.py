@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import central_diff_jacobian, relative_error
+from oracles import central_diff_jacobian, relative_error, scripted_ln_vjp
 
 from lnlab.normalization import (
     LAYERNORM,
@@ -213,3 +215,97 @@ class TestVjp:
             assert np.allclose(gbeta, C.sum(axis=1), atol=1e-12)
         else:
             assert gbeta is None
+
+
+# rounding allowance of the column kernels against the per-token oracle: a
+# length-d sum of terms bounded by 2 |gamma|_inf |gbar_j|_inf / s_j, with slack
+def _tol(d: int) -> float:
+    return 4 * d * np.finfo(np.float64).eps
+
+
+@st.composite
+def column_cases(draw):
+    """(X, p, gbar): d in 2..16, n in 1..8, both kinds, eps 0 or 1e-5, and
+    input scales log-uniform over 1e-3..1e3."""
+    d = draw(st.integers(2, 16))
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from([LAYERNORM, RMSNORM]))
+    eps = draw(st.sampled_from([0.0, 1e-5]))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
+    p = random_params(gen, d, eps=eps, kind=kind)
+    return gen.normal(scale=scale, size=(d, n)), p, gen.normal(size=(d, n))
+
+
+def _denominators(X, p):
+    c = X - X.mean(axis=0) if p.kind == LAYERNORM else X
+    return np.sqrt(np.mean(c * c, axis=0) + p.epsilon)
+
+
+class TestColumnKernels:
+    @settings(max_examples=300)
+    @given(column_cases())
+    def test_vjp_matches_per_token_oracle(self, case):
+        X, p, gbar = case
+        d, n = X.shape
+        gx, ggamma, gbeta = ln_vjp(X, p, gbar)
+        ref_gx, ref_ggamma, ref_gbeta = scripted_ln_vjp(X, p, gbar)
+        gmax = np.abs(gbar).max(axis=0)
+        scale = np.abs(p.gamma).max() * gmax / _denominators(X, p)
+        assert np.all(np.abs(gx - ref_gx).max(axis=0) <= _tol(d) * scale)
+        # |xhat| <= sqrt(d) entrywise, so each ggamma term is at most sqrt(d) |gbar_j|
+        assert np.abs(ggamma - ref_ggamma).max() <= _tol(n) * np.sqrt(d) * gmax.sum()
+        if p.kind == LAYERNORM:
+            assert np.abs(gbeta - ref_gbeta).max() <= _tol(n) * gmax.sum()
+        else:
+            assert gbeta is None and ref_gbeta is None
+
+    @settings(max_examples=300)
+    @given(column_cases())
+    def test_blockdiag_matches_per_token_oracle(self, case):
+        X, p, gbar = case
+        d, n = X.shape
+        full = ln_jacobian_blockdiag(X, p)
+        blocks = full.reshape(n, d, n, d)
+        off_token = ~np.eye(n, dtype=bool)
+        assert np.all(blocks.transpose(0, 2, 1, 3)[off_token] == 0.0)
+        gx = (full.T @ gbar.reshape(-1, order="F")).reshape(d, n, order="F")
+        ref_gx, _, _ = scripted_ln_vjp(X, p, gbar)
+        scale = np.abs(p.gamma).max() * np.abs(gbar).max(axis=0) / _denominators(X, p)
+        assert np.all(np.abs(gx - ref_gx).max(axis=0) <= _tol(d) * scale)
+
+    @settings(max_examples=300)
+    @given(column_cases())
+    def test_forward_matches_tokenwise(self, case):
+        X, p, _ = case
+        d, n = X.shape
+        cols = ln_forward_columns(X, p)
+        tokens = np.stack([ln_forward(X[:, j], p) for j in range(n)], axis=1)
+        if d < 8:
+            # one sequential sum per column either way: the same bits
+            assert np.array_equal(cols, tokens)
+        else:
+            # |xhat| <= sqrt(d) entrywise
+            bound = _tol(d) * (np.abs(p.gamma).max() * np.sqrt(d) + np.abs(p.beta).max())
+            assert np.abs(cols - tokens).max() <= bound
+
+    @pytest.mark.parametrize("kind", [LAYERNORM, RMSNORM])
+    @given(st.integers(2, 8), st.data())
+    def test_first_degenerate_column_reported(self, kind, n, data):
+        d = 4
+        first = data.draw(st.integers(0, n - 2))
+        later = data.draw(st.integers(first + 1, n - 1))
+        gen = RngStream(n * 100 + first * 10 + later).generator()
+        X = np.stack([spread_token(gen, d) for _ in range(n)], axis=1)
+        degenerate = np.full(d, 2.5) if kind == LAYERNORM else np.zeros(d)
+        X[:, first] = degenerate
+        X[:, later] = degenerate
+        p = random_params(gen, d, kind=kind)
+        for kernel in (
+            lambda: ln_forward_columns(X, p),
+            lambda: ln_vjp(X, p, np.ones((d, n))),
+            lambda: ln_jacobian_blockdiag(X, p),
+        ):
+            with pytest.raises(DegenerateTokenError, match=f"token index {first}$") as exc:
+                kernel()
+            assert exc.value.token_index == first

@@ -123,21 +123,38 @@ class TestTrainRun:
         out = train_run(tc)
         assert out.diverged and out.first_divergence_step == 0
         assert not np.isfinite(out.final_loss)
+        assert (out.cause, out.block, out.site) == ("norm_threshold", 2, None)
 
     def test_divergence_detector_fires_on_nonfinite_loss(self):
         # inject a non-finite loss through an infinite target noise level
         tc = small_tc(task=NOISY_COPY, noise_std=float("inf"), steps=3)
         out = train_run(tc)
         assert out.diverged and out.first_divergence_step == 0
+        assert (out.cause, out.block, out.site) == ("nonfinite_loss", None, None)
+
+    def test_nonfinite_state_names_block(self, monkeypatch):
+        # an infinite attention weight in block 1 makes its output non-finite
+        real = training.random_model
+
+        def blown(cfg, stream):
+            params = real(cfg, stream)
+            params[1].attn.w[0, 0, 0] = float("inf")
+            return params
+
+        monkeypatch.setattr(training, "random_model", blown)
+        out = train_run(small_tc(steps=3))
+        assert out.diverged and out.first_divergence_step == 0
+        assert (out.cause, out.block, out.site) == ("nonfinite_state", 1, None)
 
     def test_degenerate_ln_recorded_as_divergence(self):
         cfg = ModelConfig(d=4, n=3, k=3, m=8, heads=1, depth=8, placement="peri",
                           activation="relu", epsilon=0.0)
         tc = TrainConfig(cfg=cfg, steps=20, lr=0.009, momentum=0.9, batch_size=2)
         out = train_run(tc)
-        assert out.diverged and out.first_divergence_step is not None
+        assert out.diverged and out.first_divergence_step == 2
         assert len(out.loss_curve) == out.first_divergence_step + 1
         assert out.loss_curve[-1] == float("inf")
+        assert (out.cause, out.block, out.site) == ("degenerate_ln", 6, "ffn_out")
 
     def test_activation_kink_recorded_as_divergence(self, monkeypatch):
         real = training.param_gradients
@@ -152,15 +169,21 @@ class TestTrainRun:
         monkeypatch.setattr(training, "param_gradients", kinked)
         out = train_run(small_tc(steps=4))
         assert out.diverged and out.first_divergence_step == 1
+        assert (out.cause, out.block, out.site) == ("activation_kink", None, None)
 
     def test_no_divergence_flag_without_predicate(self):
         out = train_run(small_tc(lr=0.001, steps=6))
         assert not out.diverged and out.first_divergence_step is None
+        assert (out.cause, out.block, out.site) == (None, None, None)
         assert np.isfinite(out.loss_curve).all()
 
     def test_divergence_invariant(self):
         with pytest.raises(ValueError):
             TrialOutcome(True, None, 1.0, (1.0,), ())
+        with pytest.raises(ValueError, match="cause"):
+            TrialOutcome(True, 0, 1.0, (1.0,), (), cause="exploded")
+        with pytest.raises(ValueError, match="cause"):
+            TrialOutcome(False, None, 1.0, (1.0,), (), cause="norm_threshold")
 
     def test_moment_checkpoints_recorded(self):
         out = train_run(small_tc(steps=8, checkpoint_every=4))
