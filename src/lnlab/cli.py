@@ -1,9 +1,11 @@
 """Command-line surface: reproducible diagnostic runs and report emission.
 
 Subcommands: gradcheck, bounds, diagnose, train, sweep, ot-check, report.
-Configuration comes from a JSON file with full defaulting (unknown keys are
-rejected); flags override file values.  Exit codes: 0 all selected checks
-pass, 1 a check failed (first failing row printed), 2 bad config or usage.
+Configuration comes from a JSON file with full defaulting (unknown keys and
+values not of their default's type are rejected); flags override file values.
+Which rows of a report fail is decided in one place, ``CHECKS``: a command
+and ``report`` apply the same rule.  Exit codes: 0 all selected checks pass,
+1 a check failed (first failing row printed), 2 bad config, report or usage.
 """
 
 from __future__ import annotations
@@ -13,24 +15,26 @@ import json
 import sys
 from dataclasses import replace
 from itertools import permutations
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import gradcheck, suites
-from .diagnostics import BoundReport
 from .model import PLACEMENTS, ModelConfig, model_forward, random_model
 from .numerics import RngStream, moments, wasserstein_exact
 from .reports import (
     BOUNDS_COLUMNS,
     CSV,
     GRADCHECK_COLUMNS,
+    JSONL,
     MOMENTS_COLUMNS,
     TRIALS_COLUMNS,
+    format_value,
     read_report,
     write_report,
 )
-from .training import TrainConfig, stability_trial, train_run
+from .training import SweepResult, TrainConfig, stability_trial, train_run
 
 MARGIN_TOLERANCE = -1e-9
 
@@ -70,6 +74,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _fits(default, value) -> bool:
+    """Whether ``value`` has the type of ``default``.  An int fits a float, a
+    list fits when each item fits the default's first item, and a null
+    default (``train.dataset_size``) takes null or an int."""
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if default is None:
+        return value is None or isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    return isinstance(value, type(default))
+
+
 def _merge(defaults: dict, override: dict, path: str) -> dict:
     out = dict(defaults)
     for key, value in override.items():
@@ -80,8 +99,15 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config field {where!r} must be an object")
             out[key] = _merge(defaults[key], value, where)
+        elif not _fits(defaults[key], value):
+            raise ConfigError(
+                f"config field {where!r} must be of type {type(defaults[key]).__name__}, got {value!r}"
+            )
+        elif where == "diagnostics.instances" and value < 1:
+            raise ConfigError(f"config field {where!r} must be at least 1, got {value!r}")
         else:
-            out[key] = value
+            # an int given for a float field is stored as that float
+            out[key] = float(value) if isinstance(defaults[key], float) else value
     return out
 
 
@@ -100,21 +126,15 @@ def load_config(path: str | None) -> dict:
 
 
 def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.placement is not None:
-        cfg["model"]["placement"] = args.placement
-    if args.delta_t is not None:
-        cfg["model"]["delta_t"] = args.delta_t
-    if args.depth is not None:
-        cfg["model"]["depth"] = args.depth
-    if args.instances is not None:
-        cfg["diagnostics"]["instances"] = args.instances
-    if args.out is not None:
-        cfg["output"] = args.out
-    if args.format is not None:
-        cfg["format"] = args.format
-    return cfg
+    """Merge the given flags over ``cfg``, checked as config values are."""
+    def given(**values):
+        return {key: value for key, value in values.items() if value is not None}
+
+    return _merge(cfg, {
+        **given(seed=args.seed, output=args.out, format=args.format),
+        "model": given(placement=args.placement, delta_t=args.delta_t, depth=args.depth),
+        "diagnostics": given(instances=args.instances),
+    }, "")
 
 
 def model_config(cfg: dict) -> ModelConfig:
@@ -126,13 +146,86 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def _out_path(cfg: dict, stem: str) -> Path:
-    ext = "csv" if cfg["format"] == CSV else "jsonl"
-    return Path(cfg["output"]) / f"{stem}.{ext}"
+    return Path(cfg["output"]) / f"{stem}.{cfg['format']}"
 
 
-def _fail(row: dict, label: str) -> int:
-    print(f"FAIL {label}: {row}")
-    return 1
+# ---------------------------------------------------------------------------
+# Verdicts: which rows of a report fail
+# ---------------------------------------------------------------------------
+
+def _number(row: dict, column: str, label: str) -> float:
+    value = row.get(column)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{label}: column {column!r} must hold a number, got {value!r}")
+    return value
+
+
+def _describe(row: dict) -> str:
+    """A row as ``column=value`` pairs, each value as its report file spells it."""
+    return " ".join(f"{column}={format_value(value)}" for column, value in row.items())
+
+
+def _margin_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]:
+    return [r for r in rows if _number(r, "margin", label) < MARGIN_TOLERANCE]
+
+
+def _rel_err_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]:
+    diag_cfg = cfg["diagnostics"]
+    return [
+        r for r in rows
+        if _number(r, "rel_err", label) > (
+            diag_cfg["param_tolerance"] if r.get("category") == "params"
+            else diag_cfg["gradcheck_tolerance"]
+        )
+    ]
+
+
+def _trial_contract_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]:
+    """Divergence-count contract: off >= pre >= peri with peri = 0 at the
+    lowest decay, and the highest decay not raising the pre count.  Each is
+    evaluated only when every slice it reads is present; the failing ones
+    come back as rows."""
+    counts = {}
+    for r in rows:
+        key = (r.get("placement"), _number(r, "weight_decay", label))
+        counts[key] = counts.get(key, 0) + _number(r, "diverged", label)
+    decays = sorted({wd for _, wd in counts})
+    contracts = []
+    if decays and all((p, decays[0]) in counts for p in ("off", "pre", "peri")):
+        off, pre, peri = (counts[(p, decays[0])] for p in ("off", "pre", "peri"))
+        contracts.append((
+            {"contract": "ordering", "weight_decay": decays[0], "off": off, "pre": pre, "peri": peri},
+            off >= pre >= peri == 0,
+        ))
+    if len(decays) >= 2 and all(("pre", wd) in counts for wd in (decays[0], decays[-1])):
+        lo, hi = counts[("pre", decays[0])], counts[("pre", decays[-1])]
+        contracts.append((
+            {"contract": "pre_decay_effect", "low_decay": decays[0], "pre_low": lo,
+             "high_decay": decays[-1], "pre_high": hi},
+            hi <= lo,
+        ))
+    for row, ok in contracts:
+        print(f"{label} {_describe(row)} -> {'PASS' if ok else 'FAIL'}")
+    return [row for row, ok in contracts if not ok]
+
+
+# report stem -> the rows of that report that fail; trials are judged as a
+# whole by the divergence-count contract
+CHECKS = {
+    "bounds": _margin_fails,
+    "ot": _margin_fails,
+    "gradcheck": _rel_err_fails,
+    "trials": _trial_contract_fails,
+}
+
+
+def _judge(stem: str, rows: list[dict], cfg: dict, label: str) -> int:
+    """Print the verdict on one report and its first failing row; 0 or 1."""
+    failing = CHECKS[stem](rows, cfg, label)
+    print(f"{'FAIL' if failing else 'PASS'} {label}: {len(rows)} rows, {len(failing)} failing")
+    if failing:
+        print(f"first failing row: {_describe(failing[0])}")
+    return int(bool(failing))
 
 
 # ---------------------------------------------------------------------------
@@ -140,26 +233,12 @@ def _fail(row: dict, label: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(cfg: dict) -> int:
-    diag_cfg = cfg["diagnostics"]
-    rows = gradcheck.run_all(diag_cfg["instances"], cfg["seed"])
+    rows = gradcheck.run_all(cfg["diagnostics"]["instances"], cfg["seed"])
     write_report(rows, GRADCHECK_COLUMNS, _out_path(cfg, "gradcheck"), cfg["format"])
-    status = 0
     for category in gradcheck.CATEGORIES:
-        cat_rows = [r for r in rows if r["category"] == category]
-        worst = max(r["rel_err"] for r in cat_rows)
-        tol = (
-            diag_cfg["param_tolerance"]
-            if category == "params"
-            else diag_cfg["gradcheck_tolerance"]
-        )
-        print(f"gradcheck {category}: max rel err {worst:.3e} (tol {tol:g})")
-        if worst > tol and status == 0:
-            status = _fail(max(cat_rows, key=lambda r: r["rel_err"]), f"gradcheck {category}")
-    return status
-
-
-def _bound_rows(reports: list[BoundReport]) -> list[dict]:
-    return [r.to_row() for r in reports]
+        worst = max(r["rel_err"] for r in rows if r["category"] == category)
+        print(f"gradcheck {category}: max rel err {worst:.3e}")
+    return _judge("gradcheck", rows, cfg, "gradcheck")
 
 
 def cmd_bounds(cfg: dict) -> int:
@@ -172,37 +251,14 @@ def cmd_bounds(cfg: dict) -> int:
     )
     reports += suites.run_pathwise_suite(n, seed, delta_ts=tuple(diag_cfg["delta_ts"]))
     reports += suites.run_chain_suite(n, seed, depth=diag_cfg["chain_depth"])
-    rows = _bound_rows(reports)
+    rows = [r.to_row() for r in reports]
     write_report(rows, BOUNDS_COLUMNS, _out_path(cfg, "bounds"), cfg["format"])
     print(f"bounds: {len(rows)} checks, min margin {min(r['margin'] for r in rows):.3e}")
-    for row in rows:
-        if row["margin"] < MARGIN_TOLERANCE:
-            return _fail(row, "bounds")
-    return 0
+    return _judge("bounds", rows, cfg, "bounds")
 
 
-def cmd_diagnose(cfg: dict) -> int:
-    mc = model_config(cfg)
-    stream = RngStream(cfg["seed"])
-    params = random_model(mc, stream.child(0))
-    x0 = stream.child(1).generator().normal(size=(mc.d, mc.n))
-    tape = model_forward(x0, params, mc)
-    rows = []
-    for layer, state in enumerate(tape.states):
-        mo = moments(state)
-        rows.append({
-            "layer": layer, "ma": mo.mean_abs, "var": mo.var, "frob": mo.frob,
-            "seed": cfg["seed"], "placement": mc.placement, "delta_t": mc.delta_t,
-        })
-    write_report(rows, MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"])
-    print(f"diagnose: wrote {len(rows)} layer rows for placement {mc.placement}")
-    return 0
-
-
-def _moments_rows_from_outcome(outcome, mc: ModelConfig, seed: int) -> list[dict]:
-    if not outcome.moment_curves:
-        return []
-    _, layers = outcome.moment_curves[-1]
+def _moments_rows(layers, mc: ModelConfig, seed: int) -> list[dict]:
+    """One moments row per layer state, from ``numerics.Moments`` values."""
     return [
         {
             "layer": i, "ma": mo.mean_abs, "var": mo.var, "frob": mo.frob,
@@ -212,20 +268,29 @@ def _moments_rows_from_outcome(outcome, mc: ModelConfig, seed: int) -> list[dict
     ]
 
 
+def _final_moments(outcome) -> tuple:
+    return outcome.moment_curves[-1][1] if outcome.moment_curves else ()
+
+
+def cmd_diagnose(cfg: dict) -> int:
+    mc = model_config(cfg)
+    stream = RngStream(cfg["seed"])
+    params = random_model(mc, stream.child(0))
+    x0 = stream.child(1).generator().normal(size=(mc.d, mc.n))
+    tape = model_forward(x0, params, mc)
+    rows = _moments_rows([moments(state) for state in tape.states], mc, cfg["seed"])
+    write_report(rows, MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"])
+    print(f"diagnose: wrote {len(rows)} layer rows for placement {mc.placement}")
+    return 0
+
+
 def cmd_train(cfg: dict) -> int:
     tc = train_config(cfg)
     outcome = train_run(tc)
-    row = {
-        "placement": tc.cfg.placement,
-        "weight_decay": tc.weight_decay,
-        "seed": tc.seed,
-        "diverged": int(outcome.diverged),
-        "first_divergence_step": outcome.first_divergence_step,
-        "final_loss": outcome.final_loss,
-    }
-    write_report([row], TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])
+    rows = SweepResult({(tc.cfg.placement, tc.weight_decay, tc.seed): outcome}, {}).rows()
+    write_report(rows, TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])
     write_report(
-        _moments_rows_from_outcome(outcome, tc.cfg, tc.seed),
+        _moments_rows(_final_moments(outcome), tc.cfg, tc.seed),
         MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"],
     )
     where = (
@@ -237,7 +302,7 @@ def cmd_train(cfg: dict) -> int:
         f"first_divergence_step={outcome.first_divergence_step} "
         f"final_loss={outcome.final_loss:.6g}{where}"
     )
-    return 0
+    return _judge("trials", rows, cfg, "train")
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -245,42 +310,17 @@ def cmd_sweep(cfg: dict) -> int:
     sweep_cfg = cfg["sweep"]
     seeds = list(range(sweep_cfg["seeds"]))
     result = stability_trial(tc, sweep_cfg["placements"], sweep_cfg["weight_decays"], seeds)
-    write_report(result.rows(), TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])
+    rows = result.rows()
+    write_report(rows, TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])
     mrows = []
     for (placement, wd, seed), outcome in sorted(result.outcomes.items()):
         if wd == sweep_cfg["weight_decays"][0]:
             mc = replace(tc.cfg, placement=placement)
-            mrows += _moments_rows_from_outcome(outcome, mc, seed)
+            mrows += _moments_rows(_final_moments(outcome), mc, seed)
     write_report(mrows, MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"])
     for (placement, wd), count in sorted(result.counts.items()):
         print(f"sweep: placement={placement} weight_decay={wd} diverged={count}/{len(seeds)}")
-    return _check_trial_ordering(result.rows())
-
-
-def _check_trial_ordering(rows: list[dict]) -> int:
-    """Divergence-count contract: off >= pre >= peri with peri = 0, and decay
-    not increasing the pre count.  Only evaluated on the slices present."""
-    by = {}
-    for r in rows:
-        by.setdefault((r["placement"], r["weight_decay"]), []).append(int(r["diverged"]))
-    counts = {k: sum(v) for k, v in by.items()}
-    decays = sorted({wd for _, wd in counts})
-    placements = {p for p, _ in counts}
-    status = 0
-    if {"off", "pre", "peri"} <= placements and decays:
-        wd0 = decays[0]
-        off, pre, peri = counts[("off", wd0)], counts[("pre", wd0)], counts[("peri", wd0)]
-        ok = off >= pre >= peri and peri == 0
-        print(f"ordering (wd={wd0}): off={off} pre={pre} peri={peri} -> {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            status = 1
-    if "pre" in placements and len(decays) >= 2:
-        lo, hi = counts[("pre", decays[0])], counts[("pre", decays[-1])]
-        ok = hi <= lo
-        print(f"pre decay effect: wd={decays[0]} -> {lo}, wd={decays[-1]} -> {hi} -> {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            status = 1
-    return status
+    return _judge("trials", rows, cfg, "sweep")
 
 
 def _wp_bruteforce(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -308,63 +348,30 @@ def cmd_ot_check(cfg: dict) -> int:
         worst = max(worst, abs(exact - brute))
     print(f"ot-check: hungarian vs brute force, worst |diff| {worst:.3e}")
     if worst > 1e-12:
-        return _fail({"worst_diff": worst}, "ot-check hungarian")
+        print("FAIL ot-check hungarian")
+        return 1
     # bound instances with exact W_p
     reports = suites.run_wasserstein_suite(
         max(1, diag_cfg["instances"] // 2), seed,
         n_samples=diag_cfg["wasserstein_samples"], p=diag_cfg["wasserstein_p"],
     )
-    rows = _bound_rows(reports)
+    rows = [r.to_row() for r in reports]
     write_report(rows, BOUNDS_COLUMNS, _out_path(cfg, "ot"), cfg["format"])
     print(f"ot-check: {len(rows)} transport bounds, min margin {min(r['margin'] for r in rows):.3e}")
-    for row in rows:
-        if row["margin"] < MARGIN_TOLERANCE:
-            return _fail(row, "ot-check bound")
-    return 0
+    return _judge("ot", rows, cfg, "ot-check")
 
 
 def cmd_report(cfg: dict) -> int:
     out = Path(cfg["output"])
-    diag_cfg = cfg["diagnostics"]
-    status = 0
-    found = False
-    for stem in ("bounds", "ot"):
-        for path in (out / f"{stem}.csv", out / f"{stem}.jsonl"):
-            if not path.exists():
-                continue
-            found = True
-            rows = read_report(path)
-            bad = [r for r in rows if r["margin"] < MARGIN_TOLERANCE]
-            verdict = "PASS" if not bad else "FAIL"
-            print(f"{verdict} {path.name}: {len(rows)} rows, {len(bad)} margin violations")
-            if bad and status == 0:
-                status = _fail(bad[0], stem)
-    for path in (out / "gradcheck.csv", out / "gradcheck.jsonl"):
-        if not path.exists():
-            continue
-        found = True
-        rows = read_report(path)
-        bad = [
-            r for r in rows
-            if r["rel_err"] > (
-                diag_cfg["param_tolerance"] if r["category"] == "params"
-                else diag_cfg["gradcheck_tolerance"]
-            )
-        ]
-        verdict = "PASS" if not bad else "FAIL"
-        print(f"{verdict} {path.name}: {len(rows)} rows, {len(bad)} over tolerance")
-        if bad and status == 0:
-            status = _fail(bad[0], "gradcheck")
-    for path in (out / "trials.csv", out / "trials.jsonl"):
-        if not path.exists():
-            continue
-        found = True
-        rc = _check_trial_ordering(read_report(path))
-        if rc and status == 0:
-            status = rc
+    found = [
+        (stem, out / f"{stem}.{ext}")
+        for stem in CHECKS for ext in (CSV, JSONL)
+        if (out / f"{stem}.{ext}").exists()
+    ]
     if not found:
         print(f"report: no report files found under {out}", file=sys.stderr)
         return 2
+    status = max([_judge(stem, read_report(path), cfg, path.name) for stem, path in found])
     print("report:", "all checks pass" if status == 0 else "FAILURES present")
     return status
 

@@ -60,10 +60,6 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
     stream = RngStream(seed, 10).child(instance)
     gen = stream.generator()
     cfg = _rand_cfg(gen)
-    row = {
-        "category": category, "instance": instance, "d": cfg.d, "n": cfg.n,
-        "heads": cfg.heads, "depth": cfg.depth, "seed": seed,
-    }
 
     if category in ("layernorm", "rmsnorm"):
         kind = norm.LAYERNORM if category == "layernorm" else norm.RMSNORM
@@ -78,74 +74,53 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
         while np.std(x) < 0.1:
             # near-constant tokens sit below the FD step's resolution
             x = gen.normal(size=d)
-        analytic = norm.ln_jacobian(x, p)
-        fd = fd_jacobian(lambda v: norm.ln_forward(v, p), x)
-        row["rel_err"] = rel_error(analytic, fd)
-        return row
+        err = rel_error(norm.ln_jacobian(x, p), fd_jacobian(lambda v: norm.ln_forward(v, p), x))
 
-    if category == "attention":
-        p = model_mod.random_block_params(cfg, gen).attn
+    elif category in ("attention", "ffn", "block"):
+        # a map of the (d, n) state and its analytic Jacobian in vec layout
+        if category == "block":
+            params = model_mod.random_model(cfg, stream.child(1))
+            f = lambda X: model_mod.block_forward(X, params[0], cfg)[0]
+            jacobian = lambda X: model_mod.local_sensitivity(model_mod.model_forward(X, params, cfg), 0)
+        elif category == "attention":
+            p = model_mod.random_block_params(cfg, gen).attn
+            f = lambda X: attn_mod.attn_forward(X, p)
+            jacobian = lambda X: attn_mod.attn_jacobian_full(X, p)
+        else:
+            p = model_mod.random_block_params(cfg, gen).ffn
+            f = lambda X: attn_mod.ffn_forward(X, p)
+            jacobian = lambda X: attn_mod.ffn_jacobian_blockdiag(X, p)
         X = gen.normal(size=(cfg.d, cfg.n))
-        analytic = attn_mod.attn_jacobian_full(X, p)
-        fd = fd_jacobian(
-            lambda v: vec(attn_mod.attn_forward(unvec(v, cfg.d, cfg.n), p)), vec(X)
-        )
-        row["rel_err"] = rel_error(analytic, fd)
-        return row
+        fd = fd_jacobian(lambda v: vec(f(unvec(v, cfg.d, cfg.n))), vec(X))
+        err = rel_error(jacobian(X), fd)
 
-    if category == "ffn":
-        p = model_mod.random_block_params(cfg, gen).ffn
-        X = gen.normal(size=(cfg.d, cfg.n))
-        analytic = attn_mod.ffn_jacobian_blockdiag(X, p)
-        fd = fd_jacobian(
-            lambda v: vec(attn_mod.ffn_forward(unvec(v, cfg.d, cfg.n), p)), vec(X)
-        )
-        row["rel_err"] = rel_error(analytic, fd)
-        return row
-
-    if category == "block":
-        params = model_mod.random_model(cfg, stream.child(1))
-        X = gen.normal(size=(cfg.d, cfg.n))
-        tape = model_mod.model_forward(X, params, cfg)
-        analytic = model_mod.local_sensitivity(tape, 0)
-        fd = fd_jacobian(
-            lambda v: vec(model_mod.block_forward(unvec(v, cfg.d, cfg.n), params[0], cfg)[0]),
-            vec(X),
-        )
-        row["rel_err"] = rel_error(analytic, fd)
-        return row
-
-    if category == "params":
+    elif category == "params":
         params = model_mod.random_model(cfg, stream.child(1))
         X = gen.normal(size=(cfg.d, cfg.n))
         C = gen.normal(size=(cfg.d, cfg.n))  # loss(X_D) = <C, X_D>
-        tape = model_mod.model_forward(X, params, cfg)
-        grads = model_mod.param_gradients(tape, C)
+        grads = model_mod.param_gradients(model_mod.model_forward(X, params, cfg), C)
         block = int(gen.integers(cfg.depth))
-        flat = {k: v.copy() for k, v in model_mod.params_to_flat(params[block]).items()}
+        flat = model_mod.params_to_flat(params[block])
 
-        def loss_at(name, idx, delta):
-            trial = {k: (v.copy() if k == name else v) for k, v in flat.items()}
-            trial[name][idx] += delta
-            pb = model_mod.flat_to_params(trial, params[block])
+        def loss(name: str, value: np.ndarray) -> np.ndarray:
             plist = list(params)
-            plist[block] = pb
-            t = model_mod.model_forward(X, plist, cfg)
-            return float((C * t.x_final).sum())
+            plist[block] = model_mod.flat_to_params({**flat, name: value}, params[block])
+            return np.array([(C * model_mod.model_forward(X, plist, cfg).x_final).sum()])
 
-        worst = 0.0
-        for name, arr in flat.items():
-            h = 1e-6 * (1.0 + float(np.abs(arr).max()))
-            fd = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                fd[idx] = (loss_at(name, idx, h) - loss_at(name, idx, -h)) / (2.0 * h)
-            worst = max(worst, rel_error(grads[block][name], fd))
-        row["rel_err"] = worst
-        return row
+        err = max(
+            rel_error(
+                grads[block][name],
+                fd_jacobian(lambda v: loss(name, v.reshape(arr.shape)), arr.ravel()).reshape(arr.shape),
+            )
+            for name, arr in flat.items()
+        )
 
-    raise ValueError(f"unknown gradcheck category {category!r}")
+    else:
+        raise ValueError(f"unknown gradcheck category {category!r}")
+    return {
+        "category": category, "instance": instance, "d": cfg.d, "n": cfg.n,
+        "heads": cfg.heads, "depth": cfg.depth, "rel_err": err, "seed": seed,
+    }
 
 
 def run_category(category: str, instances: int, seed: int) -> list[dict]:

@@ -4,15 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lnlab import cli
+from lnlab import cli, suites
 from lnlab.cli import ConfigError, load_config, main
+from lnlab.diagnostics import BoundReport
 from lnlab.normalization import DegenerateTokenError
 from lnlab.reports import (
     BOUNDS_COLUMNS,
     MOMENTS_COLUMNS,
+    TRIALS_COLUMNS,
     read_report,
     write_report,
 )
+
+FAILING_BOUND = {
+    "check": "peri_ma_growth", "placement": "peri", "D": 8, "delta_t": 1.0,
+    "gamma_max": 1.0, "beta_max": 0.0, "lhs": 5.0, "rhs": 1.0, "margin": -4.0, "seed": 3,
+}
 
 
 class TestReportWriter:
@@ -100,6 +107,30 @@ class TestConfig:
         assert cfg["model"]["d"] == 6  # untouched default
         assert cfg["seed"] == 9
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"diagnostics": {"instances": "4"}}', "diagnostics.instances"),
+        ('{"diagnostics": {"instances": 0}}', "diagnostics.instances"),
+        ('{"model": {"delta_t": true}}', "model.delta_t"),
+        ('{"model": {"d": 4.0}}', "model.d"),
+        ('{"diagnostics": {"depths": [8, 16.5]}}', "diagnostics.depths"),
+        ('{"train": {"dataset_size": 2.5}}', "train.dataset_size"),
+        ('{"output": 3}', "output"),
+    ])
+    def test_wrongly_typed_value_rejected_with_path(self, tmp_path, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            load_config(str(path))
+
+    def test_int_for_float_and_null_or_int_dataset_size_accepted(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text('{"model": {"delta_t": 1}, "train": {"lr": 1, "dataset_size": 4}}')
+        cfg = load_config(str(path))
+        assert cfg["model"]["delta_t"] == 1.0 and isinstance(cfg["model"]["delta_t"], float)
+        assert cfg["train"]["dataset_size"] == 4
+        path.write_text('{"train": {"dataset_size": null}}')
+        assert load_config(str(path))["train"]["dataset_size"] is None
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_two(self, capsys):
@@ -125,12 +156,7 @@ class TestExitCodes:
         assert "delta_t" in capsys.readouterr().err
 
     def test_report_failure_exits_one_with_first_row(self, tmp_path, capsys):
-        rows = [
-            {"check": "peri_ma_growth", "placement": "peri", "D": 8, "delta_t": 1.0,
-             "gamma_max": 1.0, "beta_max": 0.0, "lhs": 5.0, "rhs": 1.0,
-             "margin": -4.0, "seed": 3},
-        ]
-        write_report(rows, BOUNDS_COLUMNS, tmp_path / "bounds.csv")
+        write_report([FAILING_BOUND], BOUNDS_COLUMNS, tmp_path / "bounds.csv")
         rc = main(["--out", str(tmp_path), "report"])
         assert rc == 1
         out = capsys.readouterr().out
@@ -138,6 +164,63 @@ class TestExitCodes:
 
     def test_report_empty_dir_exits_two(self, tmp_path):
         assert main(["--out", str(tmp_path), "report"]) == 2
+
+    def test_report_without_margin_column_exits_two(self, tmp_path, capsys):
+        columns = tuple(c for c in BOUNDS_COLUMNS if c != "margin")
+        write_report([FAILING_BOUND], columns, tmp_path / "bounds.csv")
+        assert main(["--out", str(tmp_path), "report"]) == 2
+        err = capsys.readouterr().err
+        assert "bounds.csv" in err and "'margin'" in err
+
+    def test_report_non_numeric_margin_exits_two(self, tmp_path, capsys):
+        write_report([{**FAILING_BOUND, "margin": "wide"}], BOUNDS_COLUMNS, tmp_path / "bounds.jsonl", "jsonl")
+        assert main(["--out", str(tmp_path), "report"]) == 2
+        err = capsys.readouterr().err
+        assert "bounds.jsonl" in err and "'margin'" in err and "'wide'" in err
+
+    def test_wrongly_typed_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"diagnostics": {"instances": "4"}}')
+        assert main(["--config", str(path), "--out", str(tmp_path), "bounds"]) == 2
+        assert "diagnostics.instances" in capsys.readouterr().err
+
+    def test_zero_instances_flag_exits_two(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "--instances", "0", "gradcheck"]) == 2
+        assert "diagnostics.instances" in capsys.readouterr().err
+
+    def test_float_flag_overrides_int_config_value(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"model": {"delta_t": 1, "depth": 2}}')
+        assert main(["--config", str(path), "--out", str(tmp_path), "--delta-t", "0.5", "diagnose"]) == 0
+        assert read_report(tmp_path / "moments.csv")[0]["delta_t"] == 0.5
+
+    def test_partial_trials_grid_gives_a_verdict(self, tmp_path, capsys):
+        # off and pre at decay 0 but peri only at 0.3: no contract has all its slices
+        def trial(placement, wd, diverged):
+            return {"placement": placement, "weight_decay": wd, "seed": 0, "diverged": diverged,
+                    "first_divergence_step": 5 if diverged else None, "final_loss": 0.5}
+
+        rows = [trial("off", 0.0, 1), trial("pre", 0.0, 0), trial("peri", 0.3, 0)]
+        write_report(rows, TRIALS_COLUMNS, tmp_path / "trials.csv")
+        assert main(["--out", str(tmp_path), "report"]) == 0
+        # with peri at decay 0 the ordering is evaluated (and fails); pre has
+        # one decay only, so the decay effect is still skipped
+        write_report(rows + [trial("peri", 0.0, 1)], TRIALS_COLUMNS, tmp_path / "trials.csv")
+        assert main(["--out", str(tmp_path), "report"]) == 1
+        assert "ordering" in capsys.readouterr().out
+
+    def test_bounds_and_report_print_the_same_failing_row(self, tmp_path, monkeypatch, capsys):
+        bad = BoundReport("peri_ma_growth", "peri", 8, 1.0, 1.0, 0.0, 24, 5.0, 1.0, seed=3)
+        monkeypatch.setattr(suites, "run_growth_suite", lambda *args, **kwargs: [bad])
+
+        def failing_lines(text):
+            return [line for line in text.splitlines() if "peri_ma_growth" in line]
+
+        assert main(["--out", str(tmp_path), "--instances", "1", "bounds"]) == 1
+        produced = failing_lines(capsys.readouterr().out)
+        assert main(["--out", str(tmp_path), "report"]) == 1
+        reported = failing_lines(capsys.readouterr().out)
+        assert len(produced) == 1 and produced == reported
 
     def test_diagnose_ok_exits_zero(self, tmp_path):
         assert main(["--out", str(tmp_path), "--depth", "2", "diagnose"]) == 0
@@ -166,6 +249,14 @@ class TestDeterminism:
         monkeypatch.setenv("LNLAB_THREADS", "6")
         assert main(["--out", str(b), "--instances", "4", "bounds"]) == 0
         assert (a / "bounds.csv").read_bytes() == (b / "bounds.csv").read_bytes()
+
+    def test_report_output_independent_of_directory(self, tmp_path, capsys):
+        texts = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            write_report([FAILING_BOUND], BOUNDS_COLUMNS, out / "bounds.csv")
+            assert main(["--out", str(out), "report"]) == 1
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
 
     def test_jsonl_format_flag(self, tmp_path):
         assert main(["--out", str(tmp_path), "--format", "jsonl", "--depth", "2", "diagnose"]) == 0
