@@ -153,11 +153,15 @@ def _out_path(cfg: dict, stem: str) -> Path:
 # Verdicts: which rows of a report fail
 # ---------------------------------------------------------------------------
 
-def _number(row: dict, column: str, label: str) -> float:
+def _cell(row: dict, column: str, label: str, kind: type, what: str):
     value = row.get(column)
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{label}: column {column!r} must hold a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{label}: column {column!r} must hold {what}, got {value!r}")
     return value
+
+
+def _number(row: dict, column: str, label: str) -> float:
+    return _cell(row, column, label, Real, "a number")
 
 
 def _describe(row: dict) -> str:
@@ -165,15 +169,16 @@ def _describe(row: dict) -> str:
     return " ".join(f"{column}={format_value(value)}" for column, value in row.items())
 
 
+# each check is written so that a NaN fails it
 def _margin_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]:
-    return [r for r in rows if _number(r, "margin", label) < MARGIN_TOLERANCE]
+    return [r for r in rows if not _number(r, "margin", label) >= MARGIN_TOLERANCE]
 
 
 def _rel_err_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]:
     diag_cfg = cfg["diagnostics"]
     return [
         r for r in rows
-        if _number(r, "rel_err", label) > (
+        if not _number(r, "rel_err", label) <= (
             diag_cfg["param_tolerance"] if r.get("category") == "params"
             else diag_cfg["gradcheck_tolerance"]
         )
@@ -187,7 +192,7 @@ def _trial_contract_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]
     come back as rows."""
     counts = {}
     for r in rows:
-        key = (r.get("placement"), _number(r, "weight_decay", label))
+        key = (_cell(r, "placement", label, str, "text"), _number(r, "weight_decay", label))
         counts[key] = counts.get(key, 0) + _number(r, "diverged", label)
     decays = sorted({wd for _, wd in counts})
     contracts = []

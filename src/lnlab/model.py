@@ -266,14 +266,6 @@ class BlockTrace:
     attn: SublayerTrace
     ffn: SublayerTrace
 
-    @property
-    def x_in(self) -> np.ndarray:
-        return self.attn.x
-
-    @property
-    def x_out(self) -> np.ndarray:
-        return self.ffn.out
-
 
 @dataclass(frozen=True)
 class ForwardTape:
@@ -541,7 +533,6 @@ def simplified_pre_chain(
     gammas: list[np.ndarray],
     attn_q: list[np.ndarray] | None = None,
     attn_k: list[np.ndarray] | None = None,
-    key_dim: int | None = None,
 ) -> ChainResult:
     """Attention-only pre-norm chain with merged d x d weights.
 
@@ -549,7 +540,7 @@ def simplified_pre_chain(
 
     where A_i is column-stochastic: uniform attention when no query/key
     matrices are supplied, otherwise softmax((K Xhat)^T Q Xhat / sqrt(k))
-    with Xhat the normalized state.  Alongside the terminal mean absolute
+    with Xhat the normalized state and k the row count of Q.  Alongside the terminal mean absolute
     value, returns the product upper bound
 
         (1/sqrt(nd)) * prod_i (1 + sqrt(n) |gamma_i|_inf max_j |x_{i,j}|^-1 |W_i|_2) * |X_0|_F
@@ -581,8 +572,7 @@ def simplified_pre_chain(
         if attn_q is None:
             a = np.full((n, n), 1.0 / n)
         else:
-            kd = key_dim if key_dim is not None else attn_q[i].shape[0]
-            scores = (attn_k[i] @ xhat).T @ (attn_q[i] @ xhat) / np.sqrt(kd)
+            scores = (attn_k[i] @ xhat).T @ (attn_q[i] @ xhat) / np.sqrt(attn_q[i].shape[0])
             a = attn_mod.softmax_columns(scores)
         factors[i] = 1.0 + (
             np.sqrt(n)

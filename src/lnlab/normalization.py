@@ -76,9 +76,6 @@ class LNParams:
     def dim(self) -> int:
         return self.gamma.shape[0]
 
-    def with_gamma(self, gamma: np.ndarray) -> "LNParams":
-        return LNParams(gamma, self.beta, self.epsilon, self.kind)
-
 
 def _column_mean(A: np.ndarray) -> np.ndarray:
     """1 x n means of the columns; the same bits as ``np.mean`` without its wrapper."""

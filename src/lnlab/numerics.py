@@ -1,10 +1,10 @@
 """Dense float64 kernels shared by every other module.
 
-Everything here is a pure function of its inputs: no global state, safe to
-call from any number of threads.  Hidden states, weights and sample sets are
-plain ``numpy.ndarray`` objects in float64.  The vectorization convention is
-column-major throughout (``vec`` stacks columns), which is what makes the
-Kronecker identities used by the sensitivity machinery come out right.
+Everything here is a pure function of its inputs, with no global state.
+Hidden states, weights and sample sets are plain ``numpy.ndarray`` objects
+in float64.  The vectorization convention is column-major throughout
+(``vec`` stacks columns), which is what makes the Kronecker identities used
+by the sensitivity machinery come out right.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Fixed Philox key for the deterministic power-iteration start vector.
-_POWER_ITERATION_KEY = 0x5EED_0F_5EED
-
 
 class ShapeMismatchError(ValueError):
     """Operands do not compose; message carries both shapes."""
@@ -23,14 +20,6 @@ class ShapeMismatchError(ValueError):
 
 class NonFiniteError(ValueError):
     """An input (or intermediate state) contains NaN or +/-inf."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration did not converge; carries the last estimate."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
 
 
 def as_matrix(a) -> np.ndarray:
@@ -89,39 +78,12 @@ def moments(x: np.ndarray) -> Moments:
     )
 
 
-def spectral_norm(w: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> float:
-    """Largest singular value of ``w`` by power iteration on ``w.T @ w``.
-
-    Terminates when the relative change of the estimate drops below ``tol``.
-    The start vector comes from a fixed Philox stream, so the result is a
-    deterministic function of the input alone.
-    """
+def spectral_norm(w: np.ndarray) -> float:
+    """Largest singular value of ``w`` (LAPACK SVD)."""
     w = as_matrix(w)
     if w.size == 0:
         raise ShapeMismatchError("spectral_norm: empty matrix")
-    gram_apply = lambda v: w.T @ (w @ v)
-    rng = np.random.Generator(np.random.Philox(key=_POWER_ITERATION_KEY))
-    v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = float(np.linalg.norm(w @ v))
-    if sigma == 0.0:
-        return 0.0
-    for _ in range(max_iter):
-        v = gram_apply(v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            # v fell into the null space; the attained estimate is exact there.
-            return 0.0
-        v /= nv
-        sigma_new = float(np.linalg.norm(w @ v))
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    raise PowerIterationError(
-        f"spectral_norm: no convergence in {max_iter} iterations "
-        f"(last estimate {sigma})",
-        last_estimate=sigma,
-    )
+    return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -149,9 +111,9 @@ class RngStream:
     """Counter-based random stream: Philox4x64 keyed by (seed, stream id).
 
     Identical (seed, stream) pairs produce identical draw sequences on every
-    platform, and independent streams can be consumed concurrently.  Each
-    call to ``generator()`` starts the stream from the beginning, so a stream
-    is a value, not a mutable cursor.
+    platform, and independent streams never share state.  Each call to
+    ``generator()`` starts the stream from the beginning, so a stream is a
+    value, not a mutable cursor.
     """
 
     seed: int

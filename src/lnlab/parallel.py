@@ -1,30 +1,18 @@
-"""Deterministic fan-out of independent instances across worker threads.
+"""Independent instances evaluated one after another, merged by index.
 
-Results are merged by instance index, so the output never depends on the
-thread count.  ``LNLAB_THREADS`` caps the pool size; 1 disables threading.
+Small-matrix numpy work holds the interpreter lock, so a thread pool gave
+no speed here; every suite, trial grid and gradcheck runs serially.  The
+module stays because the benchmark harness imports ``thread_count`` and
+traces ``map_indexed``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 
 def thread_count() -> int:
-    env = os.environ.get("LNLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"LNLAB_THREADS={env!r} is not an integer") from exc
-        return max(1, n)
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
-def map_indexed(fn, count: int, threads: int | None = None) -> list:
-    """[fn(0), ..., fn(count-1)], evaluated concurrently but merged in order."""
-    workers = thread_count() if threads is None else max(1, threads)
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+def map_indexed(fn, count: int) -> list:
+    """[fn(0), ..., fn(count-1)]."""
+    return [fn(i) for i in range(count)]

@@ -7,13 +7,12 @@ Column layouts are fixed per report kind:
     trials : placement,weight_decay,seed,diverged,first_divergence_step,final_loss
 
 Floats are serialized with 17 significant digits, so reading a file back
-reproduces every value bit-exactly.  All writes go through a single lock.
+reproduces every value bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 
 CSV = "csv"
@@ -29,8 +28,6 @@ TRIALS_COLUMNS = (
     "placement", "weight_decay", "seed", "diverged", "first_divergence_step", "final_loss",
 )
 GRADCHECK_COLUMNS = ("category", "instance", "d", "n", "heads", "depth", "rel_err", "seed")
-
-_write_lock = threading.Lock()
 
 
 def format_value(v) -> str:
@@ -78,9 +75,8 @@ def write_report(rows: list[dict], columns: tuple[str, ...], path, fmt: str = CS
             )
             lines.append("{" + parts + "}")
     text = "\n".join(lines) + "\n"
-    with _write_lock:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _parse_cell(s: str):
@@ -104,7 +100,13 @@ def read_report(path) -> list[dict]:
         return []
     lines = raw.split("\n")
     if lines[0].lstrip().startswith("{"):
-        return [json.loads(line) for line in lines]
+        rows = []
+        for number, line in enumerate(lines, 1):
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path.name} line {number}: {exc.msg} at column {exc.colno}") from None
+        return rows
     header = lines[0].split(",")
     return [
         {c: _parse_cell(cell) for c, cell in zip(header, line.split(","))}

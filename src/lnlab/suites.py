@@ -1,9 +1,8 @@
 """Randomized diagnostic suites: pinned instance distributions for every
 bound and invariance check, fanned out over per-instance RNG streams.
 
-Each suite takes an instance count and a master seed and produces reports
-merged by instance index, so a run is reproducible bit-for-bit regardless
-of thread count.
+Each suite takes an instance count and a master seed and draws instance i
+from its own child stream, so a run is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from . import diagnostics as diag
 from . import model as model_mod
 from . import normalization as norm
 from .model import ModelConfig, model_forward, random_model, simplified_pre_chain
-from .numerics import RngStream
+from .numerics import RngStream, spectral_norm
 from .parallel import map_indexed
 
 # Default desk-scale dimensions for randomized model suites.
@@ -113,7 +112,7 @@ def run_chain_suite(
         gs = [np.abs(gen.normal(1.0, 0.2, size=d)) + 0.1 for _ in range(depth)]
         qs = [gen.normal(0.0, 1.0 / np.sqrt(d), size=(key_dim, d)) for _ in range(depth)]
         ks = [gen.normal(0.0, 1.0 / np.sqrt(d), size=(key_dim, d)) for _ in range(depth)]
-        chain = simplified_pre_chain(x0, ws, gs, qs, ks, key_dim=key_dim)
+        chain = simplified_pre_chain(x0, ws, gs, qs, ks)
         return diag.pre_exponential_bound(chain, seed=i)
 
     return map_indexed(one, instances)
@@ -149,7 +148,7 @@ def divergence_witness(seeds: int, master_seed: int = 0, depth: int = WITNESS_DE
         u = np.sign(gen.normal(size=d)) + 0.1 * gen.normal(size=d)
         u /= np.linalg.norm(u)
         w = np.outer(u, u)
-        w *= WITNESS_SPECTRAL / np.linalg.svd(w, compute_uv=False)[0]
+        w *= WITNESS_SPECTRAL / spectral_norm(w)
         chain = simplified_pre_chain(x0, [w] * depth, [np.ones(d)] * depth)
         cfg = ModelConfig(d=d, n=n, k=4, m=8, heads=1, depth=depth, placement=model_mod.PERI)
         params = random_model(cfg, RngStream(master_seed + i, 5))

@@ -10,6 +10,7 @@ from lnlab.diagnostics import BoundReport
 from lnlab.normalization import DegenerateTokenError
 from lnlab.reports import (
     BOUNDS_COLUMNS,
+    GRADCHECK_COLUMNS,
     MOMENTS_COLUMNS,
     TRIALS_COLUMNS,
     read_report,
@@ -178,6 +179,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bounds.jsonl" in err and "'margin'" in err and "'wide'" in err
 
+    def test_nan_margin_fails_its_row(self, tmp_path, capsys):
+        write_report([{**FAILING_BOUND, "margin": float("nan")}], BOUNDS_COLUMNS, tmp_path / "bounds.csv")
+        assert main(["--out", str(tmp_path), "report"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL bounds.csv: 1 rows, 1 failing" in out and "margin=nan" in out
+
+    def test_nan_rel_err_fails_its_row(self, tmp_path, capsys):
+        row = {"category": "layernorm", "instance": 0, "d": 4, "n": 3, "heads": 1,
+               "depth": 1, "rel_err": float("nan"), "seed": 0}
+        write_report([row], GRADCHECK_COLUMNS, tmp_path / "gradcheck.jsonl", "jsonl")
+        assert main(["--out", str(tmp_path), "report"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL gradcheck.jsonl: 1 rows, 1 failing" in out and "rel_err=nan" in out
+
+    @pytest.mark.parametrize("columns, placement", [
+        (("weight_decay", "seed", "diverged"), "off"),
+        (TRIALS_COLUMNS, 3),
+    ])
+    def test_trials_without_text_placement_exits_two(self, tmp_path, capsys, columns, placement):
+        row = {"placement": placement, "weight_decay": 0.0, "seed": 0, "diverged": 1,
+               "first_divergence_step": 5, "final_loss": 0.5}
+        write_report([row], columns, tmp_path / "trials.csv")
+        assert main(["--out", str(tmp_path), "report"]) == 2
+        err = capsys.readouterr().err
+        assert "trials.csv" in err and "'placement'" in err
+
+    def test_malformed_json_line_names_file_and_line(self, tmp_path, capsys):
+        write_report([FAILING_BOUND], BOUNDS_COLUMNS, tmp_path / "bounds.jsonl", "jsonl")
+        with open(tmp_path / "bounds.jsonl", "a") as f:
+            f.write('{"check": oops}\n')
+        assert main(["--out", str(tmp_path), "report"]) == 2
+        assert "bounds.jsonl line 2: Expecting value" in capsys.readouterr().err
+
     def test_wrongly_typed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"diagnostics": {"instances": "4"}}')
@@ -242,12 +276,10 @@ class TestDeterminism:
             assert main(["--out", str(out), "--seed", "11", "--depth", "3", "diagnose"]) == 0
         assert (a / "moments.csv").read_bytes() == (b / "moments.csv").read_bytes()
 
-    def test_bounds_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
+    def test_bounds_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("LNLAB_THREADS", "1")
-        assert main(["--out", str(a), "--instances", "4", "bounds"]) == 0
-        monkeypatch.setenv("LNLAB_THREADS", "6")
-        assert main(["--out", str(b), "--instances", "4", "bounds"]) == 0
+        for out in (a, b):
+            assert main(["--out", str(out), "--instances", "4", "bounds"]) == 0
         assert (a / "bounds.csv").read_bytes() == (b / "bounds.csv").read_bytes()
 
     def test_report_output_independent_of_directory(self, tmp_path, capsys):

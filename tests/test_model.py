@@ -346,7 +346,7 @@ class TestSimplifiedPreChain:
             gs = [np.abs(gen.normal(1.0, 0.2, size=d)) + 0.1 for _ in range(depth)]
             qs = [gen.normal(0, 0.5, size=(3, d)) for _ in range(depth)]
             ks = [gen.normal(0, 0.5, size=(3, d)) for _ in range(depth)]
-            res = simplified_pre_chain(X0, ws, gs, qs, ks, key_dim=3)
+            res = simplified_pre_chain(X0, ws, gs, qs, ks)
             assert res.bound_rhs - res.mean_abs >= 0
 
     def test_spectral_three_growth(self):

@@ -8,7 +8,6 @@ from oracles import assignment_bruteforce, softmax_longdouble, wasserstein_brute
 from lnlab.numerics import (
     MAX_OT_SAMPLES,
     NonFiniteError,
-    PowerIterationError,
     RngStream,
     ShapeMismatchError,
     matmul,
@@ -120,11 +119,13 @@ class TestSpectralNorm:
         base = spectral_norm(w)
         assert spectral_norm(c * w) == pytest.approx(abs(c) * base, rel=1e-8, abs=1e-12)
 
-    def test_nonconvergence_carries_estimate(self):
-        w = np.random.default_rng(0).normal(size=(5, 5))
-        with pytest.raises(PowerIterationError) as exc:
-            spectral_norm(w, tol=0.0, max_iter=3)
-        assert exc.value.last_estimate > 0
+    def test_never_below_svd(self):
+        # the chain bound multiplies |W|_2 factors, so an under-estimate
+        # would weaken an upper bound
+        for seed in range(300):
+            gen = np.random.default_rng(seed)
+            w = gen.normal(size=tuple(gen.integers(1, 9, size=2)))
+            assert spectral_norm(w) >= np.linalg.svd(w, compute_uv=False)[0]
 
     def test_row_and_column_vectors(self):
         v = np.array([[3.0, 4.0]])

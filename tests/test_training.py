@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -217,10 +219,10 @@ class TestStabilityTrial:
         res = stability_trial(base, ["peri"], [0.0, 0.3], list(range(6)))
         assert all(not oc.diverged for oc in res.outcomes.values())
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_outcomes_equal_train_run_at_each_grid_point(self):
         base = small_tc(lr=0.02, steps=4)
-        monkeypatch.setenv("LNLAB_THREADS", "1")
-        serial = stability_trial(base, ["pre", "peri"], [0.0], [0, 1, 2])
-        monkeypatch.setenv("LNLAB_THREADS", "4")
-        threaded = stability_trial(base, ["pre", "peri"], [0.0], [0, 1, 2])
-        assert serial.outcomes == threaded.outcomes
+        res = stability_trial(base, ["pre", "peri"], [0.0, 0.3], [0, 1, 2])
+        assert len(res.outcomes) == 12
+        for (placement, wd, seed), outcome in res.outcomes.items():
+            tc = replace(base, seed=seed, weight_decay=wd, cfg=replace(base.cfg, placement=placement))
+            assert outcome == train_run(tc)
