@@ -21,7 +21,6 @@ from .normalization import LNParams, ellipsoid_residual, ln_forward, ln_jacobian
 from .numerics import (
     Moments,
     RngStream,
-    matmul,
     min_cost_assignment,
     moments,
     softmax_columns,

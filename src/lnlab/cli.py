@@ -58,7 +58,6 @@ DEFAULTS = {
         "wasserstein_samples": 32,
         "wasserstein_p": 2.0,
         "chain_depth": 16,
-        "witness_seeds": 20,
         "gradcheck_tolerance": 1e-6,
         "param_tolerance": 1e-5,
     },
@@ -68,6 +67,11 @@ DEFAULTS = {
         "seeds": 20,
     },
 }
+
+
+# sections whose int fields count things (at least 1) and whose lists are
+# grids to run over (non-empty)
+_COUNTED = ("diagnostics", "sweep")
 
 
 class ConfigError(ValueError):
@@ -103,7 +107,9 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
             raise ConfigError(
                 f"config field {where!r} must be of type {type(defaults[key]).__name__}, got {value!r}"
             )
-        elif where == "diagnostics.instances" and value < 1:
+        elif path in _COUNTED and value == []:
+            raise ConfigError(f"config field {where!r} must be non-empty")
+        elif path in _COUNTED and type(defaults[key]) is int and value < 1:
             raise ConfigError(f"config field {where!r} must be at least 1, got {value!r}")
         else:
             # an int given for a float field is stored as that float

@@ -2,8 +2,12 @@
 
 Every check returns a BoundReport carrying the left-hand side, the
 right-hand side, and the margin rhs - lhs, so near-violations show up in
-the CSV output instead of vanishing into a boolean.  The peri-norm bounds
-are:
+the CSV output instead of vanishing into a boolean.  A check admits a model
+by its placement's stage row ``(norm_in, norm_out, norm_sum)``, never by
+its name.  The growth, data-wise, pathwise and W_p bounds need
+``norm_out and not norm_sum``: every residual update passes through an
+output LN and the sum is not renormalized.  Of the existing rows only peri
+meets it.  The bounds are:
 
     MA(X_D)  <=  |X_0|_F / sqrt(nd) + 2 D dt (gamma_max + beta_max)
     Var(X_D) <= (|X_0|_F + 2 D dt sqrt(nd) (gamma_max + beta_max))^2 / (nd - 1)
@@ -12,7 +16,9 @@ are:
     W_p(mu_D, nu_D)   <= 2^((p-1)/p) (C(p) W_p(mu_0, nu_0) + 4 D dt sqrt(nd) gamma_max)
 
 with gamma_max/beta_max maxima of the inf-norms over all output-LN sites.
-The residual scale dt sharpens every D-dependent term.
+The residual scale dt sharpens every D-dependent term.  The rescaling
+probe needs ``norm_in and not norm_sum`` (pre and peri): with ``norm_out``
+the sensitivity is invariant, without it the update scales by c1 * c2.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from .model import (
     ForwardTape,
     ModelConfig,
     PlacementError,
+    Stages,
     model_forward,
+    stages_for_placement,
     sublayer_sensitivity,
 )
 from .numerics import Moments, moments, wasserstein_exact
@@ -51,6 +59,17 @@ class BoundReport:
     lhs: float
     rhs: float
     seed: int = 0
+
+    @classmethod
+    def for_model(
+        cls, check: str, cfg: ModelConfig, gmax: float, bmax: float,
+        lhs: float, rhs: float, seed: int,
+    ) -> BoundReport:
+        """A row for a model under ``cfg`` with output-LN extrema ``gmax``, ``bmax``."""
+        return cls(
+            check=check, placement=cfg.placement, depth=cfg.depth, delta_t=cfg.delta_t,
+            gamma_max=gmax, beta_max=bmax, nd=cfg.nd, lhs=float(lhs), rhs=float(rhs), seed=seed,
+        )
 
     @property
     def margin(self) -> float:
@@ -107,30 +126,40 @@ def layer_moments(tape: ForwardTape) -> list[Moments]:
     return [moments(x) for x in tape.states]
 
 
-def _require_placement(cfg: ModelConfig, placement: str, check: str) -> None:
-    if cfg.placement != placement:
+def _admit(cfg: ModelConfig, check: str, need: str) -> Stages:
+    """The stage row of ``cfg.placement`` if it has stage ``need`` and does not
+    renormalize the residual sum; PlacementError otherwise."""
+    st = stages_for_placement(cfg.placement)
+    if not getattr(st, need) or st.norm_sum:
         raise PlacementError(
-            f"{check} applies to placement {placement!r}, model uses {cfg.placement!r}"
+            f"{check} needs {need} and not norm_sum; placement {cfg.placement!r} has {st}"
         )
+    return st
+
+
+def _output_ln_gate(cfg: ModelConfig, params: list[BlockParams], check: str) -> tuple[float, float]:
+    """Admit a model whose every residual update passes through an output LN
+    into an unnormalized sum; return its output-LN extrema."""
+    _admit(cfg, check, "norm_out")
+    return output_ln_extrema(params)
+
+
+def _terminal_states(inputs, params: list[BlockParams], cfg: ModelConfig) -> list[np.ndarray]:
+    return [model_forward(x, params, cfg).x_final for x in inputs]
 
 
 def peri_growth_check(tape: ForwardTape, seed: int = 0) -> list[BoundReport]:
     """Terminal MA and entry variance against the linear/quadratic growth bounds."""
     cfg = tape.cfg
-    _require_placement(cfg, model_mod.PERI, "peri_growth_check")
-    gmax, bmax = output_ln_extrema(list(tape.params))
+    gmax, bmax = _output_ln_gate(cfg, list(tape.params), "peri_growth_check")
     nd = cfg.nd
     x0_frob = float(np.linalg.norm(tape.states[0]))
     terminal = moments(tape.x_final)
-    common = dict(
-        placement=cfg.placement, depth=cfg.depth, delta_t=cfg.delta_t,
-        gamma_max=gmax, beta_max=bmax, nd=nd, seed=seed,
-    )
     ma_rhs = x0_frob / np.sqrt(nd) + 2.0 * cfg.depth * cfg.delta_t * (gmax + bmax)
     var_rhs = (x0_frob + 2.0 * cfg.depth * cfg.delta_t * np.sqrt(nd) * (gmax + bmax)) ** 2 / (nd - 1)
     return [
-        BoundReport(check="peri_ma_growth", lhs=terminal.mean_abs, rhs=float(ma_rhs), **common),
-        BoundReport(check="peri_var_growth", lhs=terminal.var, rhs=float(var_rhs), **common),
+        BoundReport.for_model("peri_ma_growth", cfg, gmax, bmax, terminal.mean_abs, ma_rhs, seed),
+        BoundReport.for_model("peri_var_growth", cfg, gmax, bmax, terminal.var, var_rhs, seed),
     ]
 
 
@@ -142,26 +171,14 @@ def datawise_variance_check(
     seed: int = 0,
 ) -> BoundReport:
     """Variance of one terminal entry across inputs vs the quadratic bound."""
-    _require_placement(cfg, model_mod.PERI, "datawise_variance_check")
+    gmax, bmax = _output_ln_gate(cfg, params, "datawise_variance_check")
     if len(inputs) < 2:
         raise ValueError("datawise_variance_check: need at least 2 samples")
-    gmax, bmax = output_ln_extrema(params)
-    nd = cfg.nd
-    values = []
-    rhs_terms = []
-    for x0 in inputs:
-        tape = model_forward(x0, params, cfg)
-        values.append(tape.x_final[entry])
-        frob = float(np.linalg.norm(x0))
-        rhs_terms.append(
-            (frob + 2.0 * cfg.depth * cfg.delta_t * np.sqrt(nd) * (gmax + bmax)) ** 2
-        )
-    lhs = float(np.var(values, ddof=1))
-    return BoundReport(
-        check="datawise_variance", placement=cfg.placement, depth=cfg.depth,
-        delta_t=cfg.delta_t, gamma_max=gmax, beta_max=bmax, nd=nd,
-        lhs=lhs, rhs=float(np.mean(rhs_terms)), seed=seed,
-    )
+    scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
+    values = [x[entry] for x in _terminal_states(inputs, params, cfg)]
+    rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
+    lhs = np.var(values, ddof=1)
+    return BoundReport.for_model("datawise_variance", cfg, gmax, bmax, lhs, np.mean(rhs_terms), seed)
 
 
 def pathwise_stability_check(
@@ -172,20 +189,14 @@ def pathwise_stability_check(
     seed: int = 0,
 ) -> BoundReport:
     """Terminal Frobenius deviation of two inputs vs the pathwise bound."""
-    _require_placement(cfg, model_mod.PERI, "pathwise_stability_check")
-    gmax, bmax = output_ln_extrema(params)
-    ta = model_forward(x0a, params, cfg)
-    tb = model_forward(x0b, params, cfg)
-    lhs = float(np.linalg.norm(ta.x_final - tb.x_final))
-    rhs = float(
+    gmax, bmax = _output_ln_gate(cfg, params, "pathwise_stability_check")
+    xa, xb = _terminal_states([x0a, x0b], params, cfg)
+    lhs = np.linalg.norm(xa - xb)
+    rhs = (
         np.linalg.norm(np.asarray(x0a) - np.asarray(x0b))
         + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
     )
-    return BoundReport(
-        check="pathwise_stability", placement=cfg.placement, depth=cfg.depth,
-        delta_t=cfg.delta_t, gamma_max=gmax, beta_max=bmax, nd=cfg.nd,
-        lhs=lhs, rhs=rhs, seed=seed,
-    )
+    return BoundReport.for_model("pathwise_stability", cfg, gmax, bmax, lhs, rhs, seed)
 
 
 def wasserstein_stability_check(
@@ -194,7 +205,6 @@ def wasserstein_stability_check(
     params: list[BlockParams],
     cfg: ModelConfig,
     p: float = 2.0,
-    c_hat_p: float | None = None,
     seed: int = 0,
 ) -> BoundReport:
     """Exact W_p between pushforward sample clouds vs the propagation bound.
@@ -203,23 +213,17 @@ def wasserstein_stability_check(
     are the terminal states; both optimal transport problems are solved
     exactly with the assignment solver.
     """
-    _require_placement(cfg, model_mod.PERI, "wasserstein_stability_check")
+    gmax, bmax = _output_ln_gate(cfg, params, "wasserstein_stability_check")
     mu0 = np.asarray(mu0, dtype=np.float64)
     nu0 = np.asarray(nu0, dtype=np.float64)
-    gmax, bmax = output_ln_extrema(params)
-    mu_d = np.stack([model_forward(x, params, cfg).x_final for x in mu0])
-    nu_d = np.stack([model_forward(x, params, cfg).x_final for x in nu0])
+    mu_d = np.stack(_terminal_states(mu0, params, cfg))
+    nu_d = np.stack(_terminal_states(nu0, params, cfg))
     lhs = wasserstein_exact(mu_d, nu_d, p)
     w0 = wasserstein_exact(mu0, nu0, p)
-    chat = c_hat(p, cfg.nd) if c_hat_p is None else c_hat_p
     rhs = 2.0 ** ((p - 1.0) / p) * (
-        chat * w0 + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
+        c_hat(p, cfg.nd) * w0 + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
     )
-    return BoundReport(
-        check=f"wasserstein_w{p:g}", placement=cfg.placement, depth=cfg.depth,
-        delta_t=cfg.delta_t, gamma_max=gmax, beta_max=bmax, nd=cfg.nd,
-        lhs=float(lhs), rhs=float(rhs), seed=seed,
-    )
+    return BoundReport.for_model(f"wasserstein_w{p:g}", cfg, gmax, bmax, lhs, rhs, seed)
 
 
 @dataclass(frozen=True)
@@ -245,10 +249,7 @@ def rescale_invariance_test(
 ) -> RescaleResult:
     """Compare one sublayer's local sensitivity before and after scaling its
     weights by (c1, c2): (W, V) for attention, (W1, W2) for the FFN."""
-    if cfg.placement not in (model_mod.PRE, model_mod.PERI):
-        raise PlacementError(
-            f"rescale_invariance_test needs pre or peri placement, got {cfg.placement!r}"
-        )
+    st = _admit(cfg, "rescale_invariance_test", "norm_in")
     if sublayer not in ("attn", "ffn"):
         raise ValueError(f"unknown sublayer {sublayer!r}")
     c1, c2 = scales
@@ -273,7 +274,7 @@ def rescale_invariance_test(
     tape2 = model_forward(x_in, scaled_params, cfg)
     after = sublayer_sensitivity(tape2, block_index, sublayer)
 
-    if cfg.placement == model_mod.PERI:
+    if st.norm_out:
         return RescaleResult(
             max_abs_dev=float(np.abs(after - before).max()), scale_ratio=float("nan")
         )

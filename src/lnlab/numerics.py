@@ -29,17 +29,6 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def softmax_columns(s: np.ndarray) -> np.ndarray:
     """Column-wise softmax with per-column max subtraction.
 

@@ -2,9 +2,10 @@
 
 Column layouts are fixed per report kind:
 
-    bounds : check,placement,D,delta_t,gamma_max,beta_max,lhs,rhs,margin,seed
-    moments: layer,ma,var,frob,seed,placement,delta_t
-    trials : placement,weight_decay,seed,diverged,first_divergence_step,final_loss
+    bounds   : check,placement,D,delta_t,gamma_max,beta_max,lhs,rhs,margin,seed
+    moments  : layer,ma,var,frob,seed,placement,delta_t
+    trials   : placement,weight_decay,seed,diverged,first_divergence_step,final_loss
+    gradcheck: category,instance,d,n,heads,depth,rel_err,seed
 
 Floats are serialized with 17 significant digits, so reading a file back
 reproduces every value bit-exactly.

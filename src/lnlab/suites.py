@@ -29,8 +29,8 @@ WITNESS_SPECTRAL = 3.0
 WITNESS_DEPTH = 32
 
 
-def _growth_cfg(depth: int, delta_t: float, placement: str = model_mod.PERI) -> ModelConfig:
-    return ModelConfig(depth=depth, delta_t=delta_t, placement=placement, **GROWTH_DIMS)
+def _growth_cfg(depth: int, delta_t: float) -> ModelConfig:
+    return ModelConfig(depth=depth, delta_t=delta_t, placement=model_mod.PERI, **GROWTH_DIMS)
 
 
 def run_growth_suite(

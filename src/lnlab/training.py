@@ -63,6 +63,10 @@ class TrainConfig:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
         if self.weight_decay < 0 or self.lr < 0:
             raise ValueError("lr and weight_decay must be >= 0")
+        if self.checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
+        if self.dataset_size is not None and self.dataset_size < 1:
+            raise ValueError(f"dataset_size must be None or >= 1, got {self.dataset_size}")
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,26 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), "--instances", "0", "gradcheck"]) == 2
         assert "diagnostics.instances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, command, field", [
+        ('{"diagnostics": {"depths": []}}', "bounds", "diagnostics.depths"),
+        ('{"diagnostics": {"delta_ts": []}}', "bounds", "diagnostics.delta_ts"),
+        ('{"diagnostics": {"chain_depth": -1}}', "bounds", "diagnostics.chain_depth"),
+        ('{"diagnostics": {"wasserstein_samples": 0}}', "ot-check", "diagnostics.wasserstein_samples"),
+        ('{"train": {"checkpoint_every": 0}}', "train", "checkpoint_every"),
+        ('{"train": {"dataset_size": 0}}', "train", "dataset_size"),
+        ('{"sweep": {"seeds": 0}}', "sweep", "sweep.seeds"),
+        ('{"sweep": {"placements": []}}', "sweep", "sweep.placements"),
+        ('{"sweep": {"weight_decays": []}}', "sweep", "sweep.weight_decays"),
+    ])
+    def test_empty_or_nonpositive_count_exits_two_naming_the_field(
+        self, tmp_path, capsys, text, command, field
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "2", command])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
     def test_float_flag_overrides_int_config_value(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"model": {"delta_t": 1, "depth": 2}}')

@@ -3,11 +3,12 @@ import pytest
 from dataclasses import replace
 
 from lnlab import diagnostics as diag
-from lnlab import suites
+from lnlab import model, suites
 from lnlab.attention import ActivationKinkError
 from lnlab.model import (
     ModelConfig,
     PlacementError,
+    Stages,
     model_forward,
     random_model,
     zero_weight_block,
@@ -180,6 +181,53 @@ class TestWassersteinStability:
                 lhs.append(diag.wasserstein_stability_check(mu0, nu0, params, cfg).lhs)
             hits += int(lhs[0] >= lhs[1] >= lhs[2])
         assert hits >= 0.9 * total
+
+
+class TestPlacementIsData:
+    """The checks admit a model by its stage row, not by its placement name."""
+
+    def _output_ln_checks(self, cfg, params):
+        gen = RngStream(41).generator()
+        x0 = gen.normal(size=(4, 3))
+        inputs = [gen.normal(size=(4, 3)) for _ in range(4)]
+        mu0, nu0 = gen.normal(size=(2, 5, 4, 3))
+        return [
+            *diag.peri_growth_check(model_forward(x0, params, cfg)),
+            diag.datawise_variance_check(inputs, params, cfg, (1, 2)),
+            diag.pathwise_stability_check(inputs[0], inputs[1], params, cfg),
+            diag.wasserstein_stability_check(mu0, nu0, params, cfg),
+        ]
+
+    def test_a_new_row_is_admitted_or_refused_by_its_stages(self, monkeypatch):
+        monkeypatch.setitem(model.STAGES, "peri_copy", Stages(True, True, False))
+        monkeypatch.setitem(model.STAGES, "peri_and_sum", Stages(True, True, True))
+        monkeypatch.setitem(model.STAGES, "out_only", Stages(False, True, False))
+        peri = peri_cfg(depth=4, activation="relu")
+        copy = replace(peri, placement="peri_copy")
+        params = random_model(peri, RngStream(40))
+
+        for a, b in zip(self._output_ln_checks(peri, params), self._output_ln_checks(copy, params)):
+            assert (a.check, a.lhs, a.rhs) == (b.check, b.lhs, b.rhs)
+            assert b.placement == "peri_copy"
+        x = RngStream(42).generator().normal(size=(4, 3))
+        for sub in ("attn", "ffn"):
+            a, b = (diag.rescale_invariance_test(params, c, x, 0, (10.0, 10.0), sub) for c in (peri, copy))
+            assert a.max_abs_dev == b.max_abs_dev
+            assert np.isnan(a.scale_ratio) and np.isnan(b.scale_ratio)  # the invariance branch
+
+        both = replace(peri, placement="peri_and_sum")
+        for check in (
+            lambda: diag.peri_growth_check(model_forward(x, params, both)),
+            lambda: diag.datawise_variance_check([x, 2 * x], params, both, (0, 0)),
+            lambda: diag.pathwise_stability_check(x, 2 * x, params, both),
+            lambda: diag.wasserstein_stability_check(x[None], x[None], params, both),
+        ):
+            with pytest.raises(PlacementError, match="needs norm_out and not norm_sum"):
+                check()
+        out_only = replace(peri, placement="out_only")
+        out_params = random_model(out_only, RngStream(43))
+        with pytest.raises(PlacementError, match="needs norm_in and not norm_sum"):
+            diag.rescale_invariance_test(out_params, out_only, x, 0, (10.0, 10.0), "attn")
 
 
 class TestCHat:

@@ -10,7 +10,6 @@ from lnlab.numerics import (
     NonFiniteError,
     RngStream,
     ShapeMismatchError,
-    matmul,
     min_cost_assignment,
     moments,
     softmax_columns,
@@ -19,20 +18,6 @@ from lnlab.numerics import (
     vec,
     wasserstein_exact,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(np.eye(3), b), b)
-
-    def test_hand_value(self):
-        c = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        assert np.array_equal(c, np.array([[3.0], [7.0]]))
-
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ShapeMismatchError, match=r"2x3.*2x2"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestSoftmaxColumns:
