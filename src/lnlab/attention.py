@@ -5,8 +5,9 @@ The attention map is
     f_attn(X) = sum_h  W_h V_h X softmax_cols((K_h X)^T Q_h X / sqrt(k))
 
 with Q, K, V of shape (k, d) and W of shape (d, k) per head; the feedforward
-map is f_ffn(X) = W2 phi(W1 X) applied token-wise (no bias).  Jacobians are
-rows = outputs, matching the normalization module.
+map is f_ffn(X) = W2 phi(W1 X) applied token-wise (no bias).  Both forward
+maps also take a stack of states ``(..., d, n)`` and map each on its own.
+Jacobians are rows = outputs, matching the normalization module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeMismatchError, softmax_columns
+from .numerics import ShapeMismatchError, as_matrix, softmax_columns
 
 TANH = "tanh"
 RELU = "relu"
@@ -23,7 +24,12 @@ _ACTIVATIONS = (TANH, RELU)
 
 
 class ActivationKinkError(ArithmeticError):
-    """A ReLU pre-activation landed exactly on the kink; use tanh instead."""
+    """A ReLU pre-activation landed exactly on the kink; use tanh instead.
+    A model's reverse sweep adds the block index."""
+
+    def __init__(self, message: str, block: int | None = None):
+        super().__init__(message)
+        self.block = block
 
 
 @dataclass(frozen=True)
@@ -110,12 +116,12 @@ def activation_derivative(name: str, pre: np.ndarray) -> np.ndarray:
 
 def _check_state(X: np.ndarray, p: AttentionParams | FfnParams) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError(f"hidden state must be d x n, got {X.shape}")
+    if X.ndim < 2:
+        raise ShapeMismatchError(f"hidden state must be d x n or (..., d, n), got {X.shape}")
     d_expected = p.model_dim if isinstance(p, AttentionParams) else p.w1.shape[1]
-    if X.shape[0] != d_expected:
+    if X.shape[-2] != d_expected:
         raise ShapeMismatchError(
-            f"hidden state has d={X.shape[0]} but parameters expect d={d_expected}"
+            f"hidden state has d={X.shape[-2]} but parameters expect d={d_expected}"
         )
     return X
 
@@ -125,7 +131,7 @@ def attn_forward(X: np.ndarray, p: AttentionParams) -> np.ndarray:
     scale = 1.0 / np.sqrt(p.key_dim)
     out = np.zeros_like(X)
     for h in range(p.heads):
-        scores = (p.k[h] @ X).T @ (p.q[h] @ X) * scale
+        scores = (p.k[h] @ X).mT @ (p.q[h] @ X) * scale
         attn = softmax_columns(scores)
         out += p.w[h] @ (p.v[h] @ X) @ attn
     return out
@@ -143,7 +149,7 @@ def attn_jacobian_full(X: np.ndarray, p: AttentionParams) -> np.ndarray:
     Every block depends linearly on V and on W, which is what makes the
     pre-norm sensitivity scale with the weights and the peri-norm one not.
     """
-    X = _check_state(X, p)
+    X = _check_state(as_matrix(X), p)  # one d x n state
     d, n = X.shape
     scale = 1.0 / np.sqrt(p.key_dim)
     diag = np.arange(n)
@@ -171,7 +177,7 @@ def ffn_forward(X: np.ndarray, p: FfnParams) -> np.ndarray:
 def ffn_jacobian_blockdiag(X: np.ndarray, p: FfnParams) -> np.ndarray:
     """nd x nd Jacobian of token-wise f_ffn: block j is W2 diag(phi'(W1 x_j)) W1
     on the diagonal, and off-token blocks are zero."""
-    X = _check_state(X, p)
+    X = _check_state(as_matrix(X), p)  # one d x n state
     d, n = X.shape
     dphi = activation_derivative(p.activation, p.w1 @ X)
     diag = np.arange(n)

@@ -73,6 +73,16 @@ DEFAULTS = {
 # grids to run over (non-empty)
 _COUNTED = ("diagnostics", "sweep")
 
+# the range each item of a grid list must lie in, checked here so that a bad
+# item is named by its config path rather than by the field it later fills;
+# each rule is written so that a NaN breaks it
+_ITEM_RULES = {
+    "diagnostics.depths": (lambda v: v >= 1, "at least 1"),
+    "diagnostics.delta_ts": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "sweep.weight_decays": (lambda v: v >= 0.0, "at least 0"),
+    "sweep.placements": (lambda v: v in PLACEMENTS, f"one of {PLACEMENTS}"),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -112,6 +122,11 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
         elif path in _COUNTED and type(defaults[key]) is int and value < 1:
             raise ConfigError(f"config field {where!r} must be at least 1, got {value!r}")
         else:
+            if where in _ITEM_RULES:
+                ok, rule = _ITEM_RULES[where]
+                for i, item in enumerate(value):
+                    if not ok(item):
+                        raise ConfigError(f"config field '{where}[{i}]' must be {rule}, got {item!r}")
             # an int given for a float field is stored as that float
             out[key] = float(value) if isinstance(defaults[key], float) else value
     return out

@@ -19,6 +19,12 @@ recovers the unscaled composition bit-exactly.  The forward pass records
 every intermediate state on a tape; the reverse sweep (parameter gradients)
 and the analytic per-block sensitivities read the same stage row back from
 it, so a new placement is one new row.
+
+Hidden states are d x n, or a stack ``(..., d, n)`` of independent states
+(a minibatch): the forward pass and the reverse sweep map each state of a
+stack on its own, with the same bits as running it alone, and the reverse
+sweep returns per-state parameter gradients with the same leading axes.
+The materialized nd x nd sensitivities take one d x n state.
 """
 
 from __future__ import annotations
@@ -315,9 +321,9 @@ def block_forward(X: np.ndarray, b: BlockParams, cfg: ModelConfig, index: int = 
     """One block; returns (X_next, BlockTrace).  LN errors are tagged with the
     block index and site; non-finite math surfaces as NonFiniteError."""
     X = np.asarray(X, dtype=np.float64)
-    if X.shape != (cfg.d, cfg.n):
+    if X.shape[-2:] != (cfg.d, cfg.n):
         raise ShapeMismatchError(
-            f"block {index}: hidden state has shape {X.shape}, expected ({cfg.d}, {cfg.n})"
+            f"block {index}: hidden state has shape {X.shape}, expected (..., {cfg.d}, {cfg.n})"
         )
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         attn_trace = _apply_sublayer(X, b, cfg, "attn", index)
@@ -326,8 +332,9 @@ def block_forward(X: np.ndarray, b: BlockParams, cfg: ModelConfig, index: int = 
 
 
 def model_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -> ForwardTape:
-    """Run all blocks, recording every state.  Raises DivergenceError with the
-    first offending block index if any state goes non-finite."""
+    """Run all blocks on one state or a stack ``(..., d, n)``, recording every
+    state.  Raises DivergenceError with the first offending block index if
+    any state goes non-finite."""
     X0 = np.asarray(X0, dtype=np.float64)
     if len(params) != cfg.depth:
         raise ValueError(f"expected {cfg.depth} blocks, got {len(params)}")
@@ -409,26 +416,24 @@ def gradient_product(tape: ForwardTape, i: int) -> np.ndarray:
 
 def _attn_vjp(Z: np.ndarray, p: attn_mod.AttentionParams, gbar: np.ndarray):
     scale = 1.0 / np.sqrt(p.key_dim)
-    gq = np.zeros_like(p.q)
-    gk = np.zeros_like(p.k)
-    gv = np.zeros_like(p.v)
-    gw = np.zeros_like(p.w)
+    lead = Z.shape[:-2]  # one gradient per state of a stack
+    gq, gk, gv, gw = (np.zeros(lead + m.shape) for m in (p.q, p.k, p.v, p.w))
     gz = np.zeros_like(Z)
     for h in range(p.heads):
         kz = p.k[h] @ Z
         qz = p.q[h] @ Z
-        attn = softmax_columns(kz.T @ qz * scale)
+        attn = softmax_columns(kz.mT @ qz * scale)
         vz = p.v[h] @ Z
-        gw[h] = gbar @ (vz @ attn).T
+        gw[..., h, :, :] = gbar @ (vz @ attn).mT
         t = p.w[h].T @ gbar
-        t_at = t @ attn.T
-        gv[h] = t_at @ Z.T
-        ga = vz.T @ t
-        gs = attn * (ga - (attn * ga).sum(axis=0, keepdims=True))
-        gkz = qz @ gs.T * scale
+        t_at = t @ attn.mT
+        gv[..., h, :, :] = t_at @ Z.mT
+        ga = vz.mT @ t
+        gs = attn * (ga - (attn * ga).sum(axis=-2, keepdims=True))
+        gkz = qz @ gs.mT * scale
         gqz = kz @ gs * scale
-        gk[h] = gkz @ Z.T
-        gq[h] = gqz @ Z.T
+        gk[..., h, :, :] = gkz @ Z.mT
+        gq[..., h, :, :] = gqz @ Z.mT
         gz += p.v[h].T @ t_at + p.k[h].T @ gkz + p.q[h].T @ gqz
     return gz, {"attn.q": gq, "attn.k": gk, "attn.v": gv, "attn.w": gw}
 
@@ -436,9 +441,9 @@ def _attn_vjp(Z: np.ndarray, p: attn_mod.AttentionParams, gbar: np.ndarray):
 def _ffn_vjp(Z: np.ndarray, p: attn_mod.FfnParams, gbar: np.ndarray):
     pre = p.w1 @ Z
     act = attn_mod.activation_fn(p.activation)(pre)
-    gw2 = gbar @ act.T
+    gw2 = gbar @ act.mT
     gpre = (p.w2.T @ gbar) * attn_mod.activation_derivative(p.activation, pre)
-    gw1 = gpre @ Z.T
+    gw1 = gpre @ Z.mT
     gz = p.w1.T @ gpre
     return gz, {"ffn.w1": gw1, "ffn.w2": gw2}
 
@@ -478,17 +483,21 @@ def _sublayer_backward(
 def backward(tape: ForwardTape, upstream: np.ndarray):
     """Reverse sweep: returns (per-block gradient dicts, gradient at X_0).
 
-    ``upstream`` is the loss gradient at X_D, accepted as an nd vector
-    (column-major) or a d x n matrix.  Per-block parameter Jacobians are
-    never materialized; everything is vector-Jacobian products.
+    ``upstream`` is the loss gradient at X_D, shaped like the tape's states,
+    or an nd vector (column-major) for a d x n tape.  On a stack of states
+    every parameter gradient has the stack's leading axes, one gradient per
+    state.  A relu kink is raised as ActivationKinkError naming its block.
+    Per-block parameter Jacobians are never materialized; everything is
+    vector-Jacobian products.
     """
     cfg = tape.cfg
     g = np.asarray(upstream, dtype=np.float64)
     if g.ndim == 1:
         g = g.reshape((cfg.d, cfg.n), order="F")
-    if g.shape != (cfg.d, cfg.n):
+    if g.shape != tape.x_final.shape:
         raise ShapeMismatchError(
-            f"upstream gradient has shape {g.shape}, expected ({cfg.d}, {cfg.n}) or ({cfg.nd},)"
+            f"upstream gradient has shape {g.shape}, expected {tape.x_final.shape} "
+            f"or ({cfg.nd},) for one state"
         )
     if not np.isfinite(g).all():
         raise NonFiniteError("upstream gradient is non-finite")
@@ -496,7 +505,10 @@ def backward(tape: ForwardTape, upstream: np.ndarray):
     for i in range(tape.depth - 1, -1, -1):
         b = tape.params[i]
         trace = tape.traces[i]
-        g, ffn_grads = _sublayer_backward(trace.ffn, b, cfg, "ffn", g)
+        try:
+            g, ffn_grads = _sublayer_backward(trace.ffn, b, cfg, "ffn", g)
+        except attn_mod.ActivationKinkError as exc:
+            raise attn_mod.ActivationKinkError(f"block {i}: {exc}", block=i) from exc
         g, attn_grads = _sublayer_backward(trace.attn, b, cfg, "attn", g)
         merged = dict(attn_grads)
         merged.update(ffn_grads)

@@ -1,10 +1,11 @@
 """LayerNorm and RMSNorm: forward maps, ellipsoid residuals, analytic Jacobians.
 
 Both norms act on a single token (a length-d vector); the column-wise kernels
-apply them to every token of a d x n hidden state at once, as whole-array
-operations.  Jacobians are emitted with rows indexed by outputs and columns
-by inputs, i.e. ``J[a, b] = d out_a / d in_b``; every chain rule downstream
-of this module assumes that orientation.
+apply them to every token of a d x n hidden state, or of each state of a
+stack ``(..., d, n)``, at once, as whole-array operations.  Jacobians are
+emitted with rows indexed by outputs and columns by inputs, i.e.
+``J[a, b] = d out_a / d in_b``; every chain rule downstream of this module
+assumes that orientation.
 
 The backward pass forms no Jacobian.  With c the centered (LayerNorm) or raw
 (RMSNorm) token, s its denominator, x^ = c / s, g^ = gamma * gbar and means
@@ -12,7 +13,7 @@ over the d entries of a token, the input gradient is
 
     gx = (g^ - mean(g^) - x^ * mean(x^ * g^)) / s    (RMSNorm drops mean(g^))
 
-and over tokens ggamma = sum_j x^ * gbar, gbeta = sum_j gbar.
+and over the tokens of each state ggamma = sum_j x^ * gbar, gbeta = sum_j gbar.
 """
 
 from __future__ import annotations
@@ -78,24 +79,26 @@ class LNParams:
 
 
 def _column_mean(A: np.ndarray) -> np.ndarray:
-    """1 x n means of the columns; the same bits as ``np.mean`` without its wrapper."""
-    return np.add.reduce(A, axis=0, keepdims=True) / A.shape[0]
+    """(..., 1, n) means of the columns; the same bits as ``np.mean`` without its wrapper."""
+    return np.add.reduce(A, axis=-2, keepdims=True) / A.shape[-2]
 
 
 def _column_stats(X: np.ndarray, p: LNParams, first_index: int | None = 0):
-    """Centered (LayerNorm) or raw (RMSNorm) columns and their 1 x n denominators.
+    """Centered (LayerNorm) or raw (RMSNorm) columns and their (..., 1, n) denominators.
 
     A zero denominator raises DegenerateTokenError naming the first such
-    column, counted from ``first_index``; None leaves the token unnamed."""
-    if p.kind == LAYERNORM and X.shape[0] < 2:
+    column (of the first state of a stack that has one), counted from
+    ``first_index``; None leaves the token unnamed."""
+    if p.kind == LAYERNORM and X.shape[-2] < 2:
         raise ValueError("LayerNorm needs d >= 2")
     c = X - _column_mean(X) if p.kind == LAYERNORM else X
     s = np.sqrt(_column_mean(c * c) + p.epsilon)
-    zero = s[0] == 0.0
+    zero = s[..., 0, :] == 0.0
     if zero.any():
         kind_msg = ("constant token under LayerNorm" if p.kind == LAYERNORM
                     else "zero token under RMSNorm")
-        index = None if first_index is None else first_index + int(np.argmax(zero))
+        column = int(np.nonzero(zero)[-1][0])
+        index = None if first_index is None else first_index + column
         where = "" if index is None else f" at token index {index}"
         raise DegenerateTokenError(f"division by zero: {kind_msg} with epsilon=0{where}", index)
     return c, s
@@ -113,7 +116,7 @@ def ln_forward(x: np.ndarray, p: LNParams, token_index: int | None = None) -> np
 
 
 def ln_forward_columns(X: np.ndarray, p: LNParams) -> np.ndarray:
-    """Apply ``ln_forward`` to every column of a d x n hidden state."""
+    """Apply ``ln_forward`` to every column of a d x n hidden state or a stack of them."""
     c, s = _column_stats(np.asarray(X, dtype=np.float64), p)
     z = p.gamma[:, None] * (c / s)
     return z + p.beta[:, None] if p.kind == LAYERNORM else z
@@ -174,14 +177,15 @@ def ln_vjp(X: np.ndarray, p: LNParams, gbar: np.ndarray):
     """Closed-form backward pass of column-wise normalization (module docstring).
 
     Given the loss gradient ``gbar`` with respect to the outputs, returns
-    ``(gx, ggamma, gbeta)``; ``gbeta`` is None for RMSNorm."""
+    ``(gx, ggamma, gbeta)``; ``gbeta`` is None for RMSNorm.  For a stack
+    ``(..., d, n)`` the parameter gradients are per state, of shape (..., d)."""
     X = np.asarray(X, dtype=np.float64)
     gbar = np.asarray(gbar, dtype=np.float64)
     c, s = _column_stats(X, p)
     xhat = c / s
     ghat = p.gamma[:, None] * gbar
     proj = xhat * _column_mean(xhat * ghat)
-    ggamma = (xhat * gbar).sum(axis=1)
+    ggamma = (xhat * gbar).sum(axis=-1)
     if p.kind == RMSNORM:
         return (ghat - proj) / s, ggamma, None
-    return (ghat - _column_mean(ghat) - proj) / s, ggamma, gbar.sum(axis=1)
+    return (ghat - _column_mean(ghat) - proj) / s, ggamma, gbar.sum(axis=-1)

@@ -30,16 +30,19 @@ def as_matrix(a) -> np.ndarray:
 
 
 def softmax_columns(s: np.ndarray) -> np.ndarray:
-    """Column-wise softmax with per-column max subtraction.
+    """Column-wise softmax with per-column max subtraction, of a matrix or of
+    each matrix of a stack ``(..., m, n)``.
 
     Each output column is nonnegative and sums to one; the max shift keeps
     ``exp`` from overflowing for any finite input.
     """
-    s = as_matrix(s)
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim < 2:
+        raise ShapeMismatchError(f"softmax_columns: expected (..., m, n), got ndim={s.ndim}")
     if not np.isfinite(s).all():
         raise NonFiniteError("softmax_columns: input contains non-finite entries")
-    e = np.exp(s - s.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
+    e = np.exp(s - s.max(axis=-2, keepdims=True))
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 @dataclass(frozen=True)

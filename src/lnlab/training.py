@@ -6,6 +6,15 @@ terminal hidden-state norm crosses the threshold, or an LN denominator or a
 relu derivative is undefined at the iterate.  Everything is keyed
 off counter-based streams, so a TrainConfig determines its TrialOutcome
 bit for bit.
+
+Each step runs its minibatch as one ``(B, d, n)`` stack: one forward pass
+and one reverse sweep, with the per-sample parameter gradients summed over
+the sample axis.  The terminal norm, the loss and sample 0's checkpoint
+moments are taken per sample.  If any sample fails any predicate, the step
+is replayed one sample at a time through the same step function, so the
+recorded step, cause, block and site are those of the first sample, in
+sample order, that fails; and within a sample, the forward pass, then the
+terminal norm, then the loss, then the reverse sweep.
 """
 
 from __future__ import annotations
@@ -162,13 +171,60 @@ def _is_weight_tensor(name: str) -> bool:
     return name.startswith(("attn.", "ffn."))
 
 
+# the predicate: loss non-finite, terminal norm over threshold, or an LN site
+# or relu derivative left undefined by the iterate
+_STOPS = (DivergenceError, DegenerateTokenError, ActivationKinkError)
+
+
 def _divergence_cause(exc: ArithmeticError) -> tuple[str, int | None, str | None]:
     """(cause, block, site) of an exception that ends a trial."""
     if isinstance(exc, DivergenceError):
         return exc.cause, exc.block, None
     if isinstance(exc, DegenerateTokenError):
         return DEGENERATE_LN, exc.block, exc.site
-    return ACTIVATION_KINK, None, None
+    return ACTIVATION_KINK, exc.block, None
+
+
+def _step(task: Task, params, tc: TrainConfig, step: int, samples, checkpoints: list):
+    """One forward pass and one reverse sweep over the given samples of a step,
+    stacked.  Appends sample 0's moments to ``checkpoints`` at a checkpoint
+    step and raises at the first predicate that fails; returns the samples'
+    share of the batch loss and their per-sample parameter gradients."""
+    drawn = [task.sample(step, bi) for bi in samples]
+    tape = model_forward(np.stack([x0 for x0, _ in drawn]), params, tc.cfg)
+    if samples[0] == 0 and (step % tc.checkpoint_every == 0 or step == tc.steps - 1):
+        checkpoints.append((step, tuple(moments(x[0]) for x in tape.states)))
+    batch_loss = 0.0
+    gbars = []
+    for x_final, (_, y) in zip(tape.x_final, drawn):
+        final_norm = float(np.linalg.norm(x_final))
+        if not np.isfinite(final_norm) or final_norm > tc.divergence_threshold:
+            raise DivergenceError(
+                f"terminal norm {final_norm:g} crossed threshold",
+                block=tc.cfg.depth - 1, cause=NORM_THRESHOLD,
+            )
+        loss, gbar = task.loss_and_grad(x_final, y)
+        if not np.isfinite(loss):
+            raise DivergenceError("loss is non-finite", None, NONFINITE_LOSS)
+        batch_loss += loss / tc.batch_size
+        gbars.append(gbar / tc.batch_size)
+    return batch_loss, param_gradients(tape, np.stack(gbars))
+
+
+def _batch_step(task: Task, params, tc: TrainConfig, step: int, checkpoints: list):
+    """The whole minibatch as one stack; on a failure, the same step one sample
+    at a time, which raises the failure a per-sample loop meets first (every
+    predicate is per sample, so the replay fails too).  Returns the batch
+    loss and the gradient summed over the samples."""
+    pending: list = []
+    try:
+        batch_loss, grads = _step(task, params, tc, step, range(tc.batch_size), pending)
+    except _STOPS:
+        for bi in range(tc.batch_size):
+            _step(task, params, tc, step, [bi], checkpoints)
+        raise
+    checkpoints.extend(pending)
+    return batch_loss, [{k: np.add.reduce(g, axis=0) for k, g in b.items()} for b in grads]
 
 
 def train_run(tc: TrainConfig) -> TrialOutcome:
@@ -188,40 +244,18 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
 
     for step in range(tc.steps):
         params = [flat_to_params(f, b) for f, b in zip(flats, params)]
-        batch_loss = 0.0
-        grad_accum = [{k: np.zeros_like(v) for k, v in f.items()} for f in flats]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for bi in range(tc.batch_size):
-                    x0, y = task.sample(step, bi)
-                    tape = model_forward(x0, params, tc.cfg)
-                    if bi == 0 and (step % tc.checkpoint_every == 0 or step == tc.steps - 1):
-                        checkpoints.append((step, tuple(moments(x) for x in tape.states)))
-                    final_norm = float(np.linalg.norm(tape.x_final))
-                    if not np.isfinite(final_norm) or final_norm > tc.divergence_threshold:
-                        raise DivergenceError(
-                            f"terminal norm {final_norm:g} crossed threshold",
-                            block=tc.cfg.depth - 1, cause=NORM_THRESHOLD,
-                        )
-                    loss, gbar = task.loss_and_grad(tape.x_final, y)
-                    if not np.isfinite(loss):
-                        raise DivergenceError("loss is non-finite", None, NONFINITE_LOSS)
-                    batch_loss += loss / tc.batch_size
-                    grads = param_gradients(tape, gbar / tc.batch_size)
-                    for acc, g in zip(grad_accum, grads):
-                        for k in acc:
-                            acc[k] += g[k]
-        except (DivergenceError, DegenerateTokenError, ActivationKinkError) as exc:
-            # the predicate: loss non-finite, terminal norm over threshold, or
-            # an LN site or relu derivative left undefined by the iterate
+                batch_loss, grads = _batch_step(task, params, tc, step, checkpoints)
+        except _STOPS as exc:
             cause, block, site = _divergence_cause(exc)
             first_divergence = step
             losses.append(float("inf"))
             break
         losses.append(batch_loss)
-        for f, m, acc in zip(flats, momenta, grad_accum):
+        for f, m, g in zip(flats, momenta, grads):
             for k in f:
-                m[k] = tc.momentum * m[k] + acc[k]
+                m[k] = tc.momentum * m[k] + g[k]
                 decay = tc.weight_decay if _is_weight_tensor(k) else 0.0
                 f[k] = (1.0 - tc.lr * decay) * f[k] - tc.lr * m[k]
 

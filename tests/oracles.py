@@ -3,10 +3,12 @@
 Everything here is deliberately written without reference to the library's
 own derivative or transport code: central differences probe the forward
 maps, brute-force enumeration solves small transport problems, and
-extended-precision arithmetic recomputes the scalar kernels.  The one
-exception is the per-token LN VJP, which loops the materialized single-token
+extended-precision arithmetic recomputes the scalar kernels.  Two
+exceptions: the per-token LN VJP loops the materialized single-token
 ``ln_jacobian`` (itself pinned against finite differences) to pin the
-closed-form column kernels.
+closed-form column kernels, and ``scripted_train_run`` is the training loop
+that runs one sample at a time through the library's model, to pin the
+stacked minibatch step.
 """
 
 from __future__ import annotations
@@ -15,7 +17,26 @@ from itertools import permutations
 
 import numpy as np
 
-from lnlab.normalization import LAYERNORM, ln_jacobian
+from lnlab.attention import ActivationKinkError
+from lnlab.model import (
+    DivergenceError,
+    flat_to_params,
+    model_forward,
+    param_gradients,
+    params_to_flat,
+    random_model,
+)
+from lnlab.normalization import LAYERNORM, DegenerateTokenError, ln_jacobian
+from lnlab.numerics import RngStream, moments
+from lnlab.training import (
+    NONFINITE_LOSS,
+    NORM_THRESHOLD,
+    TrainConfig,
+    TrialOutcome,
+    _divergence_cause,
+    _is_weight_tensor,
+    make_task,
+)
 
 
 def central_diff_jacobian(f, x: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -174,3 +195,72 @@ def loglog_slope(xs, ys) -> float:
     ly = np.log(np.asarray(ys, dtype=np.float64))
     lx = lx - lx.mean()
     return float((lx @ (ly - ly.mean())) / (lx @ lx))
+
+
+def scripted_train_run(tc: TrainConfig) -> TrialOutcome:
+    """``training.train_run`` as a per-sample loop: one forward pass and one
+    reverse sweep per sample, gradients accumulated sample by sample, every
+    predicate checked in sample order."""
+    root = RngStream(tc.seed)
+    params = random_model(tc.cfg, root.child(0))
+    task = make_task(tc.task, tc.cfg, root.child(1), tc.noise_std, tc.dataset_size)
+    flats = [
+        {k: v.copy() for k, v in params_to_flat(b).items()} for b in params
+    ]
+    momenta = [{k: np.zeros_like(v) for k, v in f.items()} for f in flats]
+
+    losses: list[float] = []
+    checkpoints: list[tuple[int, tuple]] = []
+    first_divergence = None
+    cause = block = site = None
+
+    for step in range(tc.steps):
+        params = [flat_to_params(f, b) for f, b in zip(flats, params)]
+        batch_loss = 0.0
+        grad_accum = [{k: np.zeros_like(v) for k, v in f.items()} for f in flats]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for bi in range(tc.batch_size):
+                    x0, y = task.sample(step, bi)
+                    tape = model_forward(x0, params, tc.cfg)
+                    if bi == 0 and (step % tc.checkpoint_every == 0 or step == tc.steps - 1):
+                        checkpoints.append((step, tuple(moments(x) for x in tape.states)))
+                    final_norm = float(np.linalg.norm(tape.x_final))
+                    if not np.isfinite(final_norm) or final_norm > tc.divergence_threshold:
+                        raise DivergenceError(
+                            f"terminal norm {final_norm:g} crossed threshold",
+                            block=tc.cfg.depth - 1, cause=NORM_THRESHOLD,
+                        )
+                    loss, gbar = task.loss_and_grad(tape.x_final, y)
+                    if not np.isfinite(loss):
+                        raise DivergenceError("loss is non-finite", None, NONFINITE_LOSS)
+                    batch_loss += loss / tc.batch_size
+                    grads = param_gradients(tape, gbar / tc.batch_size)
+                    for acc, g in zip(grad_accum, grads):
+                        for k in acc:
+                            acc[k] += g[k]
+        except (DivergenceError, DegenerateTokenError, ActivationKinkError) as exc:
+            # the predicate: loss non-finite, terminal norm over threshold, or
+            # an LN site or relu derivative left undefined by the iterate
+            cause, block, site = _divergence_cause(exc)
+            first_divergence = step
+            losses.append(float("inf"))
+            break
+        losses.append(batch_loss)
+        for f, m, acc in zip(flats, momenta, grad_accum):
+            for k in f:
+                m[k] = tc.momentum * m[k] + acc[k]
+                decay = tc.weight_decay if _is_weight_tensor(k) else 0.0
+                f[k] = (1.0 - tc.lr * decay) * f[k] - tc.lr * m[k]
+
+    final_loss = losses[-1] if losses else float("nan")
+    return TrialOutcome(
+        diverged=cause is not None,
+        first_divergence_step=first_divergence,
+        final_loss=final_loss,
+        loss_curve=tuple(losses),
+        moment_curves=tuple(checkpoints),
+        cause=cause,
+        block=block,
+        site=site,
+    )

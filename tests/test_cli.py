@@ -242,6 +242,23 @@ class TestExitCodes:
         assert rc == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, command, item", [
+        ('{"diagnostics": {"depths": [0]}}', "bounds", "diagnostics.depths[0]"),
+        ('{"diagnostics": {"depths": [8, -3]}}', "bounds", "diagnostics.depths[1]"),
+        ('{"diagnostics": {"delta_ts": [1.5]}}', "bounds", "diagnostics.delta_ts[0]"),
+        ('{"diagnostics": {"delta_ts": [1.0, 0]}}', "bounds", "diagnostics.delta_ts[1]"),
+        ('{"sweep": {"weight_decays": [-0.1]}}', "sweep", "sweep.weight_decays[0]"),
+        ('{"sweep": {"placements": ["peri", "sideways"]}}', "sweep", "sweep.placements[1]"),
+    ])
+    def test_out_of_range_grid_item_exits_two_naming_the_item(
+        self, tmp_path, capsys, text, command, item
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "2", command])
+        assert rc == 2
+        assert f"'{item}'" in capsys.readouterr().err
+
     def test_float_flag_overrides_int_config_value(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"model": {"delta_t": 1, "depth": 2}}')

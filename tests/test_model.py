@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     central_diff_jacobian,
@@ -14,6 +16,7 @@ from lnlab.attention import AttentionParams, attn_forward, ffn_forward
 from lnlab.model import (
     DivergenceError,
     ModelConfig,
+    backward,
     block_forward,
     flat_to_params,
     gradient_product,
@@ -317,6 +320,41 @@ class TestParamGradients:
         _, gx0 = mdl.backward(tape, C)
         expected = unvec(gradient_product(tape, 0).T @ vec(C), 4, 3)
         assert relative_error(gx0, expected) <= 1e-12
+
+
+class TestStackedSweep:
+    """A stack (B, d, n) runs each state as if alone: its slices of the forward
+    tape, the parameter gradients and the input gradient carry the same bits."""
+
+    @settings(max_examples=120)
+    @given(
+        st.integers(2, 16), st.integers(1, 8), st.integers(1, 3), st.integers(1, 5),
+        st.sampled_from(["off", "pre", "peri", "post"]), st.sampled_from(["layernorm", "rmsnorm"]),
+        st.sampled_from(["tanh", "relu"]), st.integers(0, 2**16),
+    )
+    def test_slices_equal_per_state_runs(self, d, n, heads, batch, placement, ln_kind,
+                                         activation, seed):
+        cfg = ModelConfig(d=d, n=n, k=3, m=5, heads=heads, depth=2, placement=placement,
+                          delta_t=0.5, activation=activation)
+        params = random_model(cfg, RngStream(seed), ln_kind=ln_kind)
+        gen = RngStream(seed, 1).generator()
+        X, C = gen.normal(size=(batch, d, n)), gen.normal(size=(batch, d, n))
+        tape = model_forward(X, params, cfg)
+        grads, gx = backward(tape, C)
+        for b in range(batch):
+            one = model_forward(X[b], params, cfg)
+            one_grads, one_gx = backward(one, C[b])
+            assert all(np.array_equal(s[b], t) for s, t in zip(tape.states, one.states))
+            assert np.array_equal(gx[b], one_gx)
+            for block, one_block in zip(grads, one_grads):
+                assert block.keys() == one_block.keys()
+                assert all(np.array_equal(block[k][b], one_block[k]) for k in block)
+
+    def test_stacked_upstream_must_match_the_tape(self):
+        cfg = cfg_for("peri")
+        tape = model_forward(np.ones((2, 4, 3)), random_model(cfg, RngStream(27)), cfg)
+        with pytest.raises(mdl.ShapeMismatchError, match=r"expected \(2, 4, 3\)"):
+            backward(tape, np.ones((4, 3)))
 
 
 class TestSimplifiedPreChain:

@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import scripted_train_run
 
 from lnlab import training
 from lnlab.attention import ActivationKinkError
@@ -20,6 +23,14 @@ from lnlab.training import (
 
 def small_cfg(placement="peri", depth=3):
     return ModelConfig(d=4, n=3, k=3, m=5, heads=1, depth=depth, placement=placement, delta_t=1.0)
+
+
+# the degenerate-LN repro: relu, eps = 0, peri, seed 0 stops at step 2, block 6, ffn_out
+DEGENERATE_LN_REPRO = TrainConfig(
+    cfg=ModelConfig(d=4, n=3, k=3, m=8, heads=1, depth=8, placement="peri",
+                    activation="relu", epsilon=0.0),
+    steps=20, lr=0.009, momentum=0.9, batch_size=2,
+)
 
 
 def small_tc(**kw):
@@ -149,29 +160,45 @@ class TestTrainRun:
         assert (out.cause, out.block, out.site) == ("nonfinite_state", 1, None)
 
     def test_degenerate_ln_recorded_as_divergence(self):
-        cfg = ModelConfig(d=4, n=3, k=3, m=8, heads=1, depth=8, placement="peri",
-                          activation="relu", epsilon=0.0)
-        tc = TrainConfig(cfg=cfg, steps=20, lr=0.009, momentum=0.9, batch_size=2)
-        out = train_run(tc)
+        out = train_run(DEGENERATE_LN_REPRO)
         assert out.diverged and out.first_divergence_step == 2
         assert len(out.loss_curve) == out.first_divergence_step + 1
         assert out.loss_curve[-1] == float("inf")
         assert (out.cause, out.block, out.site) == ("degenerate_ln", 6, "ffn_out")
 
     def test_activation_kink_recorded_as_divergence(self, monkeypatch):
-        real = training.param_gradients
-        calls = []
+        # the reverse sweep kinks from step 1 on, however many samples it carries
+        real_sample, real_gradients = training.Task.sample, training.param_gradients
+        steps = []
+
+        def sample(task, step, index):
+            steps.append(step)
+            return real_sample(task, step, index)
 
         def kinked(tape, upstream):
-            calls.append(1)
-            if len(calls) > 2:  # batch_size 2, so this is step 1
+            if steps[-1] >= 1:
                 raise ActivationKinkError("relu pre-activation is exactly zero")
-            return real(tape, upstream)
+            return real_gradients(tape, upstream)
 
+        monkeypatch.setattr(training.Task, "sample", sample)
         monkeypatch.setattr(training, "param_gradients", kinked)
         out = train_run(small_tc(steps=4))
         assert out.diverged and out.first_divergence_step == 1
         assert (out.cause, out.block, out.site) == ("activation_kink", None, None)
+
+    def test_activation_kink_names_its_block(self, monkeypatch):
+        # a zero row of ffn.w1 puts that row's relu pre-activation exactly on the kink
+        real = training.random_model
+
+        def kinked(cfg, stream):
+            params = real(cfg, stream)
+            params[1].ffn.w1[2, :] = 0.0
+            return params
+
+        monkeypatch.setattr(training, "random_model", kinked)
+        out = train_run(small_tc(cfg=replace(small_cfg(), activation="relu"), steps=3))
+        assert out.diverged and out.first_divergence_step == 0
+        assert (out.cause, out.block, out.site) == ("activation_kink", 1, None)
 
     def test_no_divergence_flag_without_predicate(self):
         out = train_run(small_tc(lr=0.001, steps=6))
@@ -192,6 +219,42 @@ class TestTrainRun:
         steps = [s for s, _ in out.moment_curves]
         assert steps == [0, 4, 7]
         assert all(len(layers) == small_cfg().depth + 1 for _, layers in out.moment_curves)
+
+
+@st.composite
+def train_configs(draw):
+    cfg = ModelConfig(
+        d=draw(st.integers(2, 5)), n=draw(st.integers(1, 4)), k=draw(st.integers(1, 3)),
+        m=draw(st.integers(1, 6)), heads=draw(st.integers(1, 2)), depth=draw(st.integers(1, 4)),
+        placement=draw(st.sampled_from(["off", "pre", "peri", "post"])),
+        delta_t=draw(st.sampled_from([1.0, 0.5])),
+        activation=draw(st.sampled_from(["tanh", "relu"])),
+        epsilon=draw(st.sampled_from([0.0, 1e-5])),
+    )
+    return TrainConfig(
+        cfg=cfg,
+        task=draw(st.sampled_from([MEAN_REGRESSION, NOISY_COPY])),
+        steps=draw(st.integers(1, 8)),
+        lr=draw(st.sampled_from([0.009, 0.1, 0.6])),
+        momentum=0.9,
+        weight_decay=draw(st.sampled_from([0.0, 0.3])),
+        seed=draw(st.integers(0, 2**16)),
+        divergence_threshold=draw(st.sampled_from([1e8, 30.0, 1e-12])),
+        batch_size=draw(st.integers(1, 4)),
+        noise_std=draw(st.sampled_from([0.1, float("inf")])),
+        checkpoint_every=draw(st.integers(1, 4)),
+        dataset_size=draw(st.sampled_from([None, 1, 3])),
+    )
+
+
+class TestStackedStep:
+    """The stacked minibatch step against the per-sample loop it replaces."""
+
+    @settings(max_examples=250)
+    @given(train_configs())
+    @example(DEGENERATE_LN_REPRO)
+    def test_outcome_repr_equals_per_sample_loop(self, tc):
+        assert repr(train_run(tc)) == repr(scripted_train_run(tc))
 
 
 class TestStabilityTrial:
