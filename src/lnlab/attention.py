@@ -1,4 +1,4 @@
-"""Multi-head self-attention and feedforward sublayers with their full Jacobians.
+"""Multi-head self-attention and feedforward sublayers: forward maps and VJPs.
 
 The attention map is
 
@@ -7,7 +7,11 @@ The attention map is
 with Q, K, V of shape (k, d) and W of shape (d, k) per head; the feedforward
 map is f_ffn(X) = W2 phi(W1 X) applied token-wise (no bias).  Both forward
 maps also take a stack of states ``(..., d, n)`` and map each on its own.
-Jacobians are rows = outputs, matching the normalization module.
+
+Each map has one derivative, its vector-Jacobian product: the model's
+reverse sweep calls it, and the materialized nd x nd Jacobian is the same
+VJP applied to the nd unit output gradients (``jacobian_from_vjp``), rows =
+outputs, matching the normalization module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeMismatchError, as_matrix, softmax_columns
+from .numerics import ShapeMismatchError, as_matrix, jacobian_from_vjp, softmax_columns
 
 TANH = "tanh"
 RELU = "relu"
@@ -137,35 +141,42 @@ def attn_forward(X: np.ndarray, p: AttentionParams) -> np.ndarray:
     return out
 
 
-def attn_jacobian_full(X: np.ndarray, p: AttentionParams) -> np.ndarray:
-    """nd x nd Jacobian of f_attn under column-major vectorization.
+def attn_vjp(Z: np.ndarray, p: AttentionParams, gbar: np.ndarray):
+    """Reverse sweep of ``attn_forward`` at ``Z``: given the output gradient
+    ``gbar``, returns the input gradient and the per-head weight gradients.
 
-    Block (j, i) holds d[f_attn]_j / d x_i.  Per head, with attention weights
-    a_ij = softmax_i((K X)^T Q x_j / sqrt(k)), their softmax Jacobian
-    S_j = diag(a_j) - a_j a_j^T, m_j = X a_j and u_j = K^T Q x_j / sqrt(k):
-
-        W V (a_ij (I + (x_i - m_j) u_j^T) + 1_{i=j} X S_j X^T K^T Q / sqrt(k))
-
-    Every block depends linearly on V and on W, which is what makes the
-    pre-norm sensitivity scale with the weights and the peri-norm one not.
-    """
-    X = _check_state(as_matrix(X), p)  # one d x n state
-    d, n = X.shape
+    ``gbar`` may stack more gradients than ``Z`` stacks states (one state,
+    many upstream gradients); every result has its leading axes."""
     scale = 1.0 / np.sqrt(p.key_dim)
-    diag = np.arange(n)
-    full = np.zeros((n, d, n, d))  # [j, :, i, :] is block (j, i)
+    lead = gbar.shape[:-2]
+    gq, gk, gv, gw = (np.zeros(lead + m.shape) for m in (p.q, p.k, p.v, p.w))
+    gz = np.zeros_like(gbar)
     for h in range(p.heads):
-        ktq = p.k[h].T @ p.q[h] * scale
-        attn = softmax_columns((p.k[h] @ X).T @ (p.q[h] @ X) * scale)
-        means = X @ attn
-        spread = X[:, :, None] - means[:, None, :]  # [:, i, j] = x_i - m_j
-        inner = attn.T[:, None, :, None] * (
-            np.eye(d)[None, :, None, :] + np.einsum("aij,bj->jaib", spread, ktq @ X)
-        )
-        cov = np.einsum("aij,cij->jac", spread * attn, spread)  # X S_j X^T
-        inner[diag, :, diag, :] += cov @ ktq
-        full += np.einsum("ab,jbic->jaic", p.w[h] @ p.v[h], inner)
-    return full.reshape(n * d, n * d)
+        kz = p.k[h] @ Z
+        qz = p.q[h] @ Z
+        attn = softmax_columns(kz.mT @ qz * scale)
+        vz = p.v[h] @ Z
+        gw[..., h, :, :] = gbar @ (vz @ attn).mT
+        t = p.w[h].T @ gbar
+        t_at = t @ attn.mT
+        gv[..., h, :, :] = t_at @ Z.mT
+        ga = vz.mT @ t
+        gs = attn * (ga - (attn * ga).sum(axis=-2, keepdims=True))
+        gkz = qz @ gs.mT * scale
+        gqz = kz @ gs * scale
+        gk[..., h, :, :] = gkz @ Z.mT
+        gq[..., h, :, :] = gqz @ Z.mT
+        gz += p.v[h].T @ t_at + p.k[h].T @ gkz + p.q[h].T @ gqz
+    return gz, {"attn.q": gq, "attn.k": gk, "attn.v": gv, "attn.w": gw}
+
+
+def attn_jacobian_full(X: np.ndarray, p: AttentionParams) -> np.ndarray:
+    """nd x nd Jacobian of f_attn at one d x n state, column-major, from
+    ``attn_vjp``.  Block (j, i) holds d[f_attn]_j / d x_i; every block
+    depends linearly on V and W, which is what makes the pre-norm
+    sensitivity scale with the weights and the peri-norm one not."""
+    X = _check_state(as_matrix(X), p)
+    return jacobian_from_vjp(lambda G: attn_vjp(X, p, G)[0], *X.shape)
 
 
 def ffn_forward(X: np.ndarray, p: FfnParams) -> np.ndarray:
@@ -174,13 +185,21 @@ def ffn_forward(X: np.ndarray, p: FfnParams) -> np.ndarray:
     return p.w2 @ phi(p.w1 @ X)
 
 
+def ffn_vjp(Z: np.ndarray, p: FfnParams, gbar: np.ndarray):
+    """Reverse sweep of ``ffn_forward`` at ``Z``: (input gradient, weight
+    gradients), stacked like ``gbar`` as in ``attn_vjp``."""
+    pre = p.w1 @ Z
+    act = activation_fn(p.activation)(pre)
+    gw2 = gbar @ act.mT
+    gpre = (p.w2.T @ gbar) * activation_derivative(p.activation, pre)
+    gw1 = gpre @ Z.mT
+    gz = p.w1.T @ gpre
+    return gz, {"ffn.w1": gw1, "ffn.w2": gw2}
+
+
 def ffn_jacobian_blockdiag(X: np.ndarray, p: FfnParams) -> np.ndarray:
-    """nd x nd Jacobian of token-wise f_ffn: block j is W2 diag(phi'(W1 x_j)) W1
-    on the diagonal, and off-token blocks are zero."""
-    X = _check_state(as_matrix(X), p)  # one d x n state
-    d, n = X.shape
-    dphi = activation_derivative(p.activation, p.w1 @ X)
-    diag = np.arange(n)
-    out = np.zeros((n, d, n, d))
-    out[diag, :, diag, :] = np.einsum("am,mj,mb->jab", p.w2, dphi, p.w1)
-    return out.reshape(n * d, n * d)
+    """nd x nd Jacobian of token-wise f_ffn at one d x n state, from
+    ``ffn_vjp``: block j is W2 diag(phi'(W1 x_j)) W1 on the diagonal, and
+    off-token blocks are zero."""
+    X = _check_state(as_matrix(X), p)
+    return jacobian_from_vjp(lambda G: ffn_vjp(X, p, G)[0], *X.shape)

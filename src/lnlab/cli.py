@@ -1,8 +1,9 @@
 """Command-line surface: reproducible diagnostic runs and report emission.
 
 Subcommands: gradcheck, bounds, diagnose, train, sweep, ot-check, report.
-Configuration comes from a JSON file with full defaulting (unknown keys and
-values not of their default's type are rejected); flags override file values.
+Configuration comes from a JSON file with full defaulting (unknown keys,
+values not of their default's type and NaN or infinite floats are rejected);
+flags override file values.
 Which rows of a report fail is decided in one place, ``CHECKS``: a command
 and ``report`` apply the same rule.  Exit codes: 0 all selected checks pass,
 1 a check failed (first failing row printed), 2 bad config, report or usage.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from itertools import permutations
@@ -103,6 +105,16 @@ def _fits(default, value) -> bool:
     return isinstance(value, type(default))
 
 
+def _nonfinite_at(value) -> str | None:
+    """Where ``value`` holds NaN or an infinity (which ``json.loads`` accepts):
+    '' for the value itself, '[i]' for the first such list item, else None."""
+    items = enumerate(value) if isinstance(value, list) else [(None, value)]
+    for i, v in items:
+        if isinstance(v, float) and not math.isfinite(v):
+            return "" if i is None else f"[{i}]"
+    return None
+
+
 def _merge(defaults: dict, override: dict, path: str) -> dict:
     out = dict(defaults)
     for key, value in override.items():
@@ -117,6 +129,8 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
             raise ConfigError(
                 f"config field {where!r} must be of type {type(defaults[key]).__name__}, got {value!r}"
             )
+        elif (at := _nonfinite_at(value)) is not None:
+            raise ConfigError(f"config field '{where}{at}' must be finite, got {value!r}")
         elif path in _COUNTED and value == []:
             raise ConfigError(f"config field {where!r} must be non-empty")
         elif path in _COUNTED and type(defaults[key]) is int and value < 1:

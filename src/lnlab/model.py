@@ -15,10 +15,12 @@ each wrapped in up to three LN stages, switched on by the placement's row
 
 The output and sum stages share the ``*_out`` LN site.  ``dt`` multiplies
 the sublayer output inside the residual sum for every placement; dt = 1
-recovers the unscaled composition bit-exactly.  The forward pass records
-every intermediate state on a tape; the reverse sweep (parameter gradients)
-and the analytic per-block sensitivities read the same stage row back from
-it, so a new placement is one new row.
+recovers the unscaled composition bit-exactly.  The forward pass
+(``_apply_sublayer``) records every intermediate state on a tape, and the
+reverse sweep (``_sublayer_backward``) reads the same stage row back from
+it.  These are the only two readers of the row: a materialized per-block
+sensitivity is the reverse sweep applied to the nd unit output gradients,
+so a new placement is one new row.
 
 Hidden states are d x n, or a stack ``(..., d, n)`` of independent states
 (a minibatch): the forward pass and the reverse sweep map each state of a
@@ -40,7 +42,7 @@ from .numerics import (
     NonFiniteError,
     RngStream,
     ShapeMismatchError,
-    softmax_columns,
+    jacobian_from_vjp,
     spectral_norm,
 )
 
@@ -361,15 +363,9 @@ def model_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -
 # Analytic sensitivities
 # ---------------------------------------------------------------------------
 
-def _core_jacobian(trace: SublayerTrace, b: BlockParams, which: str) -> np.ndarray:
-    """nd x nd Jacobian of the bare sublayer map at its recorded core input."""
-    if which == "attn":
-        return attn_mod.attn_jacobian_full(trace.core_in, b.attn)
-    return attn_mod.ffn_jacobian_blockdiag(trace.core_in, b.ffn)
-
-
 def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
-    """nd x nd Jacobian of one placement-wrapped sublayer of block i."""
+    """nd x nd Jacobian of one placement-wrapped sublayer of block i: its
+    reverse sweep applied to the nd unit output gradients."""
     cfg = tape.cfg
     nd = cfg.nd
     if nd > MATERIALIZE_LIMIT:
@@ -377,19 +373,11 @@ def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
             f"refusing to materialize a {nd}x{nd} sensitivity "
             f"(limit {MATERIALIZE_LIMIT}); use param_gradients for large models"
         )
-    st = STAGES[cfg.placement]
-    b = tape.params[i]
+    if tape.x_final.ndim != 2:
+        raise ShapeMismatchError(f"sensitivities take one d x n state, got {tape.x_final.shape}")
     trace = getattr(tape.traces[i], which)
-    site_in, site_out = _SITES[which]
-    update = _core_jacobian(trace, b, which)
-    if st.norm_out:
-        update = norm.ln_jacobian_blockdiag(trace.raw, b.ln[site_out]) @ update
-    if st.norm_in:
-        update = update @ norm.ln_jacobian_blockdiag(trace.x, b.ln[site_in])
-    jac = np.eye(nd) + cfg.delta_t * update
-    if st.norm_sum:
-        jac = norm.ln_jacobian_blockdiag(trace.summed, b.ln[site_out]) @ jac
-    return jac
+    b = tape.params[i]
+    return jacobian_from_vjp(lambda G: _sublayer_backward(trace, b, cfg, which, G)[0], cfg.d, cfg.n)
 
 
 def local_sensitivity(tape: ForwardTape, i: int) -> np.ndarray:
@@ -414,40 +402,6 @@ def gradient_product(tape: ForwardTape, i: int) -> np.ndarray:
 # Parameter gradients (reverse sweep over the tape)
 # ---------------------------------------------------------------------------
 
-def _attn_vjp(Z: np.ndarray, p: attn_mod.AttentionParams, gbar: np.ndarray):
-    scale = 1.0 / np.sqrt(p.key_dim)
-    lead = Z.shape[:-2]  # one gradient per state of a stack
-    gq, gk, gv, gw = (np.zeros(lead + m.shape) for m in (p.q, p.k, p.v, p.w))
-    gz = np.zeros_like(Z)
-    for h in range(p.heads):
-        kz = p.k[h] @ Z
-        qz = p.q[h] @ Z
-        attn = softmax_columns(kz.mT @ qz * scale)
-        vz = p.v[h] @ Z
-        gw[..., h, :, :] = gbar @ (vz @ attn).mT
-        t = p.w[h].T @ gbar
-        t_at = t @ attn.mT
-        gv[..., h, :, :] = t_at @ Z.mT
-        ga = vz.mT @ t
-        gs = attn * (ga - (attn * ga).sum(axis=-2, keepdims=True))
-        gkz = qz @ gs.mT * scale
-        gqz = kz @ gs * scale
-        gk[..., h, :, :] = gkz @ Z.mT
-        gq[..., h, :, :] = gqz @ Z.mT
-        gz += p.v[h].T @ t_at + p.k[h].T @ gkz + p.q[h].T @ gqz
-    return gz, {"attn.q": gq, "attn.k": gk, "attn.v": gv, "attn.w": gw}
-
-
-def _ffn_vjp(Z: np.ndarray, p: attn_mod.FfnParams, gbar: np.ndarray):
-    pre = p.w1 @ Z
-    act = attn_mod.activation_fn(p.activation)(pre)
-    gw2 = gbar @ act.mT
-    gpre = (p.w2.T @ gbar) * attn_mod.activation_derivative(p.activation, pre)
-    gw1 = gpre @ Z.mT
-    gz = p.w1.T @ gpre
-    return gz, {"ffn.w1": gw1, "ffn.w2": gw2}
-
-
 def _ln_backward(
     X: np.ndarray, p: norm.LNParams, site: str, g: np.ndarray, grads: dict[str, np.ndarray]
 ) -> np.ndarray:
@@ -464,7 +418,7 @@ def _sublayer_backward(
 ):
     """Backprop one placement-wrapped sublayer; returns (gx, grads dict)."""
     st = STAGES[cfg.placement]
-    vjp = _attn_vjp if which == "attn" else _ffn_vjp
+    vjp = attn_mod.attn_vjp if which == "attn" else attn_mod.ffn_vjp
     weights = b.attn if which == "attn" else b.ffn
     site_in, site_out = _SITES[which]
     grads: dict[str, np.ndarray] = {}

@@ -1,4 +1,4 @@
-"""LayerNorm and RMSNorm: forward maps, ellipsoid residuals, analytic Jacobians.
+"""LayerNorm and RMSNorm: forward maps, ellipsoid residuals, derivatives.
 
 Both norms act on a single token (a length-d vector); the column-wise kernels
 apply them to every token of a d x n hidden state, or of each state of a
@@ -7,7 +7,10 @@ emitted with rows indexed by outputs and columns by inputs, i.e.
 ``J[a, b] = d out_a / d in_b``; every chain rule downstream of this module
 assumes that orientation.
 
-The backward pass forms no Jacobian.  With c the centered (LayerNorm) or raw
+``ln_jacobian`` materializes the d x d Jacobian of one token.  The column
+kernels' derivative is the closed-form VJP ``ln_vjp``, which forms no
+Jacobian and carries the LN part of the model's reverse sweep, and so of
+every materialized sensitivity.  With c the centered (LayerNorm) or raw
 (RMSNorm) token, s its denominator, x^ = c / s, g^ = gamma * gbar and means
 over the d entries of a token, the input gradient is
 
@@ -156,21 +159,6 @@ def ln_jacobian(x: np.ndarray, p: LNParams, token_index: int | None = None) -> n
     c, s = c[:, 0], s[0, 0]
     core = np.eye(d) - 1.0 / d if p.kind == LAYERNORM else np.eye(d)
     return p.gamma[:, None] * (core / s) - np.outer(p.gamma * c, c) / (d * s**3)
-
-
-def ln_jacobian_blockdiag(X: np.ndarray, p: LNParams) -> np.ndarray:
-    """nd x nd block-diagonal Jacobian of column-wise normalization: block j
-    is ``ln_jacobian`` of token j, and off-token blocks are zero."""
-    X = np.asarray(X, dtype=np.float64)
-    d, n = X.shape
-    c, s = _column_stats(X, p)
-    s = s[0, :, None, None]
-    core = np.eye(d) - 1.0 / d if p.kind == LAYERNORM else np.eye(d)
-    gc = (p.gamma[:, None] * c).T[:, :, None]
-    diag = np.arange(n)
-    out = np.zeros((n, d, n, d))
-    out[diag, :, diag, :] = p.gamma[:, None] * (core / s) - gc * c.T[:, None, :] / (d * s**3)
-    return out.reshape(n * d, n * d)
 
 
 def ln_vjp(X: np.ndarray, p: LNParams, gbar: np.ndarray):

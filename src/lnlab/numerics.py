@@ -90,6 +90,16 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
+def jacobian_from_vjp(vjp, d: int, n: int) -> np.ndarray:
+    """nd x nd Jacobian, rows = outputs, of a map of d x n states from its
+    vector-Jacobian product ``vjp``, which maps a stack ``(..., d, n)`` of
+    output gradients to the matching input gradients.  Row k is the VJP of
+    the k-th column-major unit vector; all nd of them run as one stack."""
+    nd = d * n
+    basis = np.eye(nd).reshape(nd, n, d).mT  # basis[k] = unvec(e_k)
+    return vjp(basis).mT.reshape(nd, nd)
+
+
 def _mix64(z: int) -> int:
     """splitmix64 finalizer; used to derive child stream ids."""
     z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written without reference to the library's
 own derivative or transport code: central differences probe the forward
-maps, brute-force enumeration solves small transport problems, and
+maps, the closed-form attention and FFN Jacobians assembled block by block
+with loops pin the library's Jacobians (which it builds from its VJPs),
+brute-force enumeration solves small transport problems, and
 extended-precision arithmetic recomputes the scalar kernels.  Two
 exceptions: the per-token LN VJP loops the materialized single-token
 ``ln_jacobian`` (itself pinned against finite differences) to pin the
@@ -152,6 +154,19 @@ def scripted_attention_jacobian(X, q, k, v, w) -> np.ndarray:
                     m += X.T @ k[h].T @ q[h]
                 block = w[h] @ v[h] @ (a[i] * np.eye(d) + X @ soft @ (m * scale))
                 full[j * d:(j + 1) * d, i * d:(i + 1) * d] += block
+    return full
+
+
+def scripted_ffn_jacobian(X, w1, w2, activation: str) -> np.ndarray:
+    """The FFN Jacobian assembled token by token: block (j, j) is
+    W2 diag(phi'(W1 x_j)) W1 and every off-token block is zero."""
+    X = np.asarray(X, dtype=np.float64)
+    d, n = X.shape
+    full = np.zeros((n * d, n * d))
+    for j in range(n):
+        pre = w1 @ X[:, j]
+        dphi = 1.0 - np.tanh(pre) ** 2 if activation == "tanh" else np.where(pre > 0, 1.0, 0.0)
+        full[j * d:(j + 1) * d, j * d:(j + 1) * d] = w2 @ np.diag(dphi) @ w1
     return full
 
 

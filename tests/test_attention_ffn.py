@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     central_diff_jacobian,
@@ -7,6 +9,7 @@ from oracles import (
     scripted_attention,
     scripted_attention_jacobian,
     scripted_ffn,
+    scripted_ffn_jacobian,
 )
 
 from lnlab.attention import (
@@ -175,3 +178,40 @@ class TestFfnJacobian:
         X = np.array([[0.0, 1.0], [1.0, 1.0]])  # exact zero pre-activation at token 0
         with pytest.raises(ActivationKinkError, match="tanh"):
             ffn_jacobian_blockdiag(X, p)
+
+
+@st.composite
+def sublayer_cases(draw):
+    """(X, attention params, FFN params): d in 2..8, n in 1..6, heads in 1..3,
+    key and hidden widths 1..4 and 1..8, tanh or relu."""
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 6))
+    heads = draw(st.integers(1, 3))
+    activation = draw(st.sampled_from(["tanh", "relu"]))
+    scale = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
+    attn = random_attention(gen, d, int(gen.integers(1, 5)), heads)
+    ffn = random_ffn(gen, d, int(gen.integers(1, 9)), activation)
+    return gen.normal(scale=scale, size=(d, n)), attn, ffn
+
+
+class TestJacobiansFromVjps:
+    """The Jacobians the library builds from its VJPs against the closed forms."""
+
+    @settings(max_examples=200)
+    @given(sublayer_cases())
+    def test_attention_matches_blockwise_loop(self, case):
+        X, p, _ = case
+        reference = scripted_attention_jacobian(X, p.q, p.k, p.v, p.w)
+        assert relative_error(attn_jacobian_full(X, p), reference) <= 1e-13
+
+    @settings(max_examples=200)
+    @given(sublayer_cases())
+    def test_ffn_matches_per_token_loop(self, case):
+        X, _, p = case
+        d, n = X.shape
+        jac = ffn_jacobian_blockdiag(X, p)
+        reference = scripted_ffn_jacobian(X, p.w1, p.w2, p.activation)
+        assert relative_error(jac, reference) <= 1e-13
+        off_token = ~np.eye(n, dtype=bool)
+        assert np.all(jac.reshape(n, d, n, d).transpose(0, 2, 1, 3)[off_token] == 0.0)

@@ -259,6 +259,30 @@ class TestExitCodes:
         assert rc == 2
         assert f"'{item}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, command, field", [
+        ('{"train": {"lr": NaN}}', "train", "train.lr"),
+        ('{"train": {"divergence_threshold": NaN}}', "train", "train.divergence_threshold"),
+        ('{"train": {"noise_std": Infinity}}', "train", "train.noise_std"),
+        ('{"model": {"epsilon": Infinity}}', "diagnose", "model.epsilon"),
+        ('{"diagnostics": {"param_tolerance": NaN}}', "gradcheck", "diagnostics.param_tolerance"),
+        ('{"diagnostics": {"wasserstein_p": Infinity}}', "ot-check", "diagnostics.wasserstein_p"),
+        ('{"sweep": {"weight_decays": [0.0, Infinity]}}', "sweep", "sweep.weight_decays[1]"),
+        ('{"diagnostics": {"delta_ts": [-Infinity]}}', "bounds", "diagnostics.delta_ts[0]"),
+    ])
+    def test_nonfinite_float_exits_two_naming_the_field(
+        self, tmp_path, capsys, text, command, field
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "1",
+                   "--depth", "2", command])
+        assert rc == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_nonfinite_delta_t_flag_exits_two(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "--delta-t", "nan", "diagnose"]) == 2
+        assert "'model.delta_t'" in capsys.readouterr().err
+
     def test_float_flag_overrides_int_config_value(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"model": {"delta_t": 1, "depth": 2}}')

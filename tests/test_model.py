@@ -231,6 +231,13 @@ class TestLocalSensitivity:
         with pytest.raises(ValueError, match="materialize"):
             local_sensitivity(tape, 0)
 
+    def test_stacked_tape_rejected(self):
+        cfg = cfg_for("peri")
+        params = random_model(cfg, RngStream(18))
+        tape = model_forward(RngStream(19).generator().normal(size=(2, 4, 3)), params, cfg)
+        with pytest.raises(mdl.ShapeMismatchError, match="one d x n state"):
+            local_sensitivity(tape, 0)
+
 
 class TestGradientProduct:
     def test_single_factor(self):

@@ -14,7 +14,6 @@ from lnlab.normalization import (
     ln_forward,
     ln_forward_columns,
     ln_jacobian,
-    ln_jacobian_blockdiag,
     ln_vjp,
 )
 from lnlab.numerics import RngStream
@@ -175,15 +174,6 @@ class TestJacobian:
         with pytest.raises(DegenerateTokenError):
             ln_jacobian(np.array([1.0, 1.0]), plain(2))
 
-    def test_blockdiag_layout(self):
-        gen = RngStream(31).generator()
-        X = gen.normal(size=(3, 2))
-        p = random_params(gen, 3)
-        full = ln_jacobian_blockdiag(X, p)
-        assert np.array_equal(full[:3, :3], ln_jacobian(X[:, 0], p))
-        assert np.array_equal(full[3:, 3:], ln_jacobian(X[:, 1], p))
-        assert np.all(full[:3, 3:] == 0) and np.all(full[3:, :3] == 0)
-
 
 class TestVjp:
     @pytest.mark.parametrize("kind", [LAYERNORM, RMSNORM])
@@ -262,20 +252,6 @@ class TestColumnKernels:
 
     @settings(max_examples=300)
     @given(column_cases())
-    def test_blockdiag_matches_per_token_oracle(self, case):
-        X, p, gbar = case
-        d, n = X.shape
-        full = ln_jacobian_blockdiag(X, p)
-        blocks = full.reshape(n, d, n, d)
-        off_token = ~np.eye(n, dtype=bool)
-        assert np.all(blocks.transpose(0, 2, 1, 3)[off_token] == 0.0)
-        gx = (full.T @ gbar.reshape(-1, order="F")).reshape(d, n, order="F")
-        ref_gx, _, _ = scripted_ln_vjp(X, p, gbar)
-        scale = np.abs(p.gamma).max() * np.abs(gbar).max(axis=0) / _denominators(X, p)
-        assert np.all(np.abs(gx - ref_gx).max(axis=0) <= _tol(d) * scale)
-
-    @settings(max_examples=300)
-    @given(column_cases())
     def test_forward_matches_tokenwise(self, case):
         X, p, _ = case
         d, n = X.shape
@@ -304,7 +280,6 @@ class TestColumnKernels:
         for kernel in (
             lambda: ln_forward_columns(X, p),
             lambda: ln_vjp(X, p, np.ones((d, n))),
-            lambda: ln_jacobian_blockdiag(X, p),
         ):
             with pytest.raises(DegenerateTokenError, match=f"token index {first}$") as exc:
                 kernel()

@@ -10,6 +10,7 @@ from lnlab.numerics import (
     NonFiniteError,
     RngStream,
     ShapeMismatchError,
+    jacobian_from_vjp,
     min_cost_assignment,
     moments,
     softmax_columns,
@@ -129,6 +130,22 @@ class TestVec:
         x = np.array([[1.0, 3.0], [2.0, 4.0]])
         assert np.array_equal(vec(x), [1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(unvec(vec(x), 2, 2), x)
+
+
+class TestJacobianFromVjp:
+    @pytest.mark.parametrize("d, n", [(3, 2), (2, 5)])
+    def test_linear_map_comes_back_exactly(self, d, n):
+        # J[j*d + a, i*d + b] = d out[a, j] / d in[b, i]: integer entries, so
+        # every VJP entry is exact, and J is far from symmetric
+        nd = d * n
+        J = RngStream(d * 10 + n).generator().integers(-9, 10, size=(nd, nd)).astype(np.float64)
+        assert not np.array_equal(J, J.T)
+        T = J.reshape(n, d, n, d)
+
+        def vjp(G):
+            return np.einsum("...aj,jaib->...bi", G, T)
+
+        assert np.array_equal(jacobian_from_vjp(vjp, d, n), J)
 
 
 class TestRngStream:
