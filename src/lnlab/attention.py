@@ -24,7 +24,7 @@ from .numerics import ShapeMismatchError, as_matrix, jacobian_from_vjp, softmax_
 
 TANH = "tanh"
 RELU = "relu"
-_ACTIVATIONS = (TANH, RELU)
+ACTIVATIONS = (TANH, RELU)
 
 
 class ActivationKinkError(ArithmeticError):
@@ -93,9 +93,9 @@ class FfnParams:
             raise ShapeMismatchError(
                 f"FfnParams: shapes do not compose d->m->d, got w1={w1.shape} w2={w2.shape}"
             )
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(
-                f"FfnParams: unknown activation {self.activation!r}, expected one of {_ACTIVATIONS}"
+                f"FfnParams: unknown activation {self.activation!r}, expected one of {ACTIVATIONS}"
             )
 
     def scaled(self, c1: float, c2: float) -> "FfnParams":

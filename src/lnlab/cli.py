@@ -3,7 +3,8 @@
 Subcommands: gradcheck, bounds, diagnose, train, sweep, ot-check, report.
 Configuration comes from a JSON file with full defaulting (unknown keys,
 values not of their default's type and NaN or infinite floats are rejected);
-flags override file values.
+flags override file values, and every command then builds the ``model`` and
+``train`` sections once, so a section that does not build exits 2 named.
 Which rows of a report fail is decided in one place, ``CHECKS``: a command
 and ``report`` apply the same rule.  Exit codes: 0 all selected checks pass,
 1 a check failed (first failing row printed), 2 bad config, report or usage.
@@ -23,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck, suites
+from .diagnostics import layer_moments
 from .model import PLACEMENTS, ModelConfig, model_forward, random_model
-from .numerics import RngStream, moments, wasserstein_exact
+from .numerics import MAX_OT_SAMPLES, RngStream, wasserstein_exact
 from .reports import (
     BOUNDS_COLUMNS,
     CSV,
@@ -75,12 +77,17 @@ DEFAULTS = {
 # grids to run over (non-empty)
 _COUNTED = ("diagnostics", "sweep")
 
-# the range each item of a grid list must lie in, checked here so that a bad
-# item is named by its config path rather than by the field it later fills;
-# each rule is written so that a NaN breaks it
+# the range a scalar field's value, or each item of a grid list, must lie in,
+# checked here so that a bad value is named by its config path rather than by
+# the field it later fills or the kernel that later refuses it; each rule is
+# written so that a NaN breaks it
 _ITEM_RULES = {
     "diagnostics.depths": (lambda v: v >= 1, "at least 1"),
     "diagnostics.delta_ts": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "diagnostics.wasserstein_samples": (
+        lambda v: 1 <= v <= MAX_OT_SAMPLES, f"in [1, {MAX_OT_SAMPLES}]"
+    ),
+    "diagnostics.wasserstein_p": (lambda v: v >= 1.0, "at least 1"),
     "sweep.weight_decays": (lambda v: v >= 0.0, "at least 0"),
     "sweep.placements": (lambda v: v in PLACEMENTS, f"one of {PLACEMENTS}"),
 }
@@ -105,13 +112,20 @@ def _fits(default, value) -> bool:
     return isinstance(value, type(default))
 
 
+def _items(value) -> list[tuple[str, object]]:
+    """(suffix, item) pairs: ('[i]', item) for each item of a list, else
+    ('', value) for the value itself."""
+    if isinstance(value, list):
+        return [(f"[{i}]", v) for i, v in enumerate(value)]
+    return [("", value)]
+
+
 def _nonfinite_at(value) -> str | None:
-    """Where ``value`` holds NaN or an infinity (which ``json.loads`` accepts):
-    '' for the value itself, '[i]' for the first such list item, else None."""
-    items = enumerate(value) if isinstance(value, list) else [(None, value)]
-    for i, v in items:
+    """The suffix of the first item of ``value`` that is NaN or an infinity
+    (which ``json.loads`` accepts), else None."""
+    for at, v in _items(value):
         if isinstance(v, float) and not math.isfinite(v):
-            return "" if i is None else f"[{i}]"
+            return at
     return None
 
 
@@ -138,9 +152,9 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
         else:
             if where in _ITEM_RULES:
                 ok, rule = _ITEM_RULES[where]
-                for i, item in enumerate(value):
+                for at, item in _items(value):
                     if not ok(item):
-                        raise ConfigError(f"config field '{where}[{i}]' must be {rule}, got {item!r}")
+                        raise ConfigError(f"config field '{where}{at}' must be {rule}, got {item!r}")
             # an int given for a float field is stored as that float
             out[key] = float(value) if isinstance(defaults[key], float) else value
     return out
@@ -178,6 +192,16 @@ def model_config(cfg: dict) -> ModelConfig:
 
 def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(cfg=model_config(cfg), seed=cfg["seed"], **cfg["train"])
+
+
+def _check_sections(cfg: dict) -> None:
+    """Build the model and the training config once, so that every command
+    refuses a bad ``model`` or ``train`` section and names it."""
+    for section, build in (("model", model_config), ("train", train_config)):
+        try:
+            build(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"config section {section!r}: {exc}") from exc
 
 
 def _out_path(cfg: dict, stem: str) -> Path:
@@ -318,7 +342,7 @@ def cmd_diagnose(cfg: dict) -> int:
     params = random_model(mc, stream.child(0))
     x0 = stream.child(1).generator().normal(size=(mc.d, mc.n))
     tape = model_forward(x0, params, mc)
-    rows = _moments_rows([moments(state) for state in tape.states], mc, cfg["seed"])
+    rows = _moments_rows(layer_moments(tape), mc, cfg["seed"])
     write_report(rows, MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"])
     print(f"diagnose: wrote {len(rows)} layer rows for placement {mc.placement}")
     return 0
@@ -456,6 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args)
+        _check_sections(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

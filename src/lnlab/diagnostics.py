@@ -19,6 +19,9 @@ with gamma_max/beta_max maxima of the inf-norms over all output-LN sites.
 The residual scale dt sharpens every D-dependent term.  The rescaling
 probe needs ``norm_in and not norm_sum`` (pre and peri): with ``norm_out``
 the sensitivity is invariant, without it the update scales by c1 * c2.
+
+Each check pushes its sample set through one stacked forward pass.  It takes
+each input's norm on its own slice: a stacked norm can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .model import (
     stages_for_placement,
     sublayer_sensitivity,
 )
-from .numerics import Moments, moments, wasserstein_exact
+from .numerics import MAX_OT_SAMPLES, Moments, ShapeMismatchError, moments, wasserstein_exact
 
 
 @dataclass(frozen=True)
@@ -144,10 +147,6 @@ def _output_ln_gate(cfg: ModelConfig, params: list[BlockParams], check: str) -> 
     return output_ln_extrema(params)
 
 
-def _terminal_states(inputs, params: list[BlockParams], cfg: ModelConfig) -> list[np.ndarray]:
-    return [model_forward(x, params, cfg).x_final for x in inputs]
-
-
 def peri_growth_check(tape: ForwardTape, seed: int = 0) -> list[BoundReport]:
     """Terminal MA and entry variance against the linear/quadratic growth bounds."""
     cfg = tape.cfg
@@ -164,18 +163,18 @@ def peri_growth_check(tape: ForwardTape, seed: int = 0) -> list[BoundReport]:
 
 
 def datawise_variance_check(
-    inputs: list[np.ndarray],
+    inputs: np.ndarray | list[np.ndarray],
     params: list[BlockParams],
     cfg: ModelConfig,
     entry: tuple[int, int],
     seed: int = 0,
 ) -> BoundReport:
-    """Variance of one terminal entry across inputs vs the quadratic bound."""
+    """Variance of one terminal entry across N inputs vs the quadratic bound."""
     gmax, bmax = _output_ln_gate(cfg, params, "datawise_variance_check")
     if len(inputs) < 2:
         raise ValueError("datawise_variance_check: need at least 2 samples")
     scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
-    values = [x[entry] for x in _terminal_states(inputs, params, cfg)]
+    values = model_forward(np.stack(inputs), params, cfg).x_final[:, entry[0], entry[1]]
     rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
     lhs = np.var(values, ddof=1)
     return BoundReport.for_model("datawise_variance", cfg, gmax, bmax, lhs, np.mean(rhs_terms), seed)
@@ -190,7 +189,7 @@ def pathwise_stability_check(
 ) -> BoundReport:
     """Terminal Frobenius deviation of two inputs vs the pathwise bound."""
     gmax, bmax = _output_ln_gate(cfg, params, "pathwise_stability_check")
-    xa, xb = _terminal_states([x0a, x0b], params, cfg)
+    xa, xb = model_forward(np.stack([x0a, x0b]), params, cfg).x_final
     lhs = np.linalg.norm(xa - xb)
     rhs = (
         np.linalg.norm(np.asarray(x0a) - np.asarray(x0b))
@@ -209,19 +208,29 @@ def wasserstein_stability_check(
 ) -> BoundReport:
     """Exact W_p between pushforward sample clouds vs the propagation bound.
 
-    ``mu0``/``nu0`` are stacks of N inputs each (N, d, n).  The pushforwards
-    are the terminal states; both optimal transport problems are solved
-    exactly with the assignment solver.
+    ``mu0``/``nu0`` are stacks of N inputs each (N, d, n).  N at most
+    ``MAX_OT_SAMPLES`` and p >= 1 are checked before anything is pushed forward.
+    The pushforwards are the terminal states; both optimal transport
+    problems are solved exactly with the assignment solver.
     """
     gmax, bmax = _output_ln_gate(cfg, params, "wasserstein_stability_check")
     mu0 = np.asarray(mu0, dtype=np.float64)
     nu0 = np.asarray(nu0, dtype=np.float64)
-    mu_d = np.stack(_terminal_states(mu0, params, cfg))
-    nu_d = np.stack(_terminal_states(nu0, params, cfg))
+    if mu0.ndim != 3 or mu0.shape != nu0.shape:
+        raise ShapeMismatchError(
+            f"wasserstein_stability_check: need two (N, d, n) stacks, got {mu0.shape} and {nu0.shape}"
+        )
+    if len(mu0) > MAX_OT_SAMPLES:
+        raise ValueError(
+            f"wasserstein_stability_check: N={len(mu0)} exceeds the cap of {MAX_OT_SAMPLES}"
+        )
+    norm_equivalence = c_hat(p, cfg.nd)  # refuses p < 1 before the pushforward
+    mu_d = model_forward(mu0, params, cfg).x_final
+    nu_d = model_forward(nu0, params, cfg).x_final
     lhs = wasserstein_exact(mu_d, nu_d, p)
     w0 = wasserstein_exact(mu0, nu0, p)
     rhs = 2.0 ** ((p - 1.0) / p) * (
-        c_hat(p, cfg.nd) * w0 + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
+        norm_equivalence * w0 + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
     )
     return BoundReport.for_model(f"wasserstein_w{p:g}", cfg, gmax, bmax, lhs, rhs, seed)
 

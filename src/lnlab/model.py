@@ -20,7 +20,9 @@ recovers the unscaled composition bit-exactly.  The forward pass
 reverse sweep (``_sublayer_backward``) reads the same stage row back from
 it.  These are the only two readers of the row: a materialized per-block
 sensitivity is the reverse sweep applied to the nd unit output gradients,
-so a new placement is one new row.
+so a new placement is one new row.  The tape holds each state once, in its
+traces: ``states`` (X_0 ... X_D) is read from them, and ``model_forward``
+copies only X_0.
 
 Hidden states are d x n, or a stack ``(..., d, n)`` of independent states
 (a minibatch): the forward pass and the reverse sweep map each state of a
@@ -131,6 +133,12 @@ class ModelConfig:
             raise ValueError(f"delta_t must lie in (0, 1], got {self.delta_t}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if self.activation not in attn_mod.ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {self.activation!r}, expected one of {attn_mod.ACTIVATIONS}"
+            )
+        if not self.epsilon >= 0.0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         for name in ("d", "n", "k", "m", "heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -277,11 +285,10 @@ class BlockTrace:
 
 @dataclass(frozen=True)
 class ForwardTape:
-    """Complete forward record: replaying it reproduces X_D bit-exactly."""
+    """Complete forward record, each state held once: replaying it reproduces X_D bit-exactly."""
 
     cfg: ModelConfig
     params: tuple[BlockParams, ...]
-    states: tuple[np.ndarray, ...]     # X_0 ... X_D
     traces: tuple[BlockTrace, ...]
 
     @property
@@ -289,8 +296,12 @@ class ForwardTape:
         return len(self.traces)
 
     @property
+    def states(self) -> tuple[np.ndarray, ...]:  # X_0 ... X_D
+        return (self.traces[0].attn.x, *(t.ffn.out for t in self.traces))
+
+    @property
     def x_final(self) -> np.ndarray:
-        return self.states[-1]
+        return self.traces[-1].ffn.out
 
 
 def _ln_at_site(X: np.ndarray, p: norm.LNParams, block: int, site: str) -> np.ndarray:
@@ -344,9 +355,8 @@ def model_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -
         raise DivergenceError("input state is non-finite", block=-1)
     for i, b in enumerate(params):
         validate_block(b, cfg, i)
-    states = [X0.copy()]
     traces = []
-    x = X0
+    x = X0.copy()  # the tape must not see later writes to the caller's array
     for i, b in enumerate(params):
         try:
             x, trace = block_forward(x, b, cfg, index=i)
@@ -354,9 +364,8 @@ def model_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -
             raise DivergenceError(f"block {i}: {exc}", block=i) from exc
         if not np.isfinite(x).all():
             raise DivergenceError(f"block {i} produced a non-finite state", block=i)
-        states.append(x.copy())
         traces.append(trace)
-    return ForwardTape(cfg, tuple(params), tuple(states), tuple(traces))
+    return ForwardTape(cfg, tuple(params), tuple(traces))
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +446,16 @@ def _sublayer_backward(
 def backward(tape: ForwardTape, upstream: np.ndarray):
     """Reverse sweep: returns (per-block gradient dicts, gradient at X_0).
 
-    ``upstream`` is the loss gradient at X_D, shaped like the tape's states,
-    or an nd vector (column-major) for a d x n tape.  On a stack of states
-    every parameter gradient has the stack's leading axes, one gradient per
-    state.  A relu kink is raised as ActivationKinkError naming its block.
-    Per-block parameter Jacobians are never materialized; everything is
-    vector-Jacobian products.
+    ``upstream`` is the loss gradient at X_D, shaped like the tape's states.
+    On a stack of states every parameter gradient has the stack's leading
+    axes, one gradient per state.  A relu kink is raised as
+    ActivationKinkError naming its block.  Per-block parameter Jacobians are
+    never materialized; everything is vector-Jacobian products.
     """
     cfg = tape.cfg
     g = np.asarray(upstream, dtype=np.float64)
-    if g.ndim == 1:
-        g = g.reshape((cfg.d, cfg.n), order="F")
     if g.shape != tape.x_final.shape:
-        raise ShapeMismatchError(
-            f"upstream gradient has shape {g.shape}, expected {tape.x_final.shape} "
-            f"or ({cfg.nd},) for one state"
-        )
+        raise ShapeMismatchError(f"upstream gradient has shape {g.shape}, expected {tape.x_final.shape}")
     if not np.isfinite(g).all():
         raise NonFiniteError("upstream gradient is non-finite")
     all_grads: list[dict[str, np.ndarray]] = [None] * tape.depth  # type: ignore[list-item]

@@ -52,7 +52,7 @@ def run_growth_suite(
         x0 = gen.normal(size=(cfg.d, cfg.n))
         tape = model_forward(x0, params, cfg)
         reports = diag.peri_growth_check(tape, seed=i)
-        inputs = [gen.normal(size=(cfg.d, cfg.n)) for _ in range(samples_per_model)]
+        inputs = gen.normal(size=(samples_per_model, cfg.d, cfg.n))
         entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
         reports.append(diag.datawise_variance_check(inputs, params, cfg, entry, seed=i))
         return reports

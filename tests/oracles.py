@@ -8,9 +8,10 @@ brute-force enumeration solves small transport problems, and
 extended-precision arithmetic recomputes the scalar kernels.  Two
 exceptions: the per-token LN VJP loops the materialized single-token
 ``ln_jacobian`` (itself pinned against finite differences) to pin the
-closed-form column kernels, and ``scripted_train_run`` is the training loop
-that runs one sample at a time through the library's model, to pin the
-stacked minibatch step.
+closed-form column kernels, and ``scripted_train_run`` and
+``scripted_terminal_states`` run one sample at a time through the
+library's model, to pin the stacked minibatch step and the stacked
+pushforwards of the bound checks.
 """
 
 from __future__ import annotations
@@ -210,6 +211,11 @@ def loglog_slope(xs, ys) -> float:
     ly = np.log(np.asarray(ys, dtype=np.float64))
     lx = lx - lx.mean()
     return float((lx @ (ly - ly.mean())) / (lx @ lx))
+
+
+def scripted_terminal_states(inputs, params, cfg) -> list[np.ndarray]:
+    """The terminal state of each input, one ``model_forward`` call per input."""
+    return [model_forward(x, params, cfg).x_final for x in inputs]
 
 
 def scripted_train_run(tc: TrainConfig) -> TrialOutcome:

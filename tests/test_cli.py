@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lnlab import cli, suites
+from lnlab import cli, diagnostics, suites
 from lnlab.cli import ConfigError, load_config, main
 from lnlab.diagnostics import BoundReport
+from lnlab.model import model_forward
 from lnlab.normalization import DegenerateTokenError
 from lnlab.reports import (
     BOUNDS_COLUMNS,
@@ -278,6 +279,42 @@ class TestExitCodes:
                    "--depth", "2", command])
         assert rc == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"diagnostics": {"wasserstein_samples": 300}}', "diagnostics.wasserstein_samples"),
+        ('{"diagnostics": {"wasserstein_p": 0.5}}', "diagnostics.wasserstein_p"),
+    ])
+    def test_transport_rule_exits_two_before_any_pushforward(
+        self, tmp_path, monkeypatch, capsys, text, field
+    ):
+        pushed = []
+        monkeypatch.setattr(diagnostics, "model_forward",
+                            lambda *args: pushed.append(args) or model_forward(*args))
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "2", "ot-check"])
+        assert rc == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert pushed == []
+
+    @pytest.mark.parametrize("command", ["gradcheck", "bounds", "ot-check", "diagnose", "train",
+                                         "sweep", "report"])
+    @pytest.mark.parametrize("text, flags, section", [
+        ('{"model": {"d": 0}}', [], "model"),
+        ('{"model": {"placement": "bogus"}}', [], "model"),
+        ('{"model": {"activation": "sigmoid"}}', [], "model"),
+        ('{"model": {"epsilon": -0.001}}', [], "model"),
+        ('{"train": {"checkpoint_every": 0}}', [], "train"),
+        ("{}", ["--depth", "0"], "model"),
+    ])
+    def test_every_command_checks_the_model_and_train_sections(
+        self, tmp_path, capsys, command, text, flags, section
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "1", *flags, command])
+        assert rc == 2
+        assert f"config section '{section}'" in capsys.readouterr().err
 
     def test_nonfinite_delta_t_flag_exits_two(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "--delta-t", "nan", "diagnose"]) == 2

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import scripted_terminal_states
 
 from lnlab import diagnostics as diag
 from lnlab import model, suites
@@ -14,7 +18,7 @@ from lnlab.model import (
     zero_weight_block,
 )
 from lnlab.normalization import LNParams
-from lnlab.numerics import RngStream, moments
+from lnlab.numerics import MAX_OT_SAMPLES, RngStream, moments, wasserstein_exact
 
 
 def peri_cfg(depth=8, dt=1.0, **kw):
@@ -181,6 +185,74 @@ class TestWassersteinStability:
                 lhs.append(diag.wasserstein_stability_check(mu0, nu0, params, cfg).lhs)
             hits += int(lhs[0] >= lhs[1] >= lhs[2])
         assert hits >= 0.9 * total
+
+
+def _rows_from_oracle(inputs, mu0, nu0, params, cfg, entry):
+    """The data-wise, pathwise and W_2 rows as the checks compute them, with
+    each input pushed forward on its own."""
+    gmax, bmax = diag.output_ln_extrema(params)
+    scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
+    values = [x[entry] for x in scripted_terminal_states(inputs, params, cfg)]
+    rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
+    xa, xb = scripted_terminal_states(inputs[:2], params, cfg)
+    path_rhs = (
+        np.linalg.norm(inputs[0] - inputs[1])
+        + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
+    )
+    mu_d = np.stack(scripted_terminal_states(mu0, params, cfg))
+    nu_d = np.stack(scripted_terminal_states(nu0, params, cfg))
+    w_rhs = 2.0 ** ((2.0 - 1.0) / 2.0) * (
+        diag.c_hat(2.0, cfg.nd) * wasserstein_exact(mu0, nu0, 2.0)
+        + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
+    )
+    row = diag.BoundReport.for_model
+    return [
+        row("datawise_variance", cfg, gmax, bmax, np.var(values, ddof=1), np.mean(rhs_terms), 0),
+        row("pathwise_stability", cfg, gmax, bmax, np.linalg.norm(xa - xb), path_rhs, 0),
+        row("wasserstein_w2", cfg, gmax, bmax, wasserstein_exact(mu_d, nu_d, 2.0), w_rhs, 0),
+    ]
+
+
+class TestOneStackedPushforward:
+    """Each check pushes its sample set through one stacked forward pass; its
+    rows equal, field by field, the rows of one forward pass per input."""
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(2, 8), st.integers(1, 6), st.integers(1, 2), st.integers(1, 4),
+        st.integers(2, 12), st.sampled_from(["layernorm", "rmsnorm"]),
+        st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2**16),
+    )
+    @example(d=4, n=3, heads=1, depth=2, samples=256, ln_kind="layernorm", dt=1.0, seed=0)
+    def test_rows_equal_per_input_pushforwards(self, d, n, heads, depth, samples, ln_kind, dt, seed):
+        cfg = ModelConfig(d=d, n=n, k=3, m=5, heads=heads, depth=depth, placement="peri",
+                          delta_t=dt)
+        params = random_model(cfg, RngStream(seed), ln_kind=ln_kind)
+        gen = RngStream(seed, 1).generator()
+        inputs, mu0, nu0 = gen.normal(size=(3, samples, d, n))
+        entry = (int(gen.integers(d)), int(gen.integers(n)))
+        rows = [
+            diag.datawise_variance_check(inputs, params, cfg, entry),
+            diag.pathwise_stability_check(inputs[0], inputs[1], params, cfg),
+            diag.wasserstein_stability_check(mu0, nu0, params, cfg),
+        ]
+        for got, want in zip(rows, _rows_from_oracle(inputs, mu0, nu0, params, cfg, entry)):
+            assert vars(got) == vars(want)
+
+    def test_bad_sample_set_or_p_refused_before_any_pushforward(self, monkeypatch):
+        pushed = []
+        monkeypatch.setattr(diag, "model_forward",
+                            lambda *args: pushed.append(args) or model_forward(*args))
+        cfg = peri_cfg(depth=2)
+        params = random_model(cfg, RngStream(44))
+        mu0 = np.zeros((MAX_OT_SAMPLES + 1, 4, 3))
+        with pytest.raises(ValueError, match=f"N={MAX_OT_SAMPLES + 1} exceeds the cap"):
+            diag.wasserstein_stability_check(mu0, mu0 + 1.0, params, cfg)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            diag.wasserstein_stability_check(mu0[:2], mu0[:2] + 1.0, params, cfg, p=0.5)
+        assert pushed == []
+        diag.wasserstein_stability_check(mu0[:2], mu0[:2] + 1.0, params, cfg)
+        assert len(pushed) == 2
 
 
 class TestPlacementIsData:

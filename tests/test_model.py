@@ -178,6 +178,26 @@ class TestModelForward:
         with pytest.raises(ValueError, match="sites"):
             model_forward(np.zeros((4, 3)), [wrong, wrong], cfg)
 
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)])
+    def test_mutating_the_input_leaves_the_tape_alone(self, shape):
+        cfg = cfg_for("peri", depth=2)
+        params = random_model(cfg, RngStream(13))
+        gen = RngStream(14).generator()
+        X, C = gen.normal(size=shape), gen.normal(size=shape)
+        tape = model_forward(X, params, cfg)
+        x0 = tape.states[0].copy()
+        _, gx = backward(tape, C)
+        X *= 3.0
+        assert np.array_equal(tape.states[0], x0)
+        assert np.array_equal(backward(tape, C)[1], gx)
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("field, value", [("activation", "sigmoid"), ("epsilon", -1e-3)])
+    def test_bad_field_rejected_on_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(cfg_for("peri"), **{field: value})
+
 
 class TestLocalSensitivity:
     def test_zero_weight_pre_block_identity(self):
@@ -280,7 +300,7 @@ class TestParamGradients:
         cfg = cfg_for("peri")
         params = random_model(cfg, RngStream(23))
         tape = model_forward(np.ones((4, 3)), params, cfg)
-        grads = param_gradients(tape, np.zeros(12))
+        grads = param_gradients(tape, np.zeros((4, 3)))
         assert all(np.all(g == 0) for block in grads for g in block.values())
 
     @pytest.mark.parametrize("placement,ln_kind", placements_and_kinds())
@@ -362,6 +382,12 @@ class TestStackedSweep:
         tape = model_forward(np.ones((2, 4, 3)), random_model(cfg, RngStream(27)), cfg)
         with pytest.raises(mdl.ShapeMismatchError, match=r"expected \(2, 4, 3\)"):
             backward(tape, np.ones((4, 3)))
+
+    def test_upstream_is_shaped_like_the_states(self):
+        cfg = cfg_for("peri")
+        tape = model_forward(np.ones((4, 3)), random_model(cfg, RngStream(27)), cfg)
+        with pytest.raises(mdl.ShapeMismatchError, match=r"expected \(4, 3\)"):
+            backward(tape, np.ones(12))
 
 
 class TestSimplifiedPreChain:
