@@ -117,8 +117,8 @@ def c_hat(p: float, nd: int) -> float:
 
     Exactly 1 at p = 2; (nd)^|1/2 - 1/p| otherwise.
     """
-    if p < 1.0:
-        raise ValueError(f"c_hat: p must be >= 1, got {p}")
+    if not (1.0 <= p < np.inf):
+        raise ValueError(f"c_hat: p must be >= 1 and finite, got {p}")
     if p == 2.0:
         return 1.0
     return float(nd ** abs(0.5 - 1.0 / p))
@@ -209,7 +209,8 @@ def wasserstein_stability_check(
     """Exact W_p between pushforward sample clouds vs the propagation bound.
 
     ``mu0``/``nu0`` are stacks of N inputs each (N, d, n).  N at most
-    ``MAX_OT_SAMPLES`` and p >= 1 are checked before anything is pushed forward.
+    ``MAX_OT_SAMPLES`` and 1 <= p < inf are checked before anything is
+    pushed forward.
     The pushforwards are the terminal states; both optimal transport
     problems are solved exactly with the assignment solver.
     """
@@ -224,7 +225,7 @@ def wasserstein_stability_check(
         raise ValueError(
             f"wasserstein_stability_check: N={len(mu0)} exceeds the cap of {MAX_OT_SAMPLES}"
         )
-    norm_equivalence = c_hat(p, cfg.nd)  # refuses p < 1 before the pushforward
+    norm_equivalence = c_hat(p, cfg.nd)  # refuses p outside [1, inf) before the pushforward
     mu_d = model_forward(mu0, params, cfg).x_final
     nu_d = model_forward(nu0, params, cfg).x_final
     lhs = wasserstein_exact(mu_d, nu_d, p)

@@ -136,8 +136,15 @@ class RngStream:
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost perfect matching on a square cost matrix.
 
-    O(N^3) Hungarian algorithm with dual potentials (shortest augmenting
-    paths).  Returns ``col`` such that row i is matched to column col[i].
+    Shortest augmenting paths over dual potentials u, v (Jonker & Volgenant
+    1987; Crouse 2016, the form behind scipy's ``linear_sum_assignment``),
+    O(N^3).  A column reduction starts it: ``v`` is the column minima,
+    ``u = 0``, and each column is matched to its argmin row while that row
+    is free, so only the rows left free need a path.  Each path is a
+    Dijkstra search over reduced costs, and the duals are updated once per
+    path, not once per scanned column.  Returns ``col`` such that row i is
+    matched to column col[i]; when several matchings are optimal (ties),
+    any one of them may be returned.
     """
     cost = as_matrix(cost)
     n, m = cost.shape
@@ -145,46 +152,75 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(f"min_cost_assignment: cost must be square, got {cost.shape}")
     if not np.isfinite(cost).all():
         raise NonFiniteError("min_cost_assignment: cost contains non-finite entries")
+    col = np.full(n, -1, dtype=np.int64)  # col[i] = column of row i, -1 = free
+    if n == 0:
+        return col
+    row = np.full(n, -1, dtype=np.int64)  # row[j] = row of column j, -1 = free
+    u = np.zeros(n)
+    v = cost.min(axis=0)
+    for j, i in enumerate(cost.argmin(axis=0).tolist()):
+        if col[i] < 0:
+            col[i], row[j] = j, i
 
-    inf = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    # match[j] = row currently assigned to column j (1-based, 0 = free slot)
-    match = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, inf)
-        way = np.zeros(n + 1, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
+    dist = np.empty(n)  # shortest path cost to each unscanned column
+    open_v = np.empty(n)  # v, with -inf at scanned columns
+    reduced = np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    pred = np.empty(n, dtype=np.int64)  # row before column j on its path
+    for start in np.flatnonzero(col < 0).tolist():
+        dist.fill(np.inf)
+        np.copyto(open_v, v)
+        scanned, reached = [], []
+        i, reach = start, 0.0
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            # Relax reduced costs of all unused columns against row i0.
-            free = ~used[1:]
-            reduced = cost[i0 - 1, :] - u[i0] - v[1:]
-            better = free & (reduced < minv[1:])
-            minv[1:][better] = reduced[better]
-            way[1:][better] = j0
-            masked = np.where(free, minv[1:], inf)
-            j0 = int(np.argmin(masked)) + 1
-            delta = masked[j0 - 1]
-            u[match[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            if match[j0] == 0:
+            np.subtract(cost[i], open_v, out=reduced)  # +inf where scanned
+            reduced += reach - u[i]
+            np.less(reduced, dist, out=closer)
+            np.copyto(pred, i, where=closer)
+            np.minimum(dist, reduced, out=dist)
+            j = int(dist.argmin())
+            reach = float(dist[j])
+            scanned.append(j)
+            reached.append(reach)
+            dist[j] = np.inf
+            open_v[j] = -np.inf
+            if row[j] < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    col = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        col[match[j] - 1] = j - 1
+            i = int(row[j])
+        # lazy dual update: every scanned column moves by how much sooner
+        # than the sink it was reached, and so does the row matched to it
+        cols = np.array(scanned)
+        shift = reach - np.array(reached)
+        v[cols] -= shift
+        u[row[cols[:-1]]] += shift[:-1]
+        u[start] += reach
+        # augment along the path back to the start row
+        while True:
+            i = int(pred[j])
+            row[j] = i
+            col[i], j = j, int(col[i])
+            if i == start:
+                break
     return col
 
 
 MAX_OT_SAMPLES = 256
+COST_BLOCK_ROWS = 16
+
+
+def transport_cost(flat_a: np.ndarray, flat_b: np.ndarray, p: float) -> np.ndarray:
+    """N x N cost ``sum_k |a_ik - b_jk|^p`` of two (N, m) sample stacks,
+    built ``COST_BLOCK_ROWS`` rows at a time so the (rows, N, m) temporary
+    stays small.  Each entry is reduced over the same contiguous m axis as
+    in the one-shot ``(np.abs(a[:, None] - b[None]) ** p).sum(axis=2)``,
+    so the two agree bit for bit."""
+    n = flat_a.shape[0]
+    cost = np.empty((n, flat_b.shape[0]))
+    for lo in range(0, n, COST_BLOCK_ROWS):
+        diff = np.abs(flat_a[lo : lo + COST_BLOCK_ROWS, None, :] - flat_b[None, :, :])
+        diff **= p
+        np.add.reduce(diff, axis=2, out=cost[lo : lo + COST_BLOCK_ROWS])
+    return cost
 
 
 def wasserstein_exact(
@@ -193,15 +229,16 @@ def wasserstein_exact(
     """Exact p-Wasserstein distance between two uniform empirical measures.
 
     ``a_samples`` and ``b_samples`` are stacks of equally many, equally
-    shaped matrices (shape (N, d, n) or (N, m) after flattening).  The cost
-    of pairing A_i with B_j is the entrywise p-norm raised to the p-th
-    power; the N x N assignment problem is solved exactly and the p-th root
-    of the optimal mean cost is returned.
+    shaped matrices (shape (N, d, n) or (N, m) after flattening), with
+    1 <= N <= ``MAX_OT_SAMPLES`` and 1 <= p < inf.  The cost of pairing A_i
+    with B_j is the entrywise p-norm raised to the p-th power; the N x N
+    assignment problem is solved exactly and the p-th root of the optimal
+    mean cost is returned.
     """
     a = np.asarray(a_samples, dtype=np.float64)
     b = np.asarray(b_samples, dtype=np.float64)
-    if p < 1.0:
-        raise ValueError(f"wasserstein_exact: p must be >= 1, got {p}")
+    if not (1.0 <= p < np.inf):
+        raise ValueError(f"wasserstein_exact: p must be >= 1 and finite, got {p}")
     if a.shape != b.shape:
         raise ShapeMismatchError(
             f"wasserstein_exact: sample sets differ in shape, {a.shape} vs {b.shape}"
@@ -209,12 +246,11 @@ def wasserstein_exact(
     if a.ndim < 2:
         raise ShapeMismatchError("wasserstein_exact: expected a stack of samples")
     n = a.shape[0]
+    if n == 0:
+        raise ShapeMismatchError("wasserstein_exact: need at least one sample, got N=0")
     if n > MAX_OT_SAMPLES:
         raise ValueError(f"wasserstein_exact: N={n} exceeds the cap of {MAX_OT_SAMPLES}")
-    flat_a = a.reshape(n, -1)
-    flat_b = b.reshape(n, -1)
-    diff = np.abs(flat_a[:, None, :] - flat_b[None, :, :])
-    cost = (diff**p).sum(axis=2)
+    cost = transport_cost(a.reshape(n, -1), b.reshape(n, -1), p)
     col = min_cost_assignment(cost)
     mean_cost = float(cost[np.arange(n), col].mean())
     return mean_cost ** (1.0 / p)

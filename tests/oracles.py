@@ -4,8 +4,10 @@ Everything here is deliberately written without reference to the library's
 own derivative or transport code: central differences probe the forward
 maps, the closed-form attention and FFN Jacobians assembled block by block
 with loops pin the library's Jacobians (which it builds from its VJPs),
-brute-force enumeration solves small transport problems, and
-extended-precision arithmetic recomputes the scalar kernels.  Two
+brute-force enumeration solves small transport problems, the textbook
+Hungarian loop (one dual update per scanned column) pins the
+shortest-augmenting-path solver on larger ones, and extended-precision
+arithmetic recomputes the scalar kernels.  Two
 exceptions: the per-token LN VJP loops the materialized single-token
 ``ln_jacobian`` (itself pinned against finite differences) to pin the
 closed-form column kernels, and ``scripted_train_run`` and
@@ -30,7 +32,7 @@ from lnlab.model import (
     random_model,
 )
 from lnlab.normalization import LAYERNORM, DegenerateTokenError, ln_jacobian
-from lnlab.numerics import RngStream, moments
+from lnlab.numerics import NonFiniteError, RngStream, ShapeMismatchError, as_matrix, moments
 from lnlab.training import (
     NONFINITE_LOSS,
     NORM_THRESHOLD,
@@ -103,6 +105,57 @@ def assignment_bruteforce(cost: np.ndarray) -> float:
         float(sum(cost[i, pi] for i, pi in enumerate(perm)))
         for perm in permutations(range(n))
     )
+
+
+def scripted_min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Exact minimum-cost perfect matching on a square cost matrix.
+
+    O(N^3) Hungarian algorithm with dual potentials (shortest augmenting
+    paths).  Returns ``col`` such that row i is matched to column col[i].
+    """
+    cost = as_matrix(cost)
+    n, m = cost.shape
+    if n != m:
+        raise ShapeMismatchError(f"min_cost_assignment: cost must be square, got {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise NonFiniteError("min_cost_assignment: cost contains non-finite entries")
+
+    inf = np.inf
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    # match[j] = row currently assigned to column j (1-based, 0 = free slot)
+    match = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = np.full(n + 1, inf)
+        way = np.zeros(n + 1, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            # Relax reduced costs of all unused columns against row i0.
+            free = ~used[1:]
+            reduced = cost[i0 - 1, :] - u[i0] - v[1:]
+            better = free & (reduced < minv[1:])
+            minv[1:][better] = reduced[better]
+            way[1:][better] = j0
+            masked = np.where(free, minv[1:], inf)
+            j0 = int(np.argmin(masked)) + 1
+            delta = masked[j0 - 1]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[1:][free] -= delta
+            if match[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    col = np.empty(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        col[match[j] - 1] = j - 1
+    return col
 
 
 def scripted_attention(X, q, k, v, w) -> np.ndarray:

@@ -310,9 +310,10 @@ class TestCHat:
         assert diag.c_hat(1.0, 16) == pytest.approx(4.0)
         assert diag.c_hat(4.0, 16) == pytest.approx(2.0)
 
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            diag.c_hat(0.5, 4)
+    @pytest.mark.parametrize("p", [0.5, float("nan"), float("inf"), float("-inf")])
+    def test_invalid_p(self, p):
+        with pytest.raises(ValueError, match="p must"):
+            diag.c_hat(p, 4)
 
 
 class TestRescaleInvariance:

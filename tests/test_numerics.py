@@ -3,9 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assignment_bruteforce, softmax_longdouble, wasserstein_bruteforce
+from oracles import (
+    assignment_bruteforce,
+    scripted_min_cost_assignment,
+    softmax_longdouble,
+    wasserstein_bruteforce,
+)
 
+from lnlab import suites
+from lnlab.model import model_forward, random_model
 from lnlab.numerics import (
+    COST_BLOCK_ROWS,
     MAX_OT_SAMPLES,
     NonFiniteError,
     RngStream,
@@ -15,6 +23,7 @@ from lnlab.numerics import (
     moments,
     softmax_columns,
     spectral_norm,
+    transport_cost,
     unvec,
     vec,
     wasserstein_exact,
@@ -191,10 +200,71 @@ class TestAssignment:
         with pytest.raises(ShapeMismatchError):
             min_cost_assignment(np.zeros((2, 3)))
 
+    def test_empty_matrix(self):
+        col = min_cost_assignment(np.zeros((0, 0)))
+        assert col.dtype == np.int64 and col.shape == (0,)
+
     def test_moderate_size_runs(self):
         cost = np.random.default_rng(0).uniform(size=(128, 128))
         col = min_cost_assignment(cost)
         assert sorted(col) == list(range(128))
+
+
+class TestAssignmentVsHungarian:
+    """The shortest-augmenting-path solver against the textbook Hungarian
+    loop of ``oracles.scripted_min_cost_assignment``."""
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_continuous_costs_same_col(self, n, seed):
+        cost = np.random.default_rng(seed).uniform(-10, 10, size=(n, n))
+        assert np.array_equal(min_cost_assignment(cost), scripted_min_cost_assignment(cost))
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.floats(-1e3, 1e3, allow_nan=False)),
+    )
+    def test_tied_costs_same_total(self, n, seed, constant):
+        # integers in {0, 1, 2}, or one constant: many optimal matchings,
+        # any of which may come back, but all at exactly the same total
+        if constant is None:
+            cost = np.random.default_rng(seed).integers(0, 3, size=(n, n)).astype(np.float64)
+        else:
+            cost = np.full((n, n), constant)
+        col = min_cost_assignment(cost)
+        assert col.dtype == np.int64
+        assert np.array_equal(np.sort(col), np.arange(n))
+        rows = np.arange(n)
+        expected = cost[rows, scripted_min_cost_assignment(cost)].sum()
+        assert cost[rows, col].sum() == expected
+
+    def test_certify_shaped_same_col(self):
+        # the pushed-forward W_2 problem of one ot-check instance at N = 256
+        stream = RngStream(2001, 2).child(0)
+        gen = stream.child(1).generator()
+        cfg = suites._growth_cfg(depth=8, delta_t=1.0)
+        params = random_model(cfg, stream.child(2))
+        mu0 = gen.normal(size=(MAX_OT_SAMPLES, cfg.d, cfg.n))
+        nu0 = gen.normal(size=(MAX_OT_SAMPLES, cfg.d, cfg.n)) + gen.normal(scale=0.5)
+        mu_d = model_forward(mu0, params, cfg).x_final.reshape(MAX_OT_SAMPLES, -1)
+        nu_d = model_forward(nu0, params, cfg).x_final.reshape(MAX_OT_SAMPLES, -1)
+        cost = transport_cost(mu_d, nu_d, 2.0)
+        assert np.array_equal(min_cost_assignment(cost), scripted_min_cost_assignment(cost))
+
+
+class TestTransportCost:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize(
+        "n", [1, COST_BLOCK_ROWS - 1, COST_BLOCK_ROWS, COST_BLOCK_ROWS + 1, MAX_OT_SAMPLES]
+    )
+    def test_same_bits_as_one_shot_broadcast(self, n, p):
+        gen = np.random.default_rng(n)
+        a = gen.normal(size=(n, 12))
+        b = gen.normal(size=(n, 12)) + 0.25
+        expected = (np.abs(a[:, None] - b[None]) ** p).sum(axis=2)
+        assert np.array_equal(transport_cost(a, b, p), expected)
 
 
 class TestWassersteinExact:
@@ -239,6 +309,15 @@ class TestWassersteinExact:
     def test_unequal_counts_rejected(self):
         with pytest.raises(ShapeMismatchError):
             wasserstein_exact(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)), 2.0)
+
+    @pytest.mark.parametrize("p", [0.5, float("nan"), float("inf"), float("-inf")])
+    def test_invalid_p_rejected(self, p):
+        with pytest.raises(ValueError, match="p must"):
+            wasserstein_exact(np.ones((3, 2, 2)), np.zeros((3, 2, 2)), p)
+
+    def test_empty_sample_set_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="at least one sample"):
+            wasserstein_exact(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), 2.0)
 
     def test_sample_cap(self):
         n = MAX_OT_SAMPLES + 1
