@@ -410,9 +410,9 @@ def cmd_ot_check(cfg: dict) -> int:
         exact = wasserstein_exact(a, b, p)
         brute = _wp_bruteforce(a, b, p)
         worst = max(worst, abs(exact - brute))
-    print(f"ot-check: hungarian vs brute force, worst |diff| {worst:.3e}")
+    print(f"ot-check: assignment vs brute force, worst |diff| {worst:.3e}")
     if worst > 1e-12:
-        print("FAIL ot-check hungarian")
+        print("FAIL ot-check assignment")
         return 1
     # bound instances with exact W_p
     reports = suites.run_wasserstein_suite(
