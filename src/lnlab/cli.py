@@ -92,6 +92,9 @@ _ITEM_RULES = {
     "sweep.placements": (lambda v: v in PLACEMENTS, f"one of {PLACEMENTS}"),
 }
 
+# grid lists whose items key the trials, so an item may not repeat
+_DISTINCT = ("sweep.placements", "sweep.weight_decays")
+
 
 class ConfigError(ValueError):
     pass
@@ -155,8 +158,17 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
                 for at, item in _items(value):
                     if not ok(item):
                         raise ConfigError(f"config field '{where}{at}' must be {rule}, got {item!r}")
-            # an int given for a float field is stored as that float
-            out[key] = float(value) if isinstance(defaults[key], float) else value
+            if where in _DISTINCT:
+                for i, item in enumerate(value):
+                    if item in value[:i]:
+                        raise ConfigError(f"config field '{where}[{i}]' repeats an earlier item, got {item!r}")
+            # an int given for a float field, or for an item of a float list,
+            # is stored as that float
+            if isinstance(defaults[key], float):
+                value = float(value)
+            elif isinstance(defaults[key], list) and isinstance(defaults[key][0], float):
+                value = [float(v) for v in value]
+            out[key] = value
     return out
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lnlab import cli, diagnostics, suites
+from lnlab import cli, diagnostics, suites, training
 from lnlab.cli import ConfigError, load_config, main
 from lnlab.diagnostics import BoundReport
 from lnlab.model import model_forward
@@ -133,6 +133,21 @@ class TestConfig:
         path.write_text('{"train": {"dataset_size": null}}')
         assert load_config(str(path))["train"]["dataset_size"] is None
 
+    def test_int_item_of_float_list_stored_as_float(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text('{"diagnostics": {"delta_ts": [1, 0.5]}, "sweep": {"weight_decays": [0, 0.3]}}')
+        cfg = load_config(str(path))
+        for items in (cfg["diagnostics"]["delta_ts"], cfg["sweep"]["weight_decays"]):
+            assert all(isinstance(v, float) for v in items)
+        assert cfg["sweep"]["weight_decays"] == [0.0, 0.3]
+
+    def test_int_decay_prints_as_float_in_sweep(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"train": {"steps": 1}, "sweep": {"placements": ["peri"], '
+                        '"weight_decays": [0, 0.3], "seeds": 1}}')
+        assert main(["--config", str(path), "--out", str(tmp_path), "--depth", "1", "sweep"]) == 0
+        assert "placement=peri weight_decay=0.0 diverged=0/1" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_two(self, capsys):
@@ -259,6 +274,23 @@ class TestExitCodes:
         rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "2", command])
         assert rc == 2
         assert f"'{item}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, item", [
+        ('{"sweep": {"placements": ["pre", "pre"]}}', "sweep.placements[1]"),
+        ('{"sweep": {"placements": ["off", "pre", "off"]}}', "sweep.placements[2]"),
+        ('{"sweep": {"weight_decays": [0.0, 0.3, 0.3]}}', "sweep.weight_decays[2]"),
+        ('{"sweep": {"weight_decays": [0, 0.0]}}', "sweep.weight_decays[1]"),
+    ])
+    def test_repeated_grid_item_exits_two_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, text, item
+    ):
+        runs = []
+        monkeypatch.setattr(training, "train_run", lambda tc: runs.append(tc))
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 2
+        assert f"'{item}'" in capsys.readouterr().err
+        assert runs == []
 
     @pytest.mark.parametrize("text, command, field", [
         ('{"train": {"lr": NaN}}', "train", "train.lr"),
