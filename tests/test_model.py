@@ -192,6 +192,21 @@ class TestModelForward:
         assert np.array_equal(backward(tape, C)[1], gx)
 
 
+class TestRandomModel:
+    @pytest.mark.parametrize("placement, ln_kind", placements_and_kinds())
+    def test_no_two_tensors_share_memory(self, placement, ln_kind):
+        # training updates every tensor in place, so two tensors that shared
+        # memory would each take the other's update
+        cfg = cfg_for(placement, depth=3)
+        tensors = [
+            t for b in random_model(cfg, RngStream(5), ln_kind=ln_kind)
+            for t in params_to_flat(b).values()
+        ]
+        for i, a in enumerate(tensors):
+            for b in tensors[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
 class TestModelConfig:
     @pytest.mark.parametrize("field, value", [("activation", "sigmoid"), ("epsilon", -1e-3)])
     def test_bad_field_rejected_on_construction(self, field, value):
