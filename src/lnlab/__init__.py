@@ -11,7 +11,6 @@ from .model import (
     ForwardTape,
     ModelConfig,
     block_forward,
-    gradient_product,
     local_sensitivity,
     model_forward,
     param_gradients,

@@ -42,7 +42,6 @@ from .model import (
     PlacementError,
     Stages,
     model_forward,
-    stages_for_placement,
     sublayer_sensitivity,
 )
 from .numerics import MAX_OT_SAMPLES, Moments, ShapeMismatchError, moments, wasserstein_exact
@@ -132,7 +131,7 @@ def layer_moments(tape: ForwardTape) -> list[Moments]:
 def _admit(cfg: ModelConfig, check: str, need: str) -> Stages:
     """The stage row of ``cfg.placement`` if it has stage ``need`` and does not
     renormalize the residual sum; PlacementError otherwise."""
-    st = stages_for_placement(cfg.placement)
+    st = cfg.stages
     if not getattr(st, need) or st.norm_sum:
         raise PlacementError(
             f"{check} needs {need} and not norm_sum; placement {cfg.placement!r} has {st}"

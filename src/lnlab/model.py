@@ -16,13 +16,14 @@ each wrapped in up to three LN stages, switched on by the placement's row
 The output and sum stages share the ``*_out`` LN site.  ``dt`` multiplies
 the sublayer output inside the residual sum for every placement; dt = 1
 recovers the unscaled composition bit-exactly.  The forward pass
-(``_apply_sublayer``) records every intermediate state on a tape, and the
-reverse sweep (``_sublayer_backward``) reads the same stage row back from
-it.  These are the only two readers of the row: a materialized per-block
-sensitivity is the reverse sweep applied to the nd unit output gradients,
-so a new placement is one new row.  The tape holds each state once, in its
-traces: ``states`` (X_0 ... X_D) is read from them, and ``model_forward``
-copies only X_0.
+(``_apply_sublayer``) and the reverse sweep (``_sublayer_backward``) are
+the only maps that branch on the row, ``ModelConfig.stages``: a
+materialized per-block sensitivity is the reverse sweep applied to the nd
+unit output gradients, so a new placement is one new row.  The tape keeps
+only what the sweep reads, each state once: per sublayer x, z, f(z), the
+sum before LN_out (norm_sum only) and out, but not LN_out(f(z)), whose VJP
+reads f(z).  ``states`` (X_0 ... X_D) is read from the traces, and
+``model_forward`` copies only X_0.
 
 Hidden states are d x n, or a stack ``(..., d, n)`` of independent states
 (a minibatch): the forward pass and the reverse sweep map each state of a
@@ -97,23 +98,6 @@ class PlacementError(ValueError):
     """A check or operation was asked for an incompatible placement."""
 
 
-def stages_for_placement(placement: str) -> Stages:
-    if placement not in STAGES:
-        raise PlacementError(f"unknown placement {placement!r}, expected one of {PLACEMENTS}")
-    return STAGES[placement]
-
-
-def sites_for_placement(placement: str) -> tuple[str, ...]:
-    st = stages_for_placement(placement)
-    sites: list[str] = []
-    for site_in, site_out in _SITES.values():
-        if st.norm_in:
-            sites.append(site_in)
-        if st.norm_out or st.norm_sum:
-            sites.append(site_out)
-    return tuple(sites)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     d: int
@@ -128,7 +112,8 @@ class ModelConfig:
     epsilon: float = norm.DEFAULT_EPSILON
 
     def __post_init__(self):
-        stages_for_placement(self.placement)
+        if self.placement not in STAGES:
+            raise PlacementError(f"unknown placement {self.placement!r}, expected one of {PLACEMENTS}")
         if not (0.0 < self.delta_t <= 1.0):
             raise ValueError(f"delta_t must lie in (0, 1], got {self.delta_t}")
         if self.depth < 1:
@@ -148,8 +133,19 @@ class ModelConfig:
         return self.d * self.n
 
     @property
+    def stages(self) -> Stages:
+        return STAGES[self.placement]
+
+    @property
     def sites(self) -> tuple[str, ...]:
-        return sites_for_placement(self.placement)
+        st = self.stages
+        sites: list[str] = []
+        for site_in, site_out in _SITES.values():
+            if st.norm_in:
+                sites.append(site_in)
+            if st.norm_out or st.norm_sum:
+                sites.append(site_out)
+        return tuple(sites)
 
 
 @dataclass(frozen=True)
@@ -246,35 +242,15 @@ def random_model(
     ]
 
 
-def zero_weight_block(cfg: ModelConfig, ln_kind: str = norm.LAYERNORM) -> BlockParams:
-    d, k, m, heads = cfg.d, cfg.k, cfg.m, cfg.heads
-    attn = attn_mod.AttentionParams(
-        np.zeros((heads, k, d)), np.zeros((heads, k, d)),
-        np.zeros((heads, k, d)), np.zeros((heads, d, k)),
-    )
-    ffn = attn_mod.FfnParams(np.zeros((m, d)), np.zeros((d, m)), cfg.activation)
-    ln = {
-        site: norm.LNParams(np.ones(d), np.zeros(d), cfg.epsilon, ln_kind)
-        for site in cfg.sites
-    }
-    return BlockParams(attn, ffn, ln)
-
-
 @dataclass(frozen=True)
 class SublayerTrace:
-    """Intermediates of one placement-wrapped sublayer application."""
+    """What the reverse sweep reads of one placement-wrapped sublayer application."""
 
     x: np.ndarray                      # sublayer input
-    ln_in_out: np.ndarray | None       # LN_in(x), norm_in only
+    core_in: np.ndarray                # what the bare map was applied to: LN_in(x), else x
     raw: np.ndarray                    # f(core_in)
-    ln_out_out: np.ndarray | None      # LN_out(raw), norm_out only
     summed: np.ndarray | None          # x + dt * raw, norm_sum only (pre-LN residual sum)
     out: np.ndarray
-
-    @property
-    def core_in(self) -> np.ndarray:
-        """What the bare sublayer map was applied to."""
-        return self.ln_in_out if self.ln_in_out is not None else self.x
 
 
 @dataclass(frozen=True)
@@ -316,18 +292,18 @@ def _ln_at_site(X: np.ndarray, p: norm.LNParams, block: int, site: str) -> np.nd
 def _apply_sublayer(
     X: np.ndarray, b: BlockParams, cfg: ModelConfig, which: str, block: int
 ) -> SublayerTrace:
-    st = STAGES[cfg.placement]
+    st = cfg.stages
     f = attn_mod.attn_forward if which == "attn" else attn_mod.ffn_forward
     weights = b.attn if which == "attn" else b.ffn
     site_in, site_out = _SITES[which]
-    z = _ln_at_site(X, b.ln[site_in], block, site_in) if st.norm_in else None
-    raw = f(X if z is None else z, weights)
-    y = _ln_at_site(raw, b.ln[site_out], block, site_out) if st.norm_out else None
-    summed = X + cfg.delta_t * (raw if y is None else y)
+    z = _ln_at_site(X, b.ln[site_in], block, site_in) if st.norm_in else X
+    raw = f(z, weights)
+    y = _ln_at_site(raw, b.ln[site_out], block, site_out) if st.norm_out else raw
+    summed = X + cfg.delta_t * y
     if not st.norm_sum:
-        return SublayerTrace(X, z, raw, y, None, summed)
+        return SublayerTrace(X, z, raw, None, summed)
     out = _ln_at_site(summed, b.ln[site_out], block, site_out)
-    return SublayerTrace(X, z, raw, y, summed, out)
+    return SublayerTrace(X, z, raw, summed, out)
 
 
 def block_forward(X: np.ndarray, b: BlockParams, cfg: ModelConfig, index: int = 0):
@@ -396,17 +372,6 @@ def local_sensitivity(tape: ForwardTape, i: int) -> np.ndarray:
     return sublayer_sensitivity(tape, i, "ffn") @ sublayer_sensitivity(tape, i, "attn")
 
 
-def gradient_product(tape: ForwardTape, i: int) -> np.ndarray:
-    """d vec(X_D) / d vec(X_i): the product of local sensitivities of blocks
-    i..D-1, ordered to match finite differences of the composite map."""
-    if not (0 <= i < tape.depth):
-        raise IndexError(f"block index {i} out of range for depth {tape.depth}")
-    prod = np.eye(tape.cfg.nd)
-    for j in range(i, tape.depth):
-        prod = local_sensitivity(tape, j) @ prod
-    return prod
-
-
 # ---------------------------------------------------------------------------
 # Parameter gradients (reverse sweep over the tape)
 # ---------------------------------------------------------------------------
@@ -426,7 +391,7 @@ def _sublayer_backward(
     trace: SublayerTrace, b: BlockParams, cfg: ModelConfig, which: str, g: np.ndarray
 ):
     """Backprop one placement-wrapped sublayer; returns (gx, grads dict)."""
-    st = STAGES[cfg.placement]
+    st = cfg.stages
     vjp = attn_mod.attn_vjp if which == "attn" else attn_mod.ffn_vjp
     weights = b.attn if which == "attn" else b.ffn
     site_in, site_out = _SITES[which]

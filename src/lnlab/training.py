@@ -28,7 +28,6 @@ from .model import (
     NONFINITE_STATE,
     DivergenceError,
     ModelConfig,
-    flat_to_params,
     model_forward,
     param_gradients,
     params_to_flat,
@@ -228,13 +227,12 @@ def _batch_step(task: Task, params, tc: TrainConfig, step: int, checkpoints: lis
 
 
 def train_run(tc: TrainConfig) -> TrialOutcome:
-    """SGD + momentum with decoupled decay: theta <- (1 - lr*wd) theta - lr*m."""
+    """SGD + momentum with decoupled decay: theta <- (1 - lr*wd) theta - lr*m,
+    applied in place to the drawn model's tensors."""
     root = RngStream(tc.seed)
     params = random_model(tc.cfg, root.child(0))
     task = make_task(tc.task, tc.cfg, root.child(1), tc.noise_std, tc.dataset_size)
-    flats = [
-        {k: v.copy() for k, v in params_to_flat(b).items()} for b in params
-    ]
+    flats = [params_to_flat(b) for b in params]  # views: an update here updates params
     momenta = [{k: np.zeros_like(v) for k, v in f.items()} for f in flats]
 
     losses: list[float] = []
@@ -243,7 +241,6 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
     cause = block = site = None
 
     for step in range(tc.steps):
-        params = [flat_to_params(f, b) for f, b in zip(flats, params)]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 batch_loss, grads = _batch_step(task, params, tc, step, checkpoints)
@@ -254,10 +251,12 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
             break
         losses.append(batch_loss)
         for f, m, g in zip(flats, momenta, grads):
-            for k in f:
-                m[k] = tc.momentum * m[k] + g[k]
+            for k, w in f.items():
+                m[k] *= tc.momentum
+                m[k] += g[k]
                 decay = tc.weight_decay if _is_weight_tensor(k) else 0.0
-                f[k] = (1.0 - tc.lr * decay) * f[k] - tc.lr * m[k]
+                w *= 1.0 - tc.lr * decay
+                w -= tc.lr * m[k]
 
     final_loss = losses[-1] if losses else float("nan")
     return TrialOutcome(

@@ -13,7 +13,9 @@ exceptions: the per-token LN VJP loops the materialized single-token
 closed-form column kernels, and ``scripted_train_run`` and
 ``scripted_terminal_states`` run one sample at a time through the
 library's model, to pin the stacked minibatch step and the stacked
-pushforwards of the bound checks.
+pushforwards of the bound checks.  ``zero_weight_block`` and
+``gradient_product`` are test fixtures built on the library's model: a block
+whose sublayers map to zero, and the product of its local sensitivities.
 """
 
 from __future__ import annotations
@@ -22,16 +24,20 @@ from itertools import permutations
 
 import numpy as np
 
-from lnlab.attention import ActivationKinkError
+from lnlab.attention import ActivationKinkError, AttentionParams, FfnParams
 from lnlab.model import (
+    BlockParams,
     DivergenceError,
+    ForwardTape,
+    ModelConfig,
     flat_to_params,
+    local_sensitivity,
     model_forward,
     param_gradients,
     params_to_flat,
     random_model,
 )
-from lnlab.normalization import LAYERNORM, DegenerateTokenError, ln_jacobian
+from lnlab.normalization import LAYERNORM, DegenerateTokenError, LNParams, ln_jacobian
 from lnlab.numerics import NonFiniteError, RngStream, ShapeMismatchError, as_matrix, moments
 from lnlab.training import (
     NONFINITE_LOSS,
@@ -269,6 +275,29 @@ def loglog_slope(xs, ys) -> float:
 def scripted_terminal_states(inputs, params, cfg) -> list[np.ndarray]:
     """The terminal state of each input, one ``model_forward`` call per input."""
     return [model_forward(x, params, cfg).x_final for x in inputs]
+
+
+def zero_weight_block(cfg: ModelConfig, ln_kind: str = LAYERNORM) -> BlockParams:
+    """A block of ``cfg`` with all attention and FFN weights zero, gamma = 1, beta = 0."""
+    d, k, m, heads = cfg.d, cfg.k, cfg.m, cfg.heads
+    attn = AttentionParams(
+        np.zeros((heads, k, d)), np.zeros((heads, k, d)),
+        np.zeros((heads, k, d)), np.zeros((heads, d, k)),
+    )
+    ffn = FfnParams(np.zeros((m, d)), np.zeros((d, m)), cfg.activation)
+    ln = {site: LNParams(np.ones(d), np.zeros(d), cfg.epsilon, ln_kind) for site in cfg.sites}
+    return BlockParams(attn, ffn, ln)
+
+
+def gradient_product(tape: ForwardTape, i: int) -> np.ndarray:
+    """d vec(X_D) / d vec(X_i): the product of local sensitivities of blocks
+    i..D-1, ordered to match finite differences of the composite map."""
+    if not (0 <= i < tape.depth):
+        raise IndexError(f"block index {i} out of range for depth {tape.depth}")
+    prod = np.eye(tape.cfg.nd)
+    for j in range(i, tape.depth):
+        prod = local_sensitivity(tape, j) @ prod
+    return prod
 
 
 def scripted_train_run(tc: TrainConfig) -> TrialOutcome:

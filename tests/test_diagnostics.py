@@ -4,7 +4,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import scripted_terminal_states
+from oracles import scripted_terminal_states, zero_weight_block
 
 from lnlab import diagnostics as diag
 from lnlab import model, suites
@@ -15,7 +15,6 @@ from lnlab.model import (
     Stages,
     model_forward,
     random_model,
-    zero_weight_block,
 )
 from lnlab.normalization import LNParams
 from lnlab.numerics import MAX_OT_SAMPLES, RngStream, moments, wasserstein_exact

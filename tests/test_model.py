@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from oracles import (
     central_diff_jacobian,
     central_diff_scalar_grad,
+    gradient_product,
     relative_error,
     scripted_sublayer,
+    zero_weight_block,
 )
 
 from lnlab import model as mdl
@@ -19,7 +21,6 @@ from lnlab.model import (
     backward,
     block_forward,
     flat_to_params,
-    gradient_product,
     local_sensitivity,
     model_forward,
     param_gradients,
@@ -27,7 +28,6 @@ from lnlab.model import (
     random_model,
     simplified_pre_chain,
     sublayer_sensitivity,
-    zero_weight_block,
 )
 from lnlab.normalization import DegenerateTokenError, ellipsoid_residual, ln_forward_columns
 from lnlab.numerics import RngStream, unvec, vec
@@ -67,7 +67,8 @@ class TestBlockForward:
         out, trace = block_forward(X, block, cfg)
         # LN^out(0) = beta = 0 so the residual updates vanish exactly
         assert np.array_equal(out, X)
-        assert np.array_equal(trace.attn.ln_out_out, np.zeros((4, 3)))
+        y = ln_forward_columns(trace.attn.raw, block.ln["attn_out"])
+        assert np.array_equal(y, np.zeros((4, 3)))
 
     def test_post_columns_on_output_ellipsoid(self):
         cfg = cfg_for("post", eps=0.0)
@@ -93,8 +94,8 @@ class TestBlockForward:
         params = random_model(cfg, RngStream(4))
         X = RngStream(5).generator().normal(size=(4, 3))
         out, trace = block_forward(X, params[0], cfg)
-        manual = trace.attn.x + trace.attn.ln_out_out
-        manual = manual + trace.ffn.ln_out_out
+        manual = trace.attn.x + ln_forward_columns(trace.attn.raw, params[0].ln["attn_out"])
+        manual = manual + ln_forward_columns(trace.ffn.raw, params[0].ln["ffn_out"])
         assert np.array_equal(out, manual)
 
     def test_degenerate_ln_error_carries_block_and_site(self):
