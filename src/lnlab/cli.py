@@ -161,7 +161,7 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
             if where in _DISTINCT:
                 for i, item in enumerate(value):
                     if item in value[:i]:
-                        raise ConfigError(f"config field '{where}[{i}]' repeats an earlier item, got {item!r}")
+                        raise ConfigError(f"config field '{where}[{i}]' repeats {item!r}")
             # an int given for a float field, or for an item of a float list,
             # is stored as that float
             if isinstance(defaults[key], float):

@@ -14,6 +14,7 @@ reproduces every value bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 CSV = "csv"
@@ -44,18 +45,10 @@ def format_value(v) -> str:
 def _json_value(v) -> str:
     if v is None:
         return "null"
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v == float("inf"):
-            return "Infinity"
-        if v == float("-inf"):
-            return "-Infinity"
-        return "%.17g" % v
-    if isinstance(v, int):
-        return str(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    if isinstance(v, (int, float)):  # bools included
+        return format_value(v)
     return json.dumps(v)
 
 

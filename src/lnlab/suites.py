@@ -33,6 +33,14 @@ def _growth_cfg(depth: int, delta_t: float) -> ModelConfig:
     return ModelConfig(depth=depth, delta_t=delta_t, placement=model_mod.PERI, **GROWTH_DIMS)
 
 
+def _peri_instance(seed: int, suite: int, i: int, depths, delta_ts):
+    """Instance i of a random peri-model suite: (generator, config, model),
+    drawn from the instance's child stream, with the depth and dt cycled."""
+    stream = RngStream(seed, suite).child(i)
+    cfg = _growth_cfg(depths[i % len(depths)], delta_ts[(i // len(depths)) % len(delta_ts)])
+    return stream.child(1).generator(), cfg, random_model(cfg, stream.child(2))
+
+
 def run_growth_suite(
     instances: int,
     seed: int,
@@ -43,12 +51,7 @@ def run_growth_suite(
     """Entry-moment and data-wise variance bounds over random peri models."""
 
     def one(i: int) -> list[diag.BoundReport]:
-        stream = RngStream(seed, 0).child(i)
-        gen = stream.child(1).generator()
-        cfg = _growth_cfg(
-            depth=depths[i % len(depths)], delta_t=delta_ts[(i // len(depths)) % len(delta_ts)]
-        )
-        params = random_model(cfg, stream.child(2))
+        gen, cfg, params = _peri_instance(seed, 0, i, depths, delta_ts)
         x0 = gen.normal(size=(cfg.d, cfg.n))
         tape = model_forward(x0, params, cfg)
         reports = diag.peri_growth_check(tape, seed=i)
@@ -67,12 +70,7 @@ def run_pathwise_suite(
     delta_ts: tuple[float, ...] = (1.0, 0.1),
 ) -> list[diag.BoundReport]:
     def one(i: int) -> diag.BoundReport:
-        stream = RngStream(seed, 1).child(i)
-        gen = stream.child(1).generator()
-        cfg = _growth_cfg(
-            depth=depths[i % len(depths)], delta_t=delta_ts[(i // len(depths)) % len(delta_ts)]
-        )
-        params = random_model(cfg, stream.child(2))
+        gen, cfg, params = _peri_instance(seed, 1, i, depths, delta_ts)
         x0a = gen.normal(size=(cfg.d, cfg.n))
         x0b = gen.normal(size=(cfg.d, cfg.n))
         return diag.pathwise_stability_check(x0a, x0b, params, cfg, seed=i)
@@ -89,10 +87,7 @@ def run_wasserstein_suite(
     delta_t: float = 1.0,
 ) -> list[diag.BoundReport]:
     def one(i: int) -> diag.BoundReport:
-        stream = RngStream(seed, 2).child(i)
-        gen = stream.child(1).generator()
-        cfg = _growth_cfg(depth=depth, delta_t=delta_t)
-        params = random_model(cfg, stream.child(2))
+        gen, cfg, params = _peri_instance(seed, 2, i, (depth,), (delta_t,))
         mu0 = gen.normal(size=(n_samples, cfg.d, cfg.n))
         nu0 = gen.normal(size=(n_samples, cfg.d, cfg.n)) + gen.normal(scale=0.5)
         return diag.wasserstein_stability_check(mu0, nu0, params, cfg, p=p, seed=i)
