@@ -30,22 +30,22 @@ GOLDEN = Path(__file__).parent / "golden"
 STDOUT = "stdout.txt"
 SEED = 3
 
-# name -> (flags, command, exit code); a config path is relative to GOLDEN
+# name -> (flags, command), each run exiting 0; a config path is relative to GOLDEN
 RUNS = {
-    "bounds": (["--instances", "2"], "bounds", 0),
-    "ot-check": (["--instances", "2"], "ot-check", 0),
-    "ot-check-256": (["--config", "ot256.json", "--instances", "2"], "ot-check", 0),
-    "gradcheck": (["--instances", "1"], "gradcheck", 0),
-    "diagnose": ([], "diagnose", 0),
-    "train": (["--placement", "pre"], "train", 0),
-    "sweep": (["--config", "sweep.json"], "sweep", 0),
+    "bounds": (["--instances", "2"], "bounds"),
+    "ot-check": (["--instances", "2"], "ot-check"),
+    "ot-check-256": (["--config", "ot256.json", "--instances", "2"], "ot-check"),
+    "gradcheck": (["--instances", "1"], "gradcheck"),
+    "diagnose": ([], "diagnose"),
+    "train": (["--placement", "pre"], "train"),
+    "sweep": (["--config", "sweep.json"], "sweep"),
 }
 
 
 def run(name: str, out: Path) -> tuple[int, dict[str, str]]:
     """Run one golden command into ``out``; returns its exit code and every
     file it wrote plus its stdout, by file name."""
-    flags, command, _ = RUNS[name]
+    flags, command = RUNS[name]
     flags = [str(GOLDEN / f) if f.endswith(".json") else f for f in flags]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -70,7 +70,7 @@ def first_difference(expected: str, got: str) -> str | None:
 @pytest.mark.parametrize("name", RUNS)
 def test_golden_report_bytes(name, tmp_path):
     rc, files = run(name, tmp_path)
-    assert rc == RUNS[name][2]
+    assert rc == 0
     golden = {p.name: p.read_text() for p in sorted((GOLDEN / name).iterdir())}
     assert sorted(files) == sorted(golden)
     for fname, expected in golden.items():
@@ -90,8 +90,8 @@ def regenerate() -> None:
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
         rc, files = run(name, target)
-        if rc != RUNS[name][2]:
-            raise SystemExit(f"{name}: exit code {rc}, expected {RUNS[name][2]}")
+        if rc != 0:
+            raise SystemExit(f"{name}: exit code {rc}")
         (target / STDOUT).write_text(files[STDOUT])
     (GOLDEN / "versions.txt").write_text(
         f"python {platform.python_version()}\nnumpy {np.__version__}\n"
