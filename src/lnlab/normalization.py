@@ -107,13 +107,13 @@ def _column_stats(X: np.ndarray, p: LNParams, first_index: int | None = 0):
     return c, s
 
 
-def ln_forward(x: np.ndarray, p: LNParams, token_index: int | None = None) -> np.ndarray:
+def ln_forward(x: np.ndarray, p: LNParams) -> np.ndarray:
     """Normalize one token: gamma * (x - mu) / sqrt(var + eps) + beta.
 
     RMSNorm skips the mean subtraction and the bias: gamma * x / rms(x).
     """
     x = np.asarray(x, dtype=np.float64)
-    c, s = _column_stats(x[:, None], p, token_index)
+    c, s = _column_stats(x[:, None], p, None)
     z = p.gamma * (c[:, 0] / s[0])
     return z + p.beta if p.kind == LAYERNORM else z
 

@@ -7,7 +7,7 @@ from its own child stream, so a run is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,8 @@ RESCALE_HOT_SCALE = 50.0
 WITNESS_DIMS = dict(d=8, n=8)
 WITNESS_SPECTRAL = 3.0
 WITNESS_DEPTH = 32
+# (c1, c2) rescalings of the rescale suite's sublayer weights
+RESCALE_SCALES = ((10.0, 10.0), (1000.0, 0.01))
 
 
 def _growth_cfg(depth: int, delta_t: float) -> ModelConfig:
@@ -46,16 +48,16 @@ def run_growth_suite(
     seed: int,
     depths: tuple[int, ...] = (8, 16, 32, 64),
     delta_ts: tuple[float, ...] = (1.0, 0.1),
-    samples_per_model: int = 8,
 ) -> list[diag.BoundReport]:
-    """Entry-moment and data-wise variance bounds over random peri models."""
+    """Entry-moment and data-wise variance bounds over random peri models,
+    the latter on 8 input samples per model."""
 
     def one(i: int) -> list[diag.BoundReport]:
         gen, cfg, params = _peri_instance(seed, 0, i, depths, delta_ts)
         x0 = gen.normal(size=(cfg.d, cfg.n))
         tape = model_forward(x0, params, cfg)
         reports = diag.peri_growth_check(tape, seed=i)
-        inputs = gen.normal(size=(samples_per_model, cfg.d, cfg.n))
+        inputs = gen.normal(size=(8, cfg.d, cfg.n))
         entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
         reports.append(diag.datawise_variance_check(inputs, params, cfg, entry, seed=i))
         return reports
@@ -64,13 +66,10 @@ def run_growth_suite(
 
 
 def run_pathwise_suite(
-    instances: int,
-    seed: int,
-    depths: tuple[int, ...] = (8, 16, 32),
-    delta_ts: tuple[float, ...] = (1.0, 0.1),
+    instances: int, seed: int, delta_ts: tuple[float, ...] = (1.0, 0.1)
 ) -> list[diag.BoundReport]:
     def one(i: int) -> diag.BoundReport:
-        gen, cfg, params = _peri_instance(seed, 1, i, depths, delta_ts)
+        gen, cfg, params = _peri_instance(seed, 1, i, (8, 16, 32), delta_ts)
         x0a = gen.normal(size=(cfg.d, cfg.n))
         x0b = gen.normal(size=(cfg.d, cfg.n))
         return diag.pathwise_stability_check(x0a, x0b, params, cfg, seed=i)
@@ -79,15 +78,10 @@ def run_pathwise_suite(
 
 
 def run_wasserstein_suite(
-    instances: int,
-    seed: int,
-    n_samples: int = 32,
-    p: float = 2.0,
-    depth: int = 8,
-    delta_t: float = 1.0,
+    instances: int, seed: int, n_samples: int = 32, p: float = 2.0
 ) -> list[diag.BoundReport]:
     def one(i: int) -> diag.BoundReport:
-        gen, cfg, params = _peri_instance(seed, 2, i, (depth,), (delta_t,))
+        gen, cfg, params = _peri_instance(seed, 2, i, (8,), (1.0,))
         mu0 = gen.normal(size=(n_samples, cfg.d, cfg.n))
         nu0 = gen.normal(size=(n_samples, cfg.d, cfg.n)) + gen.normal(scale=0.5)
         return diag.wasserstein_stability_check(mu0, nu0, params, cfg, p=p, seed=i)
@@ -95,10 +89,9 @@ def run_wasserstein_suite(
     return map_indexed(one, instances)
 
 
-def run_chain_suite(
-    instances: int, seed: int, depth: int = 16, d: int = 6, n: int = 4, key_dim: int = 4
-) -> list[diag.BoundReport]:
+def run_chain_suite(instances: int, seed: int, depth: int = 16) -> list[diag.BoundReport]:
     """Product bound on random simplified pre-norm chains."""
+    d, n, key_dim = GROWTH_DIMS["d"], GROWTH_DIMS["n"], GROWTH_DIMS["k"]
 
     def one(i: int) -> diag.BoundReport:
         gen = RngStream(seed, 3).child(i).generator()
@@ -125,7 +118,7 @@ class WitnessOutcome:
         return self.chain_ma / self.peri_ma
 
 
-def divergence_witness(seeds: int, master_seed: int = 0, depth: int = WITNESS_DEPTH) -> list[WitnessOutcome]:
+def divergence_witness(seeds: int, master_seed: int = 0) -> list[WitnessOutcome]:
     """Adversarial pre-norm growth against a matched peri model.
 
     Each instance builds an attention-only chain whose merged weights are a
@@ -134,7 +127,7 @@ def divergence_witness(seeds: int, master_seed: int = 0, depth: int = WITNESS_DE
     depth on the same input.  The chain's terminal mean absolute value
     dwarfs the peri one; the product bound still holds on every instance.
     """
-    d, n = WITNESS_DIMS["d"], WITNESS_DIMS["n"]
+    d, n, depth = WITNESS_DIMS["d"], WITNESS_DIMS["n"], WITNESS_DEPTH
 
     def one(i: int) -> WitnessOutcome:
         stream = RngStream(master_seed + i)
@@ -166,12 +159,7 @@ class RescaleSuiteResult:
     worst_pre_ratio_err: float
 
 
-def run_rescale_suite(
-    instances: int,
-    seed: int,
-    epsilon: float,
-    scales: tuple[tuple[float, float], ...] = ((10.0, 10.0), (1000.0, 0.01)),
-) -> RescaleSuiteResult:
+def run_rescale_suite(instances: int, seed: int, epsilon: float) -> RescaleSuiteResult:
     """Prop-8 peri invariance and Prop-7 pre proportionality over random blocks.
 
     The FFN branch uses relu (the invariance needs a positively homogeneous
@@ -179,12 +167,12 @@ def run_rescale_suite(
     normalization denominators dominate the smoothing term.
     """
     weight_scale = RESCALE_HOT_SCALE if epsilon > 0 else 1.0
+    cfg = ModelConfig(
+        **GROWTH_DIMS, depth=2, placement=model_mod.PERI, epsilon=epsilon, activation="relu"
+    )
+    cfg_pre = replace(cfg, placement=model_mod.PRE, activation="tanh")
 
     def one(i: int):
-        cfg = ModelConfig(
-            d=6, n=4, k=4, m=8, heads=1, depth=2, placement=model_mod.PERI,
-            epsilon=epsilon, activation="relu",
-        )
         attn_dev = ffn_dev = 0.0
         # relu can zero out a whole column, which makes the output LN
         # degenerate at eps=0; redraw deterministically until the instance
@@ -194,7 +182,7 @@ def run_rescale_suite(
             params = random_model(cfg, stream.child(1), weight_scale=weight_scale)
             x0 = stream.child(2).generator().normal(size=(cfg.d, cfg.n))
             try:
-                for sc in scales:
+                for sc in RESCALE_SCALES:
                     attn_dev = max(
                         attn_dev,
                         diag.rescale_invariance_test(params, cfg, x0, 0, sc, "attn").max_abs_dev,
@@ -209,14 +197,10 @@ def run_rescale_suite(
         else:
             raise RuntimeError(f"rescale suite instance {i}: no non-degenerate draw found")
         # pre proportionality on the attention sublayer (exactly linear in W, V)
-        cfg_pre = ModelConfig(
-            d=6, n=4, k=4, m=8, heads=1, depth=2, placement=model_mod.PRE,
-            epsilon=epsilon, activation="tanh",
-        )
         params_pre = random_model(cfg_pre, stream.child(3))
         x1 = stream.child(4).generator().normal(size=(cfg_pre.d, cfg_pre.n))
         ratio_err = 0.0
-        for c1, c2 in scales:
+        for c1, c2 in RESCALE_SCALES:
             res = diag.rescale_invariance_test(params_pre, cfg_pre, x1, 0, (c1, c2), "attn")
             ratio_err = max(ratio_err, abs(res.scale_ratio - c1 * c2) / (c1 * c2))
         return attn_dev, ffn_dev, ratio_err
