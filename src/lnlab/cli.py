@@ -38,7 +38,7 @@ from .reports import (
     read_report,
     write_report,
 )
-from .training import SweepResult, TrainConfig, stability_trial, train_run
+from .training import SweepResult, TrainConfig, first_repeat, stability_trial, train_run
 
 MARGIN_TOLERANCE = -1e-9
 
@@ -158,10 +158,8 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
                 for at, item in _items(value):
                     if not ok(item):
                         raise ConfigError(f"config field '{where}{at}' must be {rule}, got {item!r}")
-            if where in _DISTINCT:
-                for i, item in enumerate(value):
-                    if item in value[:i]:
-                        raise ConfigError(f"config field '{where}[{i}]' repeats {item!r}")
+            if where in _DISTINCT and (i := first_repeat(value)) is not None:
+                raise ConfigError(f"config field '{where}[{i}]' repeats {value[i]!r}")
             # an int given for a float field, or for an item of a float list,
             # is stored as that float
             if isinstance(defaults[key], float):

@@ -290,32 +290,32 @@ class SweepResult:
         return out
 
 
+def first_repeat(items) -> int | None:
+    """The index of the first item equal to an earlier one (0 equals 0.0), else None."""
+    return next((i for i, item in enumerate(items) if item in items[:i]), None)
+
+
 def stability_trial(
     base: TrainConfig,
     placements: list[str],
     weight_decays: list[float],
     seeds: list[int],
 ) -> SweepResult:
-    """Divergence-count grid: identical everything except placement, decay, seed."""
-    grid = [
-        (placement, wd, seed)
+    """Divergence-count grid: identical everything except placement, decay, seed.
+
+    Every trial's config is built before any trial trains, so a repeated
+    grid item or an unknown placement is refused up front."""
+    for name, items in (("placements", placements), ("weight_decays", weight_decays), ("seeds", seeds)):
+        if (i := first_repeat(items)) is not None:
+            raise ValueError(f"{name}[{i}] repeats {items[i]!r}")
+    configs = [
+        replace(base, seed=seed, weight_decay=wd, cfg=replace(base.cfg, placement=placement))
         for placement in placements
         for wd in weight_decays
         for seed in seeds
     ]
-
-    def one(i: int) -> TrialOutcome:
-        placement, wd, seed = grid[i]
-        tc = replace(
-            base,
-            seed=seed,
-            weight_decay=wd,
-            cfg=replace(base.cfg, placement=placement),
-        )
-        return train_run(tc)
-
-    results = map_indexed(one, len(grid))
-    outcomes = {key: res for key, res in zip(grid, results)}
+    results = map_indexed(lambda i: train_run(configs[i]), len(configs))
+    outcomes = {(tc.cfg.placement, tc.weight_decay, tc.seed): oc for tc, oc in zip(configs, results)}
     counts: dict[tuple[str, float], int] = {}
     for (placement, wd, seed), oc in outcomes.items():
         counts[(placement, wd)] = counts.get((placement, wd), 0) + int(oc.diverged)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from oracles import scripted_train_run
 
 from lnlab import training
 from lnlab.attention import ActivationKinkError
-from lnlab.model import ModelConfig
+from lnlab.model import ModelConfig, PlacementError
 from lnlab.numerics import RngStream
 from lnlab.training import (
     MEAN_REGRESSION,
@@ -289,3 +290,32 @@ class TestStabilityTrial:
         for (placement, wd, seed), outcome in res.outcomes.items():
             tc = replace(base, seed=seed, weight_decay=wd, cfg=replace(base.cfg, placement=placement))
             assert outcome == train_run(tc)
+
+
+class TestGridChecks:
+    """A bad grid is refused before any trial trains."""
+
+    def test_first_repeat(self):
+        assert training.first_repeat([]) is None
+        assert training.first_repeat(["off", "pre"]) is None
+        assert training.first_repeat(["off", "pre", "pre", "off"]) == 2
+        assert training.first_repeat([0.3, 0, 0.0]) == 2
+
+    @pytest.mark.parametrize("placements, decays, seeds, item", [
+        (["pre", "pre"], [0.0], [0], "placements[1]"),
+        (["pre"], [0, 0.0], [0], "weight_decays[1]"),
+        (["pre"], [0.0], [1, 2, 1], "seeds[2]"),
+    ])
+    def test_repeated_item_raises_before_any_trial(self, monkeypatch, placements, decays, seeds, item):
+        runs = []
+        monkeypatch.setattr(training, "train_run", runs.append)
+        with pytest.raises(ValueError, match=re.escape(item)):
+            stability_trial(small_tc(), placements, decays, seeds)
+        assert runs == []
+
+    def test_unknown_placement_raises_before_any_trial(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(training, "train_run", runs.append)
+        with pytest.raises(PlacementError, match="sideways"):
+            stability_trial(small_tc(), ["pre", "sideways"], [0.0], [0, 1])
+        assert runs == []
