@@ -382,7 +382,7 @@ def cmd_train(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     tc = train_config(cfg)
     sweep_cfg = cfg["sweep"]
-    seeds = list(range(sweep_cfg["seeds"]))
+    seeds = list(range(cfg["seed"], cfg["seed"] + sweep_cfg["seeds"]))
     result = stability_trial(tc, sweep_cfg["placements"], sweep_cfg["weight_decays"], seeds)
     rows = result.rows()
     write_report(rows, TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])

@@ -148,6 +148,16 @@ class TestConfig:
         assert main(["--config", str(path), "--out", str(tmp_path), "--depth", "1", "sweep"]) == 0
         assert "placement=peri weight_decay=0.0 diverged=0/1" in capsys.readouterr().out
 
+    def test_sweep_seeds_start_at_the_master_seed(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"train": {"steps": 1}, "sweep": {"placements": ["peri"], '
+                        '"weight_decays": [0.0], "seeds": 3}}')
+        argv = ["--config", str(path), "--out", str(tmp_path), "--depth", "1", "--seed", "3"]
+        assert main(argv + ["sweep"]) == 0
+        for stem in ("trials", "moments"):
+            seeds = [r["seed"] for r in read_report(tmp_path / f"{stem}.csv")]
+            assert sorted(set(seeds)) == [3, 4, 5], stem
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_two(self, capsys):
