@@ -82,6 +82,23 @@ class TestReportWriter:
             assert back[0]["final_loss"] == float("inf")
             assert back[0]["first_divergence_step"] == 7
 
+    def test_jsonl_trial_that_did_not_diverge_has_null_step(self, tmp_path):
+        rows = [{"placement": "peri", "weight_decay": 0.0, "seed": 1,
+                 "diverged": 0, "first_divergence_step": None, "final_loss": 0.5}]
+        path = tmp_path / "trials.jsonl"
+        write_report(rows, TRIALS_COLUMNS, path, fmt="jsonl")
+        assert '"first_divergence_step": null' in path.read_text()
+        assert read_report(path)[0]["first_divergence_step"] is None
+
+    def test_empty_file_reads_as_no_rows(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        path.write_text("")
+        assert read_report(path) == []
+
+    def test_unknown_format_rejected_by_name(self, tmp_path):
+        with pytest.raises(ValueError, match="'xml'"):
+            write_report([], BOUNDS_COLUMNS, tmp_path / "bounds.xml", fmt="xml")
+
 
 class TestConfig:
     def test_defaults_when_no_file(self):
@@ -395,6 +412,12 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), "report"]) == 1
         reported = failing_lines(capsys.readouterr().out)
         assert len(produced) == 1 and produced == reported
+
+    def test_ot_check_assignment_mismatch_exits_one(self, tmp_path, monkeypatch, capsys):
+        exact = cli.wasserstein_exact
+        monkeypatch.setattr(cli, "wasserstein_exact", lambda a, b, p: exact(a, b, p) + 1e-6)
+        assert main(["--out", str(tmp_path), "--instances", "1", "ot-check"]) == 1
+        assert "FAIL ot-check assignment" in capsys.readouterr().out
 
     def test_diagnose_ok_exits_zero(self, tmp_path):
         assert main(["--out", str(tmp_path), "--depth", "2", "diagnose"]) == 0
