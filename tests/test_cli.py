@@ -64,11 +64,11 @@ class TestReportWriter:
     def test_none_serialized_empty(self, tmp_path):
         rows = [{"placement": "pre", "weight_decay": 0.0, "seed": 0,
                  "diverged": 0, "first_divergence_step": None, "final_loss": 0.5}]
-        from lnlab.reports import TRIALS_COLUMNS
-        path = tmp_path / "trials.csv"
-        write_report(rows, TRIALS_COLUMNS, path)
-        assert ",,"   in path.read_text()
-        assert read_report(path)[0]["first_divergence_step"] is None
+        for fmt, written in (("csv", ",,"), ("jsonl", '"first_divergence_step": null')):
+            path = tmp_path / f"trials.{fmt}"
+            write_report(rows, TRIALS_COLUMNS, path, fmt=fmt)
+            assert written in path.read_text()
+            assert read_report(path)[0]["first_divergence_step"] is None
 
     def test_diverged_trial_round_trips_in_both_formats(self, tmp_path):
         # diverged runs carry an infinite loss; both writers must survive it
@@ -81,14 +81,6 @@ class TestReportWriter:
             back = read_report(path)
             assert back[0]["final_loss"] == float("inf")
             assert back[0]["first_divergence_step"] == 7
-
-    def test_jsonl_trial_that_did_not_diverge_has_null_step(self, tmp_path):
-        rows = [{"placement": "peri", "weight_decay": 0.0, "seed": 1,
-                 "diverged": 0, "first_divergence_step": None, "final_loss": 0.5}]
-        path = tmp_path / "trials.jsonl"
-        write_report(rows, TRIALS_COLUMNS, path, fmt="jsonl")
-        assert '"first_divergence_step": null' in path.read_text()
-        assert read_report(path)[0]["first_divergence_step"] is None
 
     def test_empty_file_reads_as_no_rows(self, tmp_path):
         path = tmp_path / "bounds.csv"

@@ -301,21 +301,17 @@ class TestGridChecks:
         assert training.first_repeat(["off", "pre", "pre", "off"]) == 2
         assert training.first_repeat([0.3, 0, 0.0]) == 2
 
-    @pytest.mark.parametrize("placements, decays, seeds, item", [
-        (["pre", "pre"], [0.0], [0], "placements[1]"),
-        (["pre"], [0, 0.0], [0], "weight_decays[1]"),
-        (["pre"], [0.0], [1, 2, 1], "seeds[2]"),
+    @pytest.mark.parametrize("placements, decays, seeds, error, match", [
+        (["pre", "pre"], [0.0], [0], ValueError, "placements[1]"),
+        (["pre"], [0, 0.0], [0], ValueError, "weight_decays[1]"),
+        (["pre"], [0.0], [1, 2, 1], ValueError, "seeds[2]"),
+        (["pre", "sideways"], [0.0], [0, 1], PlacementError, "'sideways'"),
     ])
-    def test_repeated_item_raises_before_any_trial(self, monkeypatch, placements, decays, seeds, item):
+    def test_bad_grid_raises_before_any_trial(
+        self, monkeypatch, placements, decays, seeds, error, match
+    ):
         runs = []
         monkeypatch.setattr(training, "train_run", runs.append)
-        with pytest.raises(ValueError, match=re.escape(item)):
+        with pytest.raises(error, match=re.escape(match)):
             stability_trial(small_tc(), placements, decays, seeds)
-        assert runs == []
-
-    def test_unknown_placement_raises_before_any_trial(self, monkeypatch):
-        runs = []
-        monkeypatch.setattr(training, "train_run", runs.append)
-        with pytest.raises(PlacementError, match="sideways"):
-            stability_trial(small_tc(), ["pre", "sideways"], [0.0], [0, 1])
         assert runs == []
