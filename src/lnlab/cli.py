@@ -88,6 +88,9 @@ _ITEM_RULES = {
         lambda v: 1 <= v <= MAX_OT_SAMPLES, f"in [1, {MAX_OT_SAMPLES}]"
     ),
     "diagnostics.wasserstein_p": (lambda v: v >= 1.0, "at least 1"),
+    "train.momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "train.noise_std": (lambda v: v >= 0.0, "at least 0"),
+    "train.divergence_threshold": (lambda v: v > 0.0, "greater than 0"),
     "sweep.weight_decays": (lambda v: v >= 0.0, "at least 0"),
     "sweep.placements": (lambda v: v in PLACEMENTS, f"one of {PLACEMENTS}"),
 }

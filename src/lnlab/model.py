@@ -20,9 +20,9 @@ recovers the unscaled composition bit-exactly.  The forward pass
 the only maps that branch on the row, ``ModelConfig.stages``: a
 materialized per-block sensitivity is the reverse sweep applied to the nd
 unit output gradients, so a new placement is one new row.  The tape keeps
-only what the sweep reads, each state once: per sublayer x, z, f(z), the
-sum before LN_out (norm_sum only) and out, but not LN_out(f(z)), whose VJP
-reads f(z).  ``states`` (X_0 ... X_D) is read from the traces, and
+only what the sweep reads, each state once: per sublayer x, z, out and the
+statistics (xhat, s) of each LN site it ran, which its VJP reads in place of
+the site's input.  ``states`` (X_0 ... X_D) is read from the traces, and
 ``model_forward`` copies only X_0.
 
 Hidden states are d x n, or a stack ``(..., d, n)`` of independent states
@@ -248,8 +248,8 @@ class SublayerTrace:
 
     x: np.ndarray                      # sublayer input
     core_in: np.ndarray                # what the bare map was applied to: LN_in(x), else x
-    raw: np.ndarray                    # f(core_in)
-    summed: np.ndarray | None          # x + dt * raw, norm_sum only (pre-LN residual sum)
+    ln_in: tuple | None                # (xhat, s) of LN_in(x), norm_in only
+    ln_out: tuple | None               # (xhat, s) of LN_out(f(core_in)), or of the sum if norm_sum
     out: np.ndarray
 
 
@@ -280,7 +280,7 @@ class ForwardTape:
         return self.traces[-1].ffn.out
 
 
-def _ln_at_site(X: np.ndarray, p: norm.LNParams, block: int, site: str) -> np.ndarray:
+def _ln_at_site(X: np.ndarray, p: norm.LNParams, block: int, site: str):
     try:
         return norm.ln_forward_columns(X, p)
     except norm.DegenerateTokenError as exc:
@@ -296,14 +296,14 @@ def _apply_sublayer(
     f = attn_mod.attn_forward if which == "attn" else attn_mod.ffn_forward
     weights = b.attn if which == "attn" else b.ffn
     site_in, site_out = _SITES[which]
-    z = _ln_at_site(X, b.ln[site_in], block, site_in) if st.norm_in else X
-    raw = f(z, weights)
-    y = _ln_at_site(raw, b.ln[site_out], block, site_out) if st.norm_out else raw
-    summed = X + cfg.delta_t * y
-    if not st.norm_sum:
-        return SublayerTrace(X, z, raw, None, summed)
-    out = _ln_at_site(summed, b.ln[site_out], block, site_out)
-    return SublayerTrace(X, z, raw, summed, out)
+    z, ln_in = _ln_at_site(X, b.ln[site_in], block, site_in) if st.norm_in else (X, None)
+    y, ln_out = f(z, weights), None
+    if st.norm_out:
+        y, ln_out = _ln_at_site(y, b.ln[site_out], block, site_out)
+    out = X + cfg.delta_t * y
+    if st.norm_sum:
+        out, ln_out = _ln_at_site(out, b.ln[site_out], block, site_out)
+    return SublayerTrace(X, z, ln_in, ln_out, out)
 
 
 def block_forward(X: np.ndarray, b: BlockParams, cfg: ModelConfig, index: int = 0):
@@ -377,11 +377,11 @@ def local_sensitivity(tape: ForwardTape, i: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _ln_backward(
-    X: np.ndarray, p: norm.LNParams, site: str, g: np.ndarray, grads: dict[str, np.ndarray]
+    stats: tuple, p: norm.LNParams, site: str, g: np.ndarray, grads: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """VJP through the LN at ``site``: records its parameter gradients in
-    ``grads`` and returns the gradient at its input ``X``."""
-    gx, grads[f"ln.{site}.gamma"], gbeta = norm.ln_vjp(X, p, g)
+    """VJP through the LN at ``site`` from its taped statistics: records its
+    parameter gradients in ``grads`` and returns the gradient at its input."""
+    gx, grads[f"ln.{site}.gamma"], gbeta = norm.ln_vjp(*stats, p, g)
     if gbeta is not None:
         grads[f"ln.{site}.beta"] = gbeta
     return gx
@@ -397,14 +397,14 @@ def _sublayer_backward(
     site_in, site_out = _SITES[which]
     grads: dict[str, np.ndarray] = {}
     if st.norm_sum:
-        g = _ln_backward(trace.summed, b.ln[site_out], site_out, g, grads)
+        g = _ln_backward(trace.ln_out, b.ln[site_out], site_out, g, grads)
     gupdate = cfg.delta_t * g
     if st.norm_out:
-        gupdate = _ln_backward(trace.raw, b.ln[site_out], site_out, gupdate, grads)
+        gupdate = _ln_backward(trace.ln_out, b.ln[site_out], site_out, gupdate, grads)
     gcore, fgrads = vjp(trace.core_in, weights, gupdate)
     grads.update(fgrads)
     if st.norm_in:
-        gcore = _ln_backward(trace.x, b.ln[site_in], site_in, gcore, grads)
+        gcore = _ln_backward(trace.ln_in, b.ln[site_in], site_in, gcore, grads)
     return g + gcore, grads
 
 

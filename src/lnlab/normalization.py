@@ -17,6 +17,7 @@ over the d entries of a token, the input gradient is
     gx = (g^ - mean(g^) - x^ * mean(x^ * g^)) / s    (RMSNorm drops mean(g^))
 
 and over the tokens of each state ggamma = sum_j x^ * gbar, gbeta = sum_j gbar.
+``ln_vjp`` takes the x^ and s its site's forward pass taped, recomputing neither.
 """
 
 from __future__ import annotations
@@ -118,11 +119,13 @@ def ln_forward(x: np.ndarray, p: LNParams) -> np.ndarray:
     return z + p.beta if p.kind == LAYERNORM else z
 
 
-def ln_forward_columns(X: np.ndarray, p: LNParams) -> np.ndarray:
-    """Apply ``ln_forward`` to every column of a d x n hidden state or a stack of them."""
+def ln_forward_columns(X: np.ndarray, p: LNParams):
+    """Apply ``ln_forward`` to every column of a d x n hidden state or a stack of them;
+    returns ``(z, (xhat, s))``, the output and the statistics ``ln_vjp`` takes."""
     c, s = _column_stats(np.asarray(X, dtype=np.float64), p)
-    z = p.gamma[:, None] * (c / s)
-    return z + p.beta[:, None] if p.kind == LAYERNORM else z
+    xhat = c / s
+    z = p.gamma[:, None] * xhat
+    return (z + p.beta[:, None] if p.kind == LAYERNORM else z), (xhat, s)
 
 
 def ellipsoid_residual(z: np.ndarray, p: LNParams) -> float:
@@ -161,16 +164,14 @@ def ln_jacobian(x: np.ndarray, p: LNParams, token_index: int | None = None) -> n
     return p.gamma[:, None] * (core / s) - np.outer(p.gamma * c, c) / (d * s**3)
 
 
-def ln_vjp(X: np.ndarray, p: LNParams, gbar: np.ndarray):
+def ln_vjp(xhat: np.ndarray, s: np.ndarray, p: LNParams, gbar: np.ndarray):
     """Closed-form backward pass of column-wise normalization (module docstring).
 
-    Given the loss gradient ``gbar`` with respect to the outputs, returns
-    ``(gx, ggamma, gbeta)``; ``gbeta`` is None for RMSNorm.  For a stack
-    ``(..., d, n)`` the parameter gradients are per state, of shape (..., d)."""
-    X = np.asarray(X, dtype=np.float64)
+    Given a site's statistics ``(xhat, s)`` and the loss gradient ``gbar``
+    with respect to its outputs, returns ``(gx, ggamma, gbeta)``; ``gbeta`` is
+    None for RMSNorm.  For a stack ``(..., d, n)`` the parameter gradients are
+    per state, of shape (..., d); a stack of gradients over one state broadcasts."""
     gbar = np.asarray(gbar, dtype=np.float64)
-    c, s = _column_stats(X, p)
-    xhat = c / s
     ghat = p.gamma[:, None] * gbar
     proj = xhat * _column_mean(xhat * ghat)
     ggamma = (xhat * gbar).sum(axis=-1)

@@ -8,10 +8,11 @@ off counter-based streams, so a TrainConfig determines its TrialOutcome
 bit for bit.
 
 Each step runs its minibatch as one ``(B, d, n)`` stack: one forward pass
-and one reverse sweep, with the per-sample parameter gradients summed over
-the sample axis.  The terminal norm, the loss and sample 0's checkpoint
-moments are taken per sample.  If any sample fails any predicate, the step
-is replayed one sample at a time through the same step function, so the
+and one reverse sweep, with the per-sample parameter gradients gathered in
+one ``(B, P)`` array, summed over the samples and applied to one flat buffer
+of the P parameters.  The terminal norm, the loss and sample 0's checkpoint
+moments are taken per sample.  If any sample fails any predicate, the step is
+replayed one sample at a time through the same step function, so the
 recorded step, cause, block and site are those of the first sample, in
 sample order, that fails; and within a sample, the forward pass, then the
 terminal norm, then the loss, then the reverse sweep.
@@ -28,6 +29,7 @@ from .model import (
     NONFINITE_STATE,
     DivergenceError,
     ModelConfig,
+    flat_to_params,
     model_forward,
     param_gradients,
     params_to_flat,
@@ -71,6 +73,12 @@ class TrainConfig:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
         if self.weight_decay < 0 or self.lr < 0:
             raise ValueError("lr and weight_decay must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.noise_std >= 0.0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not self.divergence_threshold > 0.0:
+            raise ValueError(f"divergence_threshold must be > 0, got {self.divergence_threshold}")
         if self.checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         if self.dataset_size is not None and self.dataset_size < 1:
@@ -210,11 +218,11 @@ def _step(task: Task, params, tc: TrainConfig, step: int, samples, checkpoints: 
     return batch_loss, param_gradients(tape, np.stack(gbars))
 
 
-def _batch_step(task: Task, params, tc: TrainConfig, step: int, checkpoints: list):
+def _batch_step(task: Task, params, tc: TrainConfig, step: int, keys, checkpoints: list):
     """The whole minibatch as one stack; on a failure, the same step one sample
     at a time, which raises the failure a per-sample loop meets first (every
     predicate is per sample, so the replay fails too).  Returns the batch
-    loss and the gradient summed over the samples."""
+    loss and the flat gradient, block by block in ``keys`` order."""
     pending: list = []
     try:
         batch_loss, grads = _step(task, params, tc, step, range(tc.batch_size), pending)
@@ -223,17 +231,27 @@ def _batch_step(task: Task, params, tc: TrainConfig, step: int, checkpoints: lis
             _step(task, params, tc, step, [bi], checkpoints)
         raise
     checkpoints.extend(pending)
-    return batch_loss, [{k: np.add.reduce(g, axis=0) for k, g in b.items()} for b in grads]
+    per_sample = np.concatenate([g[k].reshape(tc.batch_size, -1) for g in grads for k in keys], 1)
+    return batch_loss, np.add.reduce(per_sample, axis=0)
 
 
 def train_run(tc: TrainConfig) -> TrialOutcome:
-    """SGD + momentum with decoupled decay: theta <- (1 - lr*wd) theta - lr*m,
-    applied in place to the drawn model's tensors."""
+    """SGD + momentum with decoupled decay, theta <- (1 - lr*wd) theta - lr*m, on one
+    flat buffer ``w`` of the drawn tensors in ``params_to_flat`` order, which the model views."""
     root = RngStream(tc.seed)
-    params = random_model(tc.cfg, root.child(0))
+    drawn = random_model(tc.cfg, root.child(0))
     task = make_task(tc.task, tc.cfg, root.child(1), tc.noise_std, tc.dataset_size)
-    flats = [params_to_flat(b) for b in params]  # views: an update here updates params
-    momenta = [{k: np.zeros_like(v) for k, v in f.items()} for f in flats]
+    flats = [params_to_flat(b) for b in drawn]
+    keys = tuple(flats[0])
+    w = np.concatenate([t.ravel() for f in flats for t in f.values()])
+    shrink, m, params, o = np.empty_like(w), np.zeros_like(w), [], 0
+    for f, b in zip(flats, drawn):
+        views = {}
+        for k, t in f.items():
+            views[k] = w[o:o + t.size].reshape(t.shape)
+            shrink[o:o + t.size] = 1.0 - tc.lr * (tc.weight_decay if _is_weight_tensor(k) else 0.0)
+            o += t.size
+        params.append(flat_to_params(views, b))
 
     losses: list[float] = []
     checkpoints: list[tuple[int, tuple[Moments, ...]]] = []
@@ -243,20 +261,17 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
     for step in range(tc.steps):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                batch_loss, grads = _batch_step(task, params, tc, step, checkpoints)
+                batch_loss, g = _batch_step(task, params, tc, step, keys, checkpoints)
         except _STOPS as exc:
             cause, block, site = _divergence_cause(exc)
             first_divergence = step
             losses.append(float("inf"))
             break
         losses.append(batch_loss)
-        for f, m, g in zip(flats, momenta, grads):
-            for k, w in f.items():
-                m[k] *= tc.momentum
-                m[k] += g[k]
-                decay = tc.weight_decay if _is_weight_tensor(k) else 0.0
-                w *= 1.0 - tc.lr * decay
-                w -= tc.lr * m[k]
+        m *= tc.momentum
+        m += g
+        w *= shrink
+        w -= tc.lr * m
 
     final_loss = losses[-1] if losses else float("nan")
     return TrialOutcome(

@@ -15,7 +15,9 @@ closed-form column kernels, and ``scripted_train_run`` and
 library's model, to pin the stacked minibatch step and the stacked
 pushforwards of the bound checks.  ``zero_weight_block`` and
 ``gradient_product`` are test fixtures built on the library's model: a block
-whose sublayers map to zero, and the product of its local sensitivities.
+whose sublayers map to zero, and the product of its local sensitivities;
+``ln_vjp_at`` is the library's LN VJP taken at a raw input, from the
+statistics the forward pass tapes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ from lnlab.model import (
     params_to_flat,
     random_model,
 )
-from lnlab.normalization import LAYERNORM, DegenerateTokenError, LNParams, ln_jacobian
+from lnlab.normalization import (
+    LAYERNORM,
+    DegenerateTokenError,
+    LNParams,
+    ln_forward_columns,
+    ln_jacobian,
+    ln_vjp,
+)
 from lnlab.numerics import NonFiniteError, RngStream, ShapeMismatchError, as_matrix, moments
 from lnlab.training import (
     NONFINITE_LOSS,
@@ -228,6 +237,12 @@ def scripted_ffn_jacobian(X, w1, w2, activation: str) -> np.ndarray:
         dphi = 1.0 - np.tanh(pre) ** 2 if activation == "tanh" else np.where(pre > 0, 1.0, 0.0)
         full[j * d:(j + 1) * d, j * d:(j + 1) * d] = w2 @ np.diag(dphi) @ w1
     return full
+
+
+def ln_vjp_at(X, p, gbar):
+    """``ln_vjp`` at a raw input: the statistics its LN site's forward pass tapes, then the VJP."""
+    _, stats = ln_forward_columns(X, p)
+    return ln_vjp(*stats, p, gbar)
 
 
 def scripted_ln_vjp(X, p, gbar):

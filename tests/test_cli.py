@@ -284,6 +284,10 @@ class TestExitCodes:
         ('{"diagnostics": {"delta_ts": [1.0, 0]}}', "bounds", "diagnostics.delta_ts[1]"),
         ('{"sweep": {"weight_decays": [-0.1]}}', "sweep", "sweep.weight_decays[0]"),
         ('{"sweep": {"placements": ["peri", "sideways"]}}', "sweep", "sweep.placements[1]"),
+        ('{"train": {"momentum": -0.5}}', "train", "train.momentum"),
+        ('{"train": {"momentum": 1}}', "train", "train.momentum"),
+        ('{"train": {"divergence_threshold": -1.0}}', "train", "train.divergence_threshold"),
+        ('{"train": {"noise_std": -0.1}}', "train", "train.noise_std"),
     ])
     def test_out_of_range_grid_item_exits_two_naming_the_item(
         self, tmp_path, capsys, text, command, item

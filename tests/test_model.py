@@ -48,7 +48,7 @@ def placements_and_kinds():
 
 
 def _columnwise(p):
-    return None if p is None else (lambda Z: ln_forward_columns(Z, p))
+    return None if p is None else (lambda Z: ln_forward_columns(Z, p)[0])
 
 
 class TestBlockForward:
@@ -67,7 +67,7 @@ class TestBlockForward:
         out, trace = block_forward(X, block, cfg)
         # LN^out(0) = beta = 0 so the residual updates vanish exactly
         assert np.array_equal(out, X)
-        y = ln_forward_columns(trace.attn.raw, block.ln["attn_out"])
+        y = ln_forward_columns(attn_forward(trace.attn.core_in, block.attn), block.ln["attn_out"])[0]
         assert np.array_equal(y, np.zeros((4, 3)))
 
     def test_post_columns_on_output_ellipsoid(self):
@@ -94,8 +94,9 @@ class TestBlockForward:
         params = random_model(cfg, RngStream(4))
         X = RngStream(5).generator().normal(size=(4, 3))
         out, trace = block_forward(X, params[0], cfg)
-        manual = trace.attn.x + ln_forward_columns(trace.attn.raw, params[0].ln["attn_out"])
-        manual = manual + ln_forward_columns(trace.ffn.raw, params[0].ln["ffn_out"])
+        b = params[0]
+        manual = trace.attn.x + ln_forward_columns(attn_forward(trace.attn.core_in, b.attn), b.ln["attn_out"])[0]
+        manual = manual + ln_forward_columns(ffn_forward(trace.ffn.core_in, b.ffn), b.ln["ffn_out"])[0]
         assert np.array_equal(out, manual)
 
     def test_degenerate_ln_error_carries_block_and_site(self):

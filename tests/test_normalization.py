@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_diff_jacobian, relative_error, scripted_ln_vjp
+from oracles import central_diff_jacobian, ln_vjp_at, relative_error, scripted_ln_vjp
 
 from lnlab.normalization import (
     LAYERNORM,
     RMSNORM,
     DegenerateTokenError,
     LNParams,
+    _column_stats,
     ellipsoid_residual,
     ln_forward,
     ln_forward_columns,
@@ -79,7 +80,7 @@ class TestForward:
         gen = RngStream(5).generator()
         X = gen.normal(size=(4, 6))
         p = random_params(gen, 4)
-        cols = ln_forward_columns(X, p)
+        cols, _ = ln_forward_columns(X, p)
         for j in range(6):
             assert np.array_equal(cols[:, j], ln_forward(X[:, j], p))
 
@@ -184,17 +185,17 @@ class TestVjp:
         X = gen.normal(size=(d, n))
         C = gen.normal(size=(d, n))
 
-        gx, ggamma, gbeta = ln_vjp(X, p, C)
+        gx, ggamma, gbeta = ln_vjp_at(X, p, C)
 
         def loss_gamma(gamma):
             q = LNParams(gamma, p.beta, p.epsilon, p.kind)
-            return float((C * ln_forward_columns(X, q)).sum())
+            return float((C * ln_forward_columns(X, q)[0]).sum())
 
         fd_gamma = central_diff_jacobian(lambda g: np.array([loss_gamma(g)]), p.gamma)[0]
         assert relative_error(ggamma, fd_gamma) <= 1e-6
 
         def loss_x(v):
-            return float((C * ln_forward_columns(v.reshape(d, n, order="F"), p)).sum())
+            return float((C * ln_forward_columns(v.reshape(d, n, order="F"), p)[0]).sum())
 
         fd_x = central_diff_jacobian(
             lambda v: np.array([loss_x(v)]), X.reshape(-1, order="F")
@@ -227,6 +228,25 @@ def column_cases(draw):
     return gen.normal(scale=scale, size=(d, n)), p, gen.normal(size=(d, n))
 
 
+@st.composite
+def taped_cases(draw):
+    """(X, p, gbar) on the three shapes the model's LN sites see: one state
+    with its gradient, a (B, d, n) stack with one gradient per state, and
+    the nd stacked gradients of a materialized sensitivity over one state."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([LAYERNORM, RMSNORM]))
+    eps = draw(st.sampled_from([0.0, 1e-5]))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
+    p = random_params(gen, d, eps=eps, kind=kind)
+    shape = draw(st.sampled_from(["state", "stack", "gradients"]))
+    lead = (draw(st.integers(1, 3)),) if shape == "stack" else ()
+    X = gen.normal(scale=scale, size=(*lead, d, n))
+    glead = (d * n,) if shape == "gradients" else lead
+    return X, p, gen.normal(size=(*glead, d, n))
+
+
 def _denominators(X, p):
     c = X - X.mean(axis=0) if p.kind == LAYERNORM else X
     return np.sqrt(np.mean(c * c, axis=0) + p.epsilon)
@@ -238,7 +258,7 @@ class TestColumnKernels:
     def test_vjp_matches_per_token_oracle(self, case):
         X, p, gbar = case
         d, n = X.shape
-        gx, ggamma, gbeta = ln_vjp(X, p, gbar)
+        gx, ggamma, gbeta = ln_vjp_at(X, p, gbar)
         ref_gx, ref_ggamma, ref_gbeta = scripted_ln_vjp(X, p, gbar)
         gmax = np.abs(gbar).max(axis=0)
         scale = np.abs(p.gamma).max() * gmax / _denominators(X, p)
@@ -250,12 +270,30 @@ class TestColumnKernels:
         else:
             assert gbeta is None and ref_gbeta is None
 
+    @settings(max_examples=200)
+    @given(taped_cases())
+    def test_taped_statistics_are_bit_exact(self, case):
+        # the forward pass tapes (xhat, s) once; its output and the VJP fed
+        # them must equal those built from statistics recomputed from the input
+        X, p, gbar = case
+        z, (xhat, s) = ln_forward_columns(X, p)
+        c, s_input = _column_stats(X, p)
+        recomputed_z = p.gamma[:, None] * (c / s_input)
+        if p.kind == LAYERNORM:
+            recomputed_z = recomputed_z + p.beta[:, None]
+        assert np.array_equal(z, recomputed_z)
+        taped = ln_vjp(xhat, s, p, gbar)
+        recomputed = ln_vjp(c / s_input, s_input, p, gbar)
+        for got, want in zip(taped, recomputed):
+            assert (got is None and want is None) or np.array_equal(got, want)
+        assert taped[0].shape == np.broadcast_shapes(X.shape, gbar.shape)
+
     @settings(max_examples=300)
     @given(column_cases())
     def test_forward_matches_tokenwise(self, case):
         X, p, _ = case
         d, n = X.shape
-        cols = ln_forward_columns(X, p)
+        cols, _ = ln_forward_columns(X, p)
         tokens = np.stack([ln_forward(X[:, j], p) for j in range(n)], axis=1)
         if d < 8:
             # one sequential sum per column either way: the same bits
@@ -277,10 +315,7 @@ class TestColumnKernels:
         X[:, first] = degenerate
         X[:, later] = degenerate
         p = random_params(gen, d, kind=kind)
-        for kernel in (
-            lambda: ln_forward_columns(X, p),
-            lambda: ln_vjp(X, p, np.ones((d, n))),
-        ):
-            with pytest.raises(DegenerateTokenError, match=f"token index {first}$") as exc:
-                kernel()
-            assert exc.value.token_index == first
+        # the statistics pass refuses the token; ln_vjp only reads what it taped
+        with pytest.raises(DegenerateTokenError, match=f"token index {first}$") as exc:
+            ln_forward_columns(X, p)
+        assert exc.value.token_index == first

@@ -97,6 +97,16 @@ class TestMakeTask:
             assert np.abs(grad - fd).max() <= 1e-8
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("momentum", -0.5), ("momentum", 1.0), ("noise_std", -0.1),
+        ("divergence_threshold", -1.0), ("divergence_threshold", 0.0),
+    ])
+    def test_out_of_range_field_raises(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_tc(**{field: value})
+
+
 class TestTrainRun:
     def test_lr_zero_keeps_loss_constant(self):
         # fixed one-batch dataset: frozen parameters mean a frozen loss
@@ -237,7 +247,7 @@ def train_configs(draw):
         task=draw(st.sampled_from([MEAN_REGRESSION, NOISY_COPY])),
         steps=draw(st.integers(1, 8)),
         lr=draw(st.sampled_from([0.009, 0.1, 0.6])),
-        momentum=0.9,
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
         weight_decay=draw(st.sampled_from([0.0, 0.3])),
         seed=draw(st.integers(0, 2**16)),
         divergence_threshold=draw(st.sampled_from([1e8, 30.0, 1e-12])),
