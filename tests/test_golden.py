@@ -38,6 +38,7 @@ RUNS = {
     "gradcheck": (["--instances", "1"], "gradcheck"),
     "diagnose": ([], "diagnose"),
     "train": (["--placement", "pre"], "train"),
+    "train-diverged": (["--config", "../../configs/aggressive.json", "--placement", "off"], "train"),
     "sweep": (["--config", "sweep.json"], "sweep"),
 }
 
