@@ -38,7 +38,7 @@ from .reports import (
     read_report,
     write_report,
 )
-from .training import SweepResult, TrainConfig, first_repeat, stability_trial, train_run
+from .training import SweepResult, TrainConfig, first_repeat, stability_trial
 
 MARGIN_TOLERANCE = -1e-9
 
@@ -80,7 +80,8 @@ _COUNTED = ("diagnostics", "sweep")
 # the range a scalar field's value, or each item of a grid list, must lie in,
 # checked here so that a bad value is named by its config path rather than by
 # the field it later fills or the kernel that later refuses it; each rule is
-# written so that a NaN breaks it
+# written so that a NaN breaks it.  The ``train`` ranges are TrainConfig's,
+# which ``_check_sections`` reports with the field named.
 _ITEM_RULES = {
     "diagnostics.depths": (lambda v: v >= 1, "at least 1"),
     "diagnostics.delta_ts": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
@@ -88,9 +89,6 @@ _ITEM_RULES = {
         lambda v: 1 <= v <= MAX_OT_SAMPLES, f"in [1, {MAX_OT_SAMPLES}]"
     ),
     "diagnostics.wasserstein_p": (lambda v: v >= 1.0, "at least 1"),
-    "train.momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "train.noise_std": (lambda v: v >= 0.0, "at least 0"),
-    "train.divergence_threshold": (lambda v: v > 0.0, "greater than 0"),
     "sweep.weight_decays": (lambda v: v >= 0.0, "at least 0"),
     "sweep.placements": (lambda v: v in PLACEMENTS, f"one of {PLACEMENTS}"),
 }
@@ -345,10 +343,6 @@ def _moments_rows(layers, mc: ModelConfig, seed: int) -> list[dict]:
     ]
 
 
-def _final_moments(outcome) -> tuple:
-    return outcome.moment_curves[-1][1] if outcome.moment_curves else ()
-
-
 def cmd_diagnose(cfg: dict) -> int:
     mc = model_config(cfg)
     stream = RngStream(cfg["seed"])
@@ -361,15 +355,25 @@ def cmd_diagnose(cfg: dict) -> int:
     return 0
 
 
-def cmd_train(cfg: dict) -> int:
+def _trials(cfg: dict, placements: list, weight_decays: list, seeds: list) -> SweepResult:
+    """Run ``stability_trial`` over a grid of the config's training run; write
+    the trials report and, at the first decay, each trial's final moments."""
     tc = train_config(cfg)
-    outcome = train_run(tc)
-    rows = SweepResult({(tc.cfg.placement, tc.weight_decay, tc.seed): outcome}, {}).rows()
-    write_report(rows, TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])
-    write_report(
-        _moments_rows(_final_moments(outcome), tc.cfg, tc.seed),
-        MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"],
-    )
+    result = stability_trial(tc, placements, weight_decays, seeds)
+    write_report(result.rows(), TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])
+    mrows = []
+    for (placement, wd, seed), outcome in sorted(result.outcomes.items()):
+        if wd == weight_decays[0] and outcome.moment_curves:
+            mc = replace(tc.cfg, placement=placement)
+            mrows += _moments_rows(outcome.moment_curves[-1][1], mc, seed)
+    write_report(mrows, MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"])
+    return result
+
+
+def cmd_train(cfg: dict) -> int:
+    """The one-point sweep: the config's placement, weight decay and seed."""
+    result = _trials(cfg, [cfg["model"]["placement"]], [cfg["train"]["weight_decay"]], [cfg["seed"]])
+    (outcome,) = result.outcomes.values()
     where = (
         f" cause={outcome.cause} block={outcome.block} site={outcome.site}"
         if outcome.diverged else ""
@@ -379,25 +383,16 @@ def cmd_train(cfg: dict) -> int:
         f"first_divergence_step={outcome.first_divergence_step} "
         f"final_loss={outcome.final_loss:.6g}{where}"
     )
-    return _judge("trials", rows, cfg, "train")
+    return _judge("trials", result.rows(), cfg, "train")
 
 
 def cmd_sweep(cfg: dict) -> int:
-    tc = train_config(cfg)
     sweep_cfg = cfg["sweep"]
     seeds = list(range(cfg["seed"], cfg["seed"] + sweep_cfg["seeds"]))
-    result = stability_trial(tc, sweep_cfg["placements"], sweep_cfg["weight_decays"], seeds)
-    rows = result.rows()
-    write_report(rows, TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])
-    mrows = []
-    for (placement, wd, seed), outcome in sorted(result.outcomes.items()):
-        if wd == sweep_cfg["weight_decays"][0]:
-            mc = replace(tc.cfg, placement=placement)
-            mrows += _moments_rows(_final_moments(outcome), mc, seed)
-    write_report(mrows, MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"])
+    result = _trials(cfg, sweep_cfg["placements"], sweep_cfg["weight_decays"], seeds)
     for (placement, wd), count in sorted(result.counts.items()):
         print(f"sweep: placement={placement} weight_decay={wd} diverged={count}/{len(seeds)}")
-    return _judge("trials", rows, cfg, "sweep")
+    return _judge("trials", result.rows(), cfg, "sweep")
 
 
 def _wp_bruteforce(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -457,6 +452,17 @@ def cmd_report(cfg: dict) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+HANDLERS = {
+    "gradcheck": cmd_gradcheck,
+    "bounds": cmd_bounds,
+    "diagnose": cmd_diagnose,
+    "train": cmd_train,
+    "sweep": cmd_sweep,
+    "ot-check": cmd_ot_check,
+    "report": cmd_report,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lnlab",
@@ -470,22 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--instances", type=int, help="randomized suite size")
     parser.add_argument("--out", help="output directory for reports")
     parser.add_argument("--format", choices=("csv", "jsonl"), help="report format")
-    parser.add_argument(
-        "command",
-        choices=("gradcheck", "bounds", "diagnose", "train", "sweep", "ot-check", "report"),
-    )
+    parser.add_argument("command", choices=tuple(HANDLERS))
     return parser
-
-
-HANDLERS = {
-    "gradcheck": cmd_gradcheck,
-    "bounds": cmd_bounds,
-    "diagnose": cmd_diagnose,
-    "train": cmd_train,
-    "sweep": cmd_sweep,
-    "ot-check": cmd_ot_check,
-    "report": cmd_report,
-}
 
 
 def main(argv: list[str] | None = None) -> int:

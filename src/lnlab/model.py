@@ -362,7 +362,7 @@ def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
         raise ShapeMismatchError(f"sensitivities take one d x n state, got {tape.x_final.shape}")
     trace = getattr(tape.traces[i], which)
     b = tape.params[i]
-    return jacobian_from_vjp(lambda G: _sublayer_backward(trace, b, cfg, which, G)[0], cfg.d, cfg.n)
+    return jacobian_from_vjp(lambda G: _sublayer_backward(trace, b, cfg, which, G, {}), cfg.d, cfg.n)
 
 
 def local_sensitivity(tape: ForwardTape, i: int) -> np.ndarray:
@@ -388,14 +388,15 @@ def _ln_backward(
 
 
 def _sublayer_backward(
-    trace: SublayerTrace, b: BlockParams, cfg: ModelConfig, which: str, g: np.ndarray
-):
-    """Backprop one placement-wrapped sublayer; returns (gx, grads dict)."""
+    trace: SublayerTrace, b: BlockParams, cfg: ModelConfig, which: str, g: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Backprop one placement-wrapped sublayer: records its parameter
+    gradients in ``grads`` and returns the gradient at its input."""
     st = cfg.stages
     vjp = attn_mod.attn_vjp if which == "attn" else attn_mod.ffn_vjp
     weights = b.attn if which == "attn" else b.ffn
     site_in, site_out = _SITES[which]
-    grads: dict[str, np.ndarray] = {}
     if st.norm_sum:
         g = _ln_backward(trace.ln_out, b.ln[site_out], site_out, g, grads)
     gupdate = cfg.delta_t * g
@@ -405,7 +406,7 @@ def _sublayer_backward(
     grads.update(fgrads)
     if st.norm_in:
         gcore = _ln_backward(trace.ln_in, b.ln[site_in], site_in, gcore, grads)
-    return g + gcore, grads
+    return g + gcore
 
 
 def backward(tape: ForwardTape, upstream: np.ndarray):
@@ -423,18 +424,15 @@ def backward(tape: ForwardTape, upstream: np.ndarray):
         raise ShapeMismatchError(f"upstream gradient has shape {g.shape}, expected {tape.x_final.shape}")
     if not np.isfinite(g).all():
         raise NonFiniteError("upstream gradient is non-finite")
-    all_grads: list[dict[str, np.ndarray]] = [None] * tape.depth  # type: ignore[list-item]
+    all_grads: list[dict[str, np.ndarray]] = [{} for _ in range(tape.depth)]
     for i in range(tape.depth - 1, -1, -1):
-        b = tape.params[i]
-        trace = tape.traces[i]
         try:
-            g, ffn_grads = _sublayer_backward(trace.ffn, b, cfg, "ffn", g)
+            for which in ("ffn", "attn"):
+                g = _sublayer_backward(
+                    getattr(tape.traces[i], which), tape.params[i], cfg, which, g, all_grads[i]
+                )
         except attn_mod.ActivationKinkError as exc:
             raise attn_mod.ActivationKinkError(f"block {i}: {exc}", block=i) from exc
-        g, attn_grads = _sublayer_backward(trace.attn, b, cfg, "attn", g)
-        merged = dict(attn_grads)
-        merged.update(ffn_grads)
-        all_grads[i] = merged
     return all_grads, g
 
 

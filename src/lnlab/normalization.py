@@ -142,7 +142,7 @@ def ellipsoid_residual(z: np.ndarray, p: LNParams) -> float:
     return float(w @ w - z.shape[0])
 
 
-def ln_jacobian(x: np.ndarray, p: LNParams, token_index: int | None = None) -> np.ndarray:
+def ln_jacobian(x: np.ndarray, p: LNParams) -> np.ndarray:
     """Exact d x d Jacobian of the normalization map, rows = outputs.
 
     For LayerNorm with denominator s = sqrt(var + eps) and c = x - mean(x):
@@ -158,7 +158,7 @@ def ln_jacobian(x: np.ndarray, p: LNParams, token_index: int | None = None) -> n
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
-    c, s = _column_stats(x[:, None], p, token_index)
+    c, s = _column_stats(x[:, None], p, None)
     c, s = c[:, 0], s[0, 0]
     core = np.eye(d) - 1.0 / d if p.kind == LAYERNORM else np.eye(d)
     return p.gamma[:, None] * (core / s) - np.outer(p.gamma * c, c) / (d * s**3)

@@ -69,10 +69,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in _TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {_TASKS}")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ValueError("steps must be >= 0 and batch_size >= 1")
-        if self.weight_decay < 0 or self.lr < 0:
-            raise ValueError("lr and weight_decay must be >= 0")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr < 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not self.noise_std >= 0.0:

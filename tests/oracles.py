@@ -255,7 +255,7 @@ def scripted_ln_vjp(X, p, gbar):
     gbeta = np.zeros(d)
     for j in range(n):
         x = X[:, j]
-        gx[:, j] = ln_jacobian(x, p, token_index=j).T @ gbar[:, j]
+        gx[:, j] = ln_jacobian(x, p).T @ gbar[:, j]
         c = x - x.mean() if p.kind == LAYERNORM else x
         ggamma += c / np.sqrt(np.mean(c * c) + p.epsilon) * gbar[:, j]
         gbeta += gbar[:, j]

@@ -264,6 +264,10 @@ class TestExitCodes:
         ('{"diagnostics": {"wasserstein_samples": 0}}', "ot-check", "diagnostics.wasserstein_samples"),
         ('{"train": {"checkpoint_every": 0}}', "train", "checkpoint_every"),
         ('{"train": {"dataset_size": 0}}', "train", "dataset_size"),
+        ('{"train": {"momentum": -0.5}}', "train", "momentum must be in [0, 1), got -0.5"),
+        ('{"train": {"momentum": 1}}', "train", "momentum must be in [0, 1), got 1.0"),
+        ('{"train": {"divergence_threshold": -1.0}}', "train", "divergence_threshold must be > 0"),
+        ('{"train": {"noise_std": -0.1}}', "train", "noise_std must be >= 0, got -0.1"),
         ('{"sweep": {"seeds": 0}}', "sweep", "sweep.seeds"),
         ('{"sweep": {"placements": []}}', "sweep", "sweep.placements"),
         ('{"sweep": {"weight_decays": []}}', "sweep", "sweep.weight_decays"),
@@ -284,10 +288,6 @@ class TestExitCodes:
         ('{"diagnostics": {"delta_ts": [1.0, 0]}}', "bounds", "diagnostics.delta_ts[1]"),
         ('{"sweep": {"weight_decays": [-0.1]}}', "sweep", "sweep.weight_decays[0]"),
         ('{"sweep": {"placements": ["peri", "sideways"]}}', "sweep", "sweep.placements[1]"),
-        ('{"train": {"momentum": -0.5}}', "train", "train.momentum"),
-        ('{"train": {"momentum": 1}}', "train", "train.momentum"),
-        ('{"train": {"divergence_threshold": -1.0}}', "train", "train.divergence_threshold"),
-        ('{"train": {"noise_std": -0.1}}', "train", "train.noise_std"),
     ])
     def test_out_of_range_grid_item_exits_two_naming_the_item(
         self, tmp_path, capsys, text, command, item

@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from lnlab import model as mdl
-from lnlab.attention import AttentionParams, attn_forward, ffn_forward
+from lnlab.attention import attn_forward, ffn_forward
 from lnlab.model import (
     DivergenceError,
     ModelConfig,
@@ -162,17 +162,31 @@ class TestModelForward:
         with pytest.raises(ValueError, match="blocks"):
             model_forward(np.zeros((4, 3)), params[:2], cfg)
 
-    def test_divergence_reports_first_block(self):
+    @pytest.mark.parametrize("scaled, message", [
+        # an overflowing value path leaves block 1's output non-finite
+        (("v", "w"), "^block 1 produced a non-finite state$"),
+        # overflowing scores make the softmax refuse its input inside block 1
+        (("q", "k"), "^block 1: softmax_columns: input contains non-finite entries$"),
+    ], ids=["values", "scores"])
+    def test_divergence_reports_first_block(self, scaled, message):
         cfg = cfg_for("off", depth=3, dt=1.0)
         params = random_model(cfg, RngStream(12))
         huge = params[1].attn
         params[1] = mdl.BlockParams(
-            AttentionParams(huge.q, huge.k, huge.v * 1e200, huge.w * 1e200),
+            replace(huge, **{name: getattr(huge, name) * 1e200 for name in scaled}),
             params[1].ffn, params[1].ln,
         )
-        with pytest.raises(DivergenceError) as exc:
+        with pytest.raises(DivergenceError, match=message) as exc:
             model_forward(np.ones((4, 3)), params, cfg)
-        assert exc.value.block == 1
+        assert (exc.value.block, exc.value.cause) == (1, mdl.NONFINITE_STATE)
+
+    def test_nonfinite_input_state_is_block_minus_one(self):
+        cfg = cfg_for("peri", depth=2)
+        X = np.ones((4, 3))
+        X[2, 1] = np.nan
+        with pytest.raises(DivergenceError, match="input state") as exc:
+            model_forward(X, random_model(cfg, RngStream(12)), cfg)
+        assert (exc.value.block, exc.value.cause) == (-1, mdl.NONFINITE_STATE)
 
     def test_sites_validated(self):
         cfg = cfg_for("peri")
@@ -405,6 +419,14 @@ class TestStackedSweep:
         tape = model_forward(np.ones((4, 3)), random_model(cfg, RngStream(27)), cfg)
         with pytest.raises(mdl.ShapeMismatchError, match=r"expected \(4, 3\)"):
             backward(tape, np.ones(12))
+
+    def test_nonfinite_upstream_raises(self):
+        cfg = cfg_for("peri")
+        tape = model_forward(np.ones((4, 3)), random_model(cfg, RngStream(27)), cfg)
+        upstream = np.ones((4, 3))
+        upstream[0, 2] = np.inf
+        with pytest.raises(mdl.NonFiniteError, match="upstream gradient is non-finite"):
+            backward(tape, upstream)
 
 
 class TestSimplifiedPreChain:

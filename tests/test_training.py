@@ -99,11 +99,13 @@ class TestMakeTask:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
+        ("steps", -1), ("batch_size", 0), ("lr", -0.1), ("weight_decay", -0.3),
         ("momentum", -0.5), ("momentum", 1.0), ("noise_std", -0.1),
         ("divergence_threshold", -1.0), ("divergence_threshold", 0.0),
     ])
     def test_out_of_range_field_raises(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        # anchored, so the check that fired is the one naming this field
+        with pytest.raises(ValueError, match=rf"^{field} must .*, got {value}$"):
             small_tc(**{field: value})
 
 
