@@ -5,8 +5,8 @@ The attention map is
     f_attn(X) = sum_h  W_h V_h X softmax_cols((K_h X)^T Q_h X / sqrt(k))
 
 with Q, K, V of shape (k, d) and W of shape (d, k) per head; the feedforward
-map is f_ffn(X) = W2 phi(W1 X) applied token-wise (no bias).  Both forward
-maps also take a stack of states ``(..., d, n)`` and map each on its own.
+map is f_ffn(X) = W2 phi(W1 X) applied token-wise (no bias).  Both maps take
+a stack of states ``(..., d, n)``; attention's heads are a stack axis too.
 
 Each map has one derivative, its vector-Jacobian product: the model's
 reverse sweep calls it, and the materialized nd x nd Jacobian is the same
@@ -130,15 +130,20 @@ def _check_state(X: np.ndarray, p: AttentionParams | FfnParams) -> np.ndarray:
     return X
 
 
+def _heads(Z: np.ndarray, p: AttentionParams):
+    """The score scale and the keys, queries, column-softmax attention and
+    values of the state(s) ``Z`` for every head at once: heads are axis -3,
+    so a ``(..., d, n)`` stack gives ``(..., H, ., n)`` maps."""
+    Zh = Z[..., None, :, :]
+    scale = 1.0 / np.sqrt(p.key_dim)
+    kz, qz = p.k @ Zh, p.q @ Zh
+    return scale, kz, qz, softmax_columns(kz.mT @ qz * scale), p.v @ Zh
+
+
 def attn_forward(X: np.ndarray, p: AttentionParams) -> np.ndarray:
     X = _check_state(X, p)
-    scale = 1.0 / np.sqrt(p.key_dim)
-    out = np.zeros_like(X)
-    for h in range(p.heads):
-        scores = (p.k[h] @ X).mT @ (p.q[h] @ X) * scale
-        attn = softmax_columns(scores)
-        out += p.w[h] @ (p.v[h] @ X) @ attn
-    return out
+    _, _, _, attn, vz = _heads(X, p)
+    return np.add.reduce(p.w @ vz @ attn, axis=-3)
 
 
 def attn_vjp(Z: np.ndarray, p: AttentionParams, gbar: np.ndarray):
@@ -147,27 +152,18 @@ def attn_vjp(Z: np.ndarray, p: AttentionParams, gbar: np.ndarray):
 
     ``gbar`` may stack more gradients than ``Z`` stacks states (one state,
     many upstream gradients); every result has its leading axes."""
-    scale = 1.0 / np.sqrt(p.key_dim)
-    lead = gbar.shape[:-2]
-    gq, gk, gv, gw = (np.zeros(lead + m.shape) for m in (p.q, p.k, p.v, p.w))
-    gz = np.zeros_like(gbar)
-    for h in range(p.heads):
-        kz = p.k[h] @ Z
-        qz = p.q[h] @ Z
-        attn = softmax_columns(kz.mT @ qz * scale)
-        vz = p.v[h] @ Z
-        gw[..., h, :, :] = gbar @ (vz @ attn).mT
-        t = p.w[h].T @ gbar
-        t_at = t @ attn.mT
-        gv[..., h, :, :] = t_at @ Z.mT
-        ga = vz.mT @ t
-        gs = attn * (ga - (attn * ga).sum(axis=-2, keepdims=True))
-        gkz = qz @ gs.mT * scale
-        gqz = kz @ gs * scale
-        gk[..., h, :, :] = gkz @ Z.mT
-        gq[..., h, :, :] = gqz @ Z.mT
-        gz += p.v[h].T @ t_at + p.k[h].T @ gkz + p.q[h].T @ gqz
-    return gz, {"attn.q": gq, "attn.k": gk, "attn.v": gv, "attn.w": gw}
+    scale, kz, qz, attn, vz = _heads(Z, p)
+    g = gbar[..., None, :, :]
+    t = p.w.mT @ g
+    t_at = t @ attn.mT
+    ga = vz.mT @ t
+    gs = attn * (ga - (attn * ga).sum(axis=-2, keepdims=True))
+    gkz = qz @ gs.mT * scale
+    gqz = kz @ gs * scale
+    gz = np.add.reduce(p.v.mT @ t_at + p.k.mT @ gkz + p.q.mT @ gqz, axis=-3)
+    Zt = Z[..., None, :, :].mT
+    gw = g @ (vz @ attn).mT
+    return gz, {"attn.q": gqz @ Zt, "attn.k": gkz @ Zt, "attn.v": t_at @ Zt, "attn.w": gw}
 
 
 def attn_jacobian_full(X: np.ndarray, p: AttentionParams) -> np.ndarray:

@@ -7,13 +7,15 @@ with loops pin the library's Jacobians (which it builds from its VJPs),
 brute-force enumeration solves small transport problems, the textbook
 Hungarian loop (one dual update per scanned column) pins the
 shortest-augmenting-path solver on larger ones, and extended-precision
-arithmetic recomputes the scalar kernels.  Two
+arithmetic recomputes the scalar kernels.  Three
 exceptions: the per-token LN VJP loops the materialized single-token
 ``ln_jacobian`` (itself pinned against finite differences) to pin the
-closed-form column kernels, and ``scripted_train_run`` and
+closed-form column kernels; ``scripted_train_run`` and
 ``scripted_terminal_states`` run one sample at a time through the
 library's model, to pin the stacked minibatch step and the stacked
-pushforwards of the bound checks.  ``zero_weight_block`` and
+pushforwards of the bound checks; and ``per_head_attn_forward`` and
+``per_head_attn_vjp`` run the library's attention one head at a time, to
+pin its head axis bit for bit.  ``zero_weight_block`` and
 ``gradient_product`` are test fixtures built on the library's model: a block
 whose sublayers map to zero, and the product of its local sensitivities;
 ``ln_vjp_at`` is the library's LN VJP taken at a raw input, from the
@@ -26,7 +28,7 @@ from itertools import permutations
 
 import numpy as np
 
-from lnlab.attention import ActivationKinkError, AttentionParams, FfnParams
+from lnlab.attention import ActivationKinkError, AttentionParams, FfnParams, _check_state
 from lnlab.model import (
     BlockParams,
     DivergenceError,
@@ -47,7 +49,14 @@ from lnlab.normalization import (
     ln_jacobian,
     ln_vjp,
 )
-from lnlab.numerics import NonFiniteError, RngStream, ShapeMismatchError, as_matrix, moments
+from lnlab.numerics import (
+    NonFiniteError,
+    RngStream,
+    ShapeMismatchError,
+    as_matrix,
+    moments,
+    softmax_columns,
+)
 from lnlab.training import (
     NONFINITE_LOSS,
     NORM_THRESHOLD,
@@ -192,6 +201,46 @@ def scripted_attention(X, q, k, v, w) -> np.ndarray:
             attn[:, j] = e / e.sum()
         out += w[h] @ v[h] @ X @ attn
     return out
+
+
+def per_head_attn_forward(X: np.ndarray, p: AttentionParams) -> np.ndarray:
+    """The library's ``attn_forward`` as it was before heads became a stack
+    axis: one head at a time, accumulated into a zero state."""
+    X = _check_state(X, p)
+    scale = 1.0 / np.sqrt(p.key_dim)
+    out = np.zeros_like(X)
+    for h in range(p.heads):
+        scores = (p.k[h] @ X).mT @ (p.q[h] @ X) * scale
+        attn = softmax_columns(scores)
+        out += p.w[h] @ (p.v[h] @ X) @ attn
+    return out
+
+
+def per_head_attn_vjp(Z: np.ndarray, p: AttentionParams, gbar: np.ndarray):
+    """The library's ``attn_vjp`` as it was before heads became a stack axis:
+    one head at a time, each weight gradient written into its slot of a
+    zero buffer."""
+    scale = 1.0 / np.sqrt(p.key_dim)
+    lead = gbar.shape[:-2]
+    gq, gk, gv, gw = (np.zeros(lead + m.shape) for m in (p.q, p.k, p.v, p.w))
+    gz = np.zeros_like(gbar)
+    for h in range(p.heads):
+        kz = p.k[h] @ Z
+        qz = p.q[h] @ Z
+        attn = softmax_columns(kz.mT @ qz * scale)
+        vz = p.v[h] @ Z
+        gw[..., h, :, :] = gbar @ (vz @ attn).mT
+        t = p.w[h].T @ gbar
+        t_at = t @ attn.mT
+        gv[..., h, :, :] = t_at @ Z.mT
+        ga = vz.mT @ t
+        gs = attn * (ga - (attn * ga).sum(axis=-2, keepdims=True))
+        gkz = qz @ gs.mT * scale
+        gqz = kz @ gs * scale
+        gk[..., h, :, :] = gkz @ Z.mT
+        gq[..., h, :, :] = gqz @ Z.mT
+        gz += p.v[h].T @ t_at + p.k[h].T @ gkz + p.q[h].T @ gqz
+    return gz, {"attn.q": gq, "attn.k": gk, "attn.v": gv, "attn.w": gw}
 
 
 def scripted_ffn(X, w1, w2, activation: str) -> np.ndarray:

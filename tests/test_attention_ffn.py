@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     central_diff_jacobian,
+    per_head_attn_forward,
+    per_head_attn_vjp,
     relative_error,
     scripted_attention,
     scripted_attention_jacobian,
@@ -18,6 +20,7 @@ from lnlab.attention import (
     FfnParams,
     attn_forward,
     attn_jacobian_full,
+    attn_vjp,
     ffn_forward,
     ffn_jacobian_blockdiag,
 )
@@ -215,3 +218,47 @@ class TestJacobiansFromVjps:
         assert relative_error(jac, reference) <= 1e-13
         off_token = ~np.eye(n, dtype=bool)
         assert np.all(jac.reshape(n, d, n, d).transpose(0, 2, 1, 3)[off_token] == 0.0)
+
+
+@st.composite
+def head_axis_cases(draw):
+    """(states, upstream gradients, attention params): heads 1..3, d 2..8,
+    n 1..5, key width 1..4, weights scaled by 1e-3..1e2, and a lone state,
+    a stack of 2 or a (3, 2) stack of states."""
+    heads = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e2]))
+    lead = draw(st.sampled_from([(), (2,), (3, 2)]))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
+    kdim = int(gen.integers(1, 5))
+    q, k, v = (gen.normal(scale=scale, size=(heads, kdim, d)) for _ in range(3))
+    p = AttentionParams(q, k, v, gen.normal(scale=scale, size=(heads, d, kdim)))
+    return gen.normal(size=lead + (d, n)), gen.normal(size=lead + (d, n)), p
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestHeadAxis:
+    """Heads as a stack axis give the per-head loop's bits: the forward map,
+    the input gradient and all four weight gradients."""
+
+    @settings(max_examples=300)
+    @given(head_axis_cases())
+    def test_forward_and_vjp_bits_match_per_head_loop(self, case):
+        Z, G, p = case
+        assert same_bits(attn_forward(Z, p), per_head_attn_forward(Z, p))
+        d, n = Z.shape[-2:]
+        lone = Z.reshape(-1, d, n)[0]
+        # a stack of states with one gradient each, then one state under the
+        # nd stacked gradients that ``jacobian_from_vjp`` passes
+        stacked = RngStream(0).generator().normal(size=(n * d, d, n))
+        for state, gbar in ((Z, G), (lone, stacked)):
+            gz, grads = attn_vjp(state, p, gbar)
+            gz_ref, grads_ref = per_head_attn_vjp(state, p, gbar)
+            assert same_bits(gz, gz_ref)
+            assert grads.keys() == grads_ref.keys()
+            for name in grads_ref:
+                assert same_bits(grads[name], grads_ref[name]), name
