@@ -83,6 +83,7 @@ _COUNTED = ("diagnostics", "sweep")
 # written so that a NaN breaks it.  The ``train`` ranges are TrainConfig's,
 # which ``_check_sections`` reports with the field named.
 _ITEM_RULES = {
+    "format": (lambda v: v in (CSV, JSONL), f"one of {(CSV, JSONL)}"),
     "diagnostics.depths": (lambda v: v >= 1, "at least 1"),
     "diagnostics.delta_ts": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "diagnostics.wasserstein_samples": (

@@ -325,7 +325,7 @@ def dro_bound(
     """
     for name, value in (("lipschitz", lipschitz), ("radius", radius),
                         ("gamma_max", gamma_max), ("c_hat_1", c_hat_1)):
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"dro_bound: {name} must be >= 0, got {value}")
     return float(
         train_loss

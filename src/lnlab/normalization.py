@@ -72,7 +72,7 @@ class LNParams:
                 f"LNParams: gamma/beta must be equal-length vectors, "
                 f"got {gamma.shape} and {beta.shape}"
             )
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"LNParams: epsilon must be >= 0, got {self.epsilon}")
         if self.kind not in _KINDS:
             raise ValueError(f"LNParams: unknown kind {self.kind!r}, expected one of {_KINDS}")

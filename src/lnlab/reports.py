@@ -87,22 +87,31 @@ def _parse_cell(s: str):
 
 
 def read_report(path) -> list[dict]:
-    """Read a CSV or JSON-lines report back into row dicts."""
+    """Read a CSV or JSON-lines report back into row dicts.  A line that is
+    not one JSON object, or a CSV row whose cells do not match the header
+    one for one, raises ValueError naming the file and the line."""
     path = Path(path)
     raw = path.read_text().rstrip("\n")
     if not raw:
         return []
     lines = raw.split("\n")
+    rows = []
     if lines[0].lstrip().startswith("{"):
-        rows = []
         for number, line in enumerate(lines, 1):
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path.name} line {number}: {exc.msg} at column {exc.colno}") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{path.name} line {number}: expected a JSON object, got {line!r}")
+            rows.append(row)
         return rows
     header = lines[0].split(",")
-    return [
-        {c: _parse_cell(cell) for c, cell in zip(header, line.split(","))}
-        for line in lines[1:]
-    ]
+    for number, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(
+                f"{path.name} line {number}: {len(cells)} cells under a header of {len(header)}"
+            )
+        rows.append({c: _parse_cell(cell) for c, cell in zip(header, cells)})
+    return rows

@@ -73,9 +73,9 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lnlab import cli, diagnostics, suites, training
+from lnlab import cli, diagnostics, gradcheck, suites, training
 from lnlab.cli import ConfigError, load_config, main
 from lnlab.diagnostics import BoundReport
 from lnlab.model import model_forward
@@ -240,12 +240,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "trials.csv" in err and "'placement'" in err
 
-    def test_malformed_json_line_names_file_and_line(self, tmp_path, capsys):
-        write_report([FAILING_BOUND], BOUNDS_COLUMNS, tmp_path / "bounds.jsonl", "jsonl")
-        with open(tmp_path / "bounds.jsonl", "a") as f:
-            f.write('{"check": oops}\n')
+    @pytest.mark.parametrize("name, columns, line, message", [
+        ("bounds.jsonl", BOUNDS_COLUMNS, '{"check": oops}', "bounds.jsonl line 2: Expecting value"),
+        ("bounds.jsonl", BOUNDS_COLUMNS, "[1, 2]", "bounds.jsonl line 2: expected a JSON object"),
+        ("bounds.csv", ("check", "margin"), "a,1.0,5", "bounds.csv line 3: 3 cells under a header of 2"),
+        ("bounds.csv", BOUNDS_COLUMNS, "a,1.0", "bounds.csv line 3: 2 cells under a header of 10"),
+    ], ids=["bad-json", "json-not-object", "csv-extra-cell", "csv-missing-cell"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, name, columns, line, message):
+        fmt = name.rsplit(".", 1)[1]
+        write_report([{**FAILING_BOUND, "margin": 1.0}], columns, tmp_path / name, fmt)
+        with open(tmp_path / name, "a") as f:
+            f.write(line + "\n")
         assert main(["--out", str(tmp_path), "report"]) == 2
-        assert "bounds.jsonl line 2: Expecting value" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_wrongly_typed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -313,6 +320,17 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 2
         assert f"'{item}'" in capsys.readouterr().err
+        assert runs == []
+
+    @pytest.mark.parametrize("command", ["gradcheck", "sweep"])
+    def test_unknown_format_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        runs = []
+        monkeypatch.setattr(gradcheck, "run_all", lambda *args: runs.append(args))
+        monkeypatch.setattr(training, "train_run", lambda tc: runs.append(tc))
+        path = tmp_path / "cfg.json"
+        path.write_text('{"format": "xml"}')
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 2
+        assert "config field 'format' must be one of ('csv', 'jsonl'), got 'xml'" in capsys.readouterr().err
         assert runs == []
 
     @pytest.mark.parametrize("text, command, field", [

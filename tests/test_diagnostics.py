@@ -375,6 +375,7 @@ class TestDroBound:
         got = diag.dro_bound(1.0, 2.0, 0.5, 4, 1.0, 12, 0.25, c_hat_1=1.0)
         assert got == pytest.approx(29.712812921102035, rel=1e-15)
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            diag.dro_bound(1.0, -2.0, 0.5, 4, 1.0, 12, 0.25)
+    @pytest.mark.parametrize("lipschitz", [-2.0, float("nan")])
+    def test_negative_inputs_rejected(self, lipschitz):
+        with pytest.raises(ValueError, match="lipschitz must be >= 0"):
+            diag.dro_bound(1.0, lipschitz, 0.5, 4, 1.0, 12, 0.25)

@@ -6,10 +6,13 @@ files live in ``tests/golden/<name>/``, with its stdout in ``stdout.txt``.
 A change that moves bytes on purpose regenerates the goldens in the same
 commit and says which files and rows moved, and why:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
 which also records the Python and numpy versions in
-``tests/golden/versions.txt``.
+``tests/golden/versions.txt``.  With no names every run is regenerated; a
+new run is added by naming it, which is refused unless ``versions.txt``
+already records the running Python and numpy, so one golden set never
+mixes versions.
 """
 
 from __future__ import annotations
@@ -85,19 +88,55 @@ def test_first_difference_names_the_line():
     assert first_difference("a\nb\n", "a\n") == "line 2: expected 2 lines, got 1"
 
 
-def regenerate() -> None:
-    for name in RUNS:
-        target = GOLDEN / name
+def versions() -> str:
+    return f"python {platform.python_version()}\nnumpy {np.__version__}\n"
+
+
+def regenerate(names: list[str], root: Path = GOLDEN) -> None:
+    """Rewrite the golden files of the named runs under ``root``, or of every
+    run when none is named, then record the versions that made them."""
+    unknown = [name for name in names if name not in RUNS]
+    if unknown:
+        raise SystemExit(f"unknown golden runs {unknown}, expected some of {list(RUNS)}")
+    recorded = root / "versions.txt"
+    if names and not (recorded.exists() and recorded.read_text() == versions()):
+        raise SystemExit(
+            f"{recorded} does not record this Python and numpy ({versions()!r}); "
+            "regenerate every run instead of naming some"
+        )
+    for name in names or RUNS:
+        target = root / name
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
         rc, files = run(name, target)
         if rc != 0:
             raise SystemExit(f"{name}: exit code {rc}")
         (target / STDOUT).write_text(files[STDOUT])
-    (GOLDEN / "versions.txt").write_text(
-        f"python {platform.python_version()}\nnumpy {np.__version__}\n"
+    recorded.write_text(versions())
+
+
+def test_regenerate_rewrites_only_the_named_runs(tmp_path):
+    (tmp_path / "versions.txt").write_text(versions())
+    regenerate(["diagnose"], tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnose", "versions.txt"]
+    assert sorted(p.name for p in (tmp_path / "diagnose").iterdir()) == sorted(
+        p.name for p in (GOLDEN / "diagnose").iterdir()
     )
 
 
+@pytest.mark.parametrize("recorded", [None, "python 0.0\nnumpy 0.0\n"])
+def test_naming_runs_refused_under_other_versions(tmp_path, recorded):
+    if recorded is not None:
+        (tmp_path / "versions.txt").write_text(recorded)
+    with pytest.raises(SystemExit, match="does not record this Python and numpy"):
+        regenerate(["diagnose"], tmp_path)
+    assert not (tmp_path / "diagnose").exists()
+
+
+def test_unknown_run_name_refused(tmp_path):
+    with pytest.raises(SystemExit, match="unknown golden runs \\['nope'\\]"):
+        regenerate(["nope"], tmp_path)
+
+
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    sys.exit(regenerate(sys.argv[1:]))

@@ -76,6 +76,11 @@ class TestForward:
         out = ln_forward(np.array([3.0, 3.0]), plain(2, eps=1e-5))
         assert np.allclose(out, 0.0)
 
+    @pytest.mark.parametrize("eps", [-1e-5, float("nan")])
+    def test_out_of_range_epsilon_raises(self, eps):
+        with pytest.raises(ValueError, match=rf"^LNParams: epsilon must be >= 0, got {eps}$"):
+            plain(2, eps=eps)
+
     def test_columns_match_tokenwise(self):
         gen = RngStream(5).generator()
         X = gen.normal(size=(4, 6))

@@ -99,9 +99,12 @@ class TestMakeTask:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
-        ("steps", -1), ("batch_size", 0), ("lr", -0.1), ("weight_decay", -0.3),
-        ("momentum", -0.5), ("momentum", 1.0), ("noise_std", -0.1),
+        ("steps", -1), ("batch_size", 0), ("lr", -0.1), ("lr", float("nan")),
+        ("weight_decay", -0.3), ("weight_decay", float("nan")),
+        ("momentum", -0.5), ("momentum", 1.0), ("momentum", float("nan")),
+        ("noise_std", -0.1), ("noise_std", float("nan")),
         ("divergence_threshold", -1.0), ("divergence_threshold", 0.0),
+        ("divergence_threshold", float("nan")),
     ])
     def test_out_of_range_field_raises(self, field, value):
         # anchored, so the check that fired is the one naming this field
