@@ -29,9 +29,8 @@ from .model import PLACEMENTS, ModelConfig, model_forward, random_model
 from .numerics import MAX_OT_SAMPLES, RngStream, wasserstein_exact
 from .reports import (
     BOUNDS_COLUMNS,
-    CSV,
+    FORMATS,
     GRADCHECK_COLUMNS,
-    JSONL,
     MOMENTS_COLUMNS,
     TRIALS_COLUMNS,
     format_value,
@@ -83,7 +82,7 @@ _COUNTED = ("diagnostics", "sweep")
 # written so that a NaN breaks it.  The ``train`` ranges are TrainConfig's,
 # which ``_check_sections`` reports with the field named.
 _ITEM_RULES = {
-    "format": (lambda v: v in (CSV, JSONL), f"one of {(CSV, JSONL)}"),
+    "format": (lambda v: v in FORMATS, f"one of {FORMATS}"),
     "diagnostics.depths": (lambda v: v >= 1, "at least 1"),
     "diagnostics.delta_ts": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "diagnostics.wasserstein_samples": (
@@ -438,7 +437,7 @@ def cmd_report(cfg: dict) -> int:
     out = Path(cfg["output"])
     found = [
         (stem, out / f"{stem}.{ext}")
-        for stem in CHECKS for ext in (CSV, JSONL)
+        for stem in CHECKS for ext in FORMATS
         if (out / f"{stem}.{ext}").exists()
     ]
     if not found:
@@ -476,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, help="number of blocks")
     parser.add_argument("--instances", type=int, help="randomized suite size")
     parser.add_argument("--out", help="output directory for reports")
-    parser.add_argument("--format", choices=("csv", "jsonl"), help="report format")
+    parser.add_argument("--format", choices=FORMATS, help="report format")
     parser.add_argument("command", choices=tuple(HANDLERS))
     return parser
 

@@ -116,7 +116,7 @@ class ModelConfig:
             raise PlacementError(f"unknown placement {self.placement!r}, expected one of {PLACEMENTS}")
         if not (0.0 < self.delta_t <= 1.0):
             raise ValueError(f"delta_t must lie in (0, 1], got {self.delta_t}")
-        if self.depth < 1:
+        if not self.depth >= 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.activation not in attn_mod.ACTIVATIONS:
             raise ValueError(
@@ -125,7 +125,7 @@ class ModelConfig:
         if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         for name in ("d", "n", "k", "m", "heads"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
 
     @property

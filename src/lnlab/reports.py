@@ -19,7 +19,7 @@ from pathlib import Path
 
 CSV = "csv"
 JSONL = "jsonl"
-_FORMATS = (CSV, JSONL)
+FORMATS = (CSV, JSONL)
 
 BOUNDS_COLUMNS = (
     "check", "placement", "D", "delta_t", "gamma_max", "beta_max",
@@ -54,8 +54,8 @@ def _json_value(v) -> str:
 
 def write_report(rows: list[dict], columns: tuple[str, ...], path, fmt: str = CSV) -> None:
     """Write homogeneous rows to ``path``; missing keys are emitted as empty."""
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {_FORMATS}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     path = Path(path)
     if fmt == CSV:
         lines = [",".join(columns)]

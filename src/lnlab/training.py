@@ -69,9 +69,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in _TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {_TASKS}")
-        if self.steps < 0:
+        if not self.steps >= 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
@@ -83,9 +83,9 @@ class TrainConfig:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if not self.divergence_threshold > 0.0:
             raise ValueError(f"divergence_threshold must be > 0, got {self.divergence_threshold}")
-        if self.checkpoint_every < 1:
+        if not self.checkpoint_every >= 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
-        if self.dataset_size is not None and self.dataset_size < 1:
+        if self.dataset_size is not None and not self.dataset_size >= 1:
             raise ValueError(f"dataset_size must be None or >= 1, got {self.dataset_size}")
 
 

@@ -224,7 +224,11 @@ class TestRandomModel:
 
 
 class TestModelConfig:
-    @pytest.mark.parametrize("field, value", [("activation", "sigmoid"), ("epsilon", -1e-3)])
+    @pytest.mark.parametrize("field, value", [
+        ("activation", "sigmoid"), ("epsilon", -1e-3), ("epsilon", float("nan")),
+        ("delta_t", float("nan")), ("depth", 0), ("depth", float("nan")),
+        ("d", 0), ("heads", float("nan")),
+    ])
     def test_bad_field_rejected_on_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             replace(cfg_for("peri"), **{field: value})

@@ -99,7 +99,10 @@ class TestMakeTask:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
-        ("steps", -1), ("batch_size", 0), ("lr", -0.1), ("lr", float("nan")),
+        ("steps", -1), ("steps", float("nan")), ("batch_size", 0), ("batch_size", float("nan")),
+        ("checkpoint_every", 0), ("checkpoint_every", float("nan")),
+        ("dataset_size", 0), ("dataset_size", float("nan")),
+        ("lr", -0.1), ("lr", float("nan")),
         ("weight_decay", -0.3), ("weight_decay", float("nan")),
         ("momentum", -0.5), ("momentum", 1.0), ("momentum", float("nan")),
         ("noise_std", -0.1), ("noise_std", float("nan")),
