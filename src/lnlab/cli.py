@@ -3,8 +3,9 @@
 Subcommands: gradcheck, bounds, diagnose, train, sweep, ot-check, report.
 Configuration comes from a JSON file with full defaulting (unknown keys,
 values not of their default's type and NaN or infinite floats are rejected);
-flags override file values, and every command then builds the ``model`` and
-``train`` sections once, so a section that does not build exits 2 named.
+flags override file values.  Every range is that of the library object the
+value fills (``ModelConfig``, ``TrainConfig``, ``first_repeat``, the transport
+checks); the CLI builds them all before any work and names the config path.
 Which rows of a report fail is decided in one place, ``CHECKS``: a command
 and ``report`` apply the same rule.  Exit codes: 0 all selected checks pass,
 1 a check failed (first failing row printed), 2 bad config, report or usage.
@@ -26,7 +27,7 @@ import numpy as np
 from . import gradcheck, suites
 from .diagnostics import layer_moments
 from .model import PLACEMENTS, ModelConfig, model_forward, random_model
-from .numerics import MAX_OT_SAMPLES, RngStream, wasserstein_exact
+from .numerics import RngStream, check_order, check_sample_count, wasserstein_exact
 from .reports import (
     BOUNDS_COLUMNS,
     FORMATS,
@@ -76,26 +77,6 @@ DEFAULTS = {
 # grids to run over (non-empty)
 _COUNTED = ("diagnostics", "sweep")
 
-# the range a scalar field's value, or each item of a grid list, must lie in,
-# checked here so that a bad value is named by its config path rather than by
-# the field it later fills or the kernel that later refuses it; each rule is
-# written so that a NaN breaks it.  The ``train`` ranges are TrainConfig's,
-# which ``_check_sections`` reports with the field named.
-_ITEM_RULES = {
-    "format": (lambda v: v in FORMATS, f"one of {FORMATS}"),
-    "diagnostics.depths": (lambda v: v >= 1, "at least 1"),
-    "diagnostics.delta_ts": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "diagnostics.wasserstein_samples": (
-        lambda v: 1 <= v <= MAX_OT_SAMPLES, f"in [1, {MAX_OT_SAMPLES}]"
-    ),
-    "diagnostics.wasserstein_p": (lambda v: v >= 1.0, "at least 1"),
-    "sweep.weight_decays": (lambda v: v >= 0.0, "at least 0"),
-    "sweep.placements": (lambda v: v in PLACEMENTS, f"one of {PLACEMENTS}"),
-}
-
-# grid lists whose items key the trials, so an item may not repeat
-_DISTINCT = ("sweep.placements", "sweep.weight_decays")
-
 
 class ConfigError(ValueError):
     pass
@@ -116,21 +97,11 @@ def _fits(default, value) -> bool:
     return isinstance(value, type(default))
 
 
-def _items(value) -> list[tuple[str, object]]:
-    """(suffix, item) pairs: ('[i]', item) for each item of a list, else
-    ('', value) for the value itself."""
-    if isinstance(value, list):
-        return [(f"[{i}]", v) for i, v in enumerate(value)]
-    return [("", value)]
-
-
 def _nonfinite_at(value) -> str | None:
-    """The suffix of the first item of ``value`` that is NaN or an infinity
-    (which ``json.loads`` accepts), else None."""
-    for at, v in _items(value):
-        if isinstance(v, float) and not math.isfinite(v):
-            return at
-    return None
+    """The suffix ('[i]' for item i of a list, '' for a scalar) of the first
+    item of ``value`` that is NaN or an infinity (``json.loads`` accepts them)."""
+    items = [(f"[{i}]", v) for i, v in enumerate(value)] if isinstance(value, list) else [("", value)]
+    return next((at for at, v in items if isinstance(v, float) and not math.isfinite(v)), None)
 
 
 def _merge(defaults: dict, override: dict, path: str) -> dict:
@@ -153,14 +124,9 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
             raise ConfigError(f"config field {where!r} must be non-empty")
         elif path in _COUNTED and type(defaults[key]) is int and value < 1:
             raise ConfigError(f"config field {where!r} must be at least 1, got {value!r}")
+        elif where == "format" and value not in FORMATS:
+            raise ConfigError(f"config field 'format' must be one of {FORMATS}, got {value!r}")
         else:
-            if where in _ITEM_RULES:
-                ok, rule = _ITEM_RULES[where]
-                for at, item in _items(value):
-                    if not ok(item):
-                        raise ConfigError(f"config field '{where}{at}' must be {rule}, got {item!r}")
-            if where in _DISTINCT and (i := first_repeat(value)) is not None:
-                raise ConfigError(f"config field '{where}[{i}]' repeats {value[i]!r}")
             # an int given for a float field, or for an item of a float list,
             # is stored as that float
             if isinstance(defaults[key], float):
@@ -205,14 +171,38 @@ def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(cfg=model_config(cfg), seed=cfg["seed"], **cfg["train"])
 
 
+def _named(where: str, build, *args):
+    """``build(*args)``, with a ValueError it raises made a ConfigError that
+    gives ``where``, the config path, before the library's own words."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _check_sections(cfg: dict) -> None:
-    """Build the model and the training config once, so that every command
-    refuses a bad ``model`` or ``train`` section and names it."""
-    for section, build in (("model", model_config), ("train", train_config)):
-        try:
-            build(cfg)
-        except ValueError as exc:
-            raise ConfigError(f"config section {section!r}: {exc}") from exc
+    """Build, before any work, every library object a command builds from the
+    config (per section and per grid item), so that a value the library
+    refuses is named by its config path; the CLI states no range itself."""
+    mc = _named("config section 'model'", model_config, cfg)
+    tc = _named("config section 'train'", train_config, cfg)
+    grids = {
+        "diagnostics.depths": lambda v: replace(mc, depth=v),
+        "diagnostics.delta_ts": lambda v: replace(mc, delta_t=v),
+        "sweep.placements": lambda v: replace(mc, placement=v),
+        "sweep.weight_decays": lambda v: replace(tc, weight_decay=v),
+    }
+    for where, build in grids.items():
+        section, key = where.split(".")
+        items = cfg[section][key]
+        for i, item in enumerate(items):
+            _named(f"config field '{where}[{i}]'", build, item)
+        if section == "sweep" and (i := first_repeat(items)) is not None:
+            raise ConfigError(f"config field '{where}[{i}]' repeats {items[i]!r}")
+    diag_cfg = cfg["diagnostics"]
+    _named("config field 'diagnostics.wasserstein_samples'",
+           check_sample_count, diag_cfg["wasserstein_samples"])
+    _named("config field 'diagnostics.wasserstein_p'", check_order, diag_cfg["wasserstein_p"])
 
 
 def _out_path(cfg: dict, stem: str) -> Path:

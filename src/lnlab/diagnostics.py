@@ -44,7 +44,9 @@ from .model import (
     model_forward,
     sublayer_sensitivity,
 )
-from .numerics import MAX_OT_SAMPLES, Moments, ShapeMismatchError, moments, wasserstein_exact
+from .numerics import (
+    Moments, ShapeMismatchError, check_order, check_sample_count, moments, wasserstein_exact,
+)
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,7 @@ def c_hat(p: float, nd: int) -> float:
 
     Exactly 1 at p = 2; (nd)^|1/2 - 1/p| otherwise.
     """
-    if not (1.0 <= p < np.inf):
-        raise ValueError(f"c_hat: p must be >= 1 and finite, got {p}")
+    check_order(p)
     if p == 2.0:
         return 1.0
     return float(nd ** abs(0.5 - 1.0 / p))
@@ -220,11 +221,8 @@ def wasserstein_stability_check(
         raise ShapeMismatchError(
             f"wasserstein_stability_check: need two (N, d, n) stacks, got {mu0.shape} and {nu0.shape}"
         )
-    if len(mu0) > MAX_OT_SAMPLES:
-        raise ValueError(
-            f"wasserstein_stability_check: N={len(mu0)} exceeds the cap of {MAX_OT_SAMPLES}"
-        )
-    norm_equivalence = c_hat(p, cfg.nd)  # refuses p outside [1, inf) before the pushforward
+    check_sample_count(len(mu0))
+    norm_equivalence = c_hat(p, cfg.nd)  # refuses p before the pushforward
     mu_d = model_forward(mu0, params, cfg).x_final
     nu_d = model_forward(nu0, params, cfg).x_final
     lhs = wasserstein_exact(mu_d, nu_d, p)

@@ -208,6 +208,18 @@ MAX_OT_SAMPLES = 256
 COST_BLOCK_ROWS = 16
 
 
+def check_sample_count(n: int) -> None:
+    """Refuse a transport problem of more than ``MAX_OT_SAMPLES`` samples."""
+    if n > MAX_OT_SAMPLES:
+        raise ValueError(f"N={n} exceeds the cap of {MAX_OT_SAMPLES}")
+
+
+def check_order(p: float) -> None:
+    """Refuse a transport order p outside [1, inf); NaN breaks the rule."""
+    if not (1.0 <= p < np.inf):
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
+
+
 def transport_cost(flat_a: np.ndarray, flat_b: np.ndarray, p: float) -> np.ndarray:
     """N x N cost ``sum_k |a_ik - b_jk|^p`` of two (N, m) sample stacks,
     built ``COST_BLOCK_ROWS`` rows at a time so the (rows, N, m) temporary
@@ -237,8 +249,7 @@ def wasserstein_exact(
     """
     a = np.asarray(a_samples, dtype=np.float64)
     b = np.asarray(b_samples, dtype=np.float64)
-    if not (1.0 <= p < np.inf):
-        raise ValueError(f"wasserstein_exact: p must be >= 1 and finite, got {p}")
+    check_order(p)
     if a.shape != b.shape:
         raise ShapeMismatchError(
             f"wasserstein_exact: sample sets differ in shape, {a.shape} vs {b.shape}"
@@ -248,8 +259,7 @@ def wasserstein_exact(
     n = a.shape[0]
     if n == 0:
         raise ShapeMismatchError("wasserstein_exact: need at least one sample, got N=0")
-    if n > MAX_OT_SAMPLES:
-        raise ValueError(f"wasserstein_exact: N={n} exceeds the cap of {MAX_OT_SAMPLES}")
+    check_sample_count(n)
     cost = transport_cost(a.reshape(n, -1), b.reshape(n, -1), p)
     col = min_cost_assignment(cost)
     mean_cost = float(cost[np.arange(n), col].mean())

@@ -87,16 +87,17 @@ def _parse_cell(s: str):
 
 
 def read_report(path) -> list[dict]:
-    """Read a CSV or JSON-lines report back into row dicts.  A line that is
-    not one JSON object, or a CSV row whose cells do not match the header
-    one for one, raises ValueError naming the file and the line."""
+    """Read a CSV or JSON-lines report back into row dicts, in the format its
+    suffix names (``.jsonl``, else CSV).  A line that is not one JSON object,
+    or a CSV row whose cells do not match the header one for one, raises
+    ValueError naming the file and the line."""
     path = Path(path)
     raw = path.read_text().rstrip("\n")
     if not raw:
         return []
     lines = raw.split("\n")
     rows = []
-    if lines[0].lstrip().startswith("{"):
+    if path.suffix == f".{JSONL}":
         for number, line in enumerate(lines, 1):
             try:
                 row = json.loads(line)

@@ -254,6 +254,19 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), "report"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "bounds.jsonl line 1: expected a JSON object, got '[1, 2]'"),
+        ("check,margin", "bounds.jsonl line 1: Expecting value at column 1"),
+    ], ids=["json-array", "csv-header"])
+    def test_jsonl_report_is_read_as_jsonl_whatever_its_first_line(
+        self, tmp_path, capsys, text, message
+    ):
+        """A report's format is its suffix's, so a .jsonl file whose first
+        line is not a JSON object is refused, not read as an empty CSV."""
+        (tmp_path / "bounds.jsonl").write_text(text + "\n")
+        assert main(["--out", str(tmp_path), "report"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_wrongly_typed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"diagnostics": {"instances": "4"}}')
@@ -288,22 +301,34 @@ class TestExitCodes:
         assert rc == 2
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, command, item", [
-        ('{"diagnostics": {"depths": [0]}}', "bounds", "diagnostics.depths[0]"),
-        ('{"diagnostics": {"depths": [8, -3]}}', "bounds", "diagnostics.depths[1]"),
-        ('{"diagnostics": {"delta_ts": [1.5]}}', "bounds", "diagnostics.delta_ts[0]"),
-        ('{"diagnostics": {"delta_ts": [1.0, 0]}}', "bounds", "diagnostics.delta_ts[1]"),
-        ('{"sweep": {"weight_decays": [-0.1]}}', "sweep", "sweep.weight_decays[0]"),
-        ('{"sweep": {"placements": ["peri", "sideways"]}}', "sweep", "sweep.placements[1]"),
+    @pytest.mark.parametrize("text, command, item, message", [
+        ('{"diagnostics": {"depths": [0]}}', "bounds", "diagnostics.depths[0]",
+         "depth must be >= 1, got 0"),
+        ('{"diagnostics": {"depths": [8, -3]}}', "bounds", "diagnostics.depths[1]",
+         "depth must be >= 1, got -3"),
+        ('{"diagnostics": {"delta_ts": [1.5]}}', "bounds", "diagnostics.delta_ts[0]",
+         "delta_t must lie in (0, 1], got 1.5"),
+        ('{"diagnostics": {"delta_ts": [1.0, 0]}}', "bounds", "diagnostics.delta_ts[1]",
+         "delta_t must lie in (0, 1], got 0.0"),
+        ('{"sweep": {"weight_decays": [-0.1]}}', "sweep", "sweep.weight_decays[0]",
+         "weight_decay must be >= 0, got -0.1"),
+        ('{"sweep": {"placements": ["peri", "sideways"]}}', "sweep", "sweep.placements[1]",
+         "unknown placement 'sideways'"),
+        ('{"sweep": {"weight_decays": [0.0, -2]}}', "sweep", "sweep.weight_decays[1]",
+         "weight_decay must be >= 0, got -2.0"),
+        ('{"diagnostics": {"depths": [8], "delta_ts": [0.5, -0.25]}}', "bounds",
+         "diagnostics.delta_ts[1]", "delta_t must lie in (0, 1], got -0.25"),
     ])
     def test_out_of_range_grid_item_exits_two_naming_the_item(
-        self, tmp_path, capsys, text, command, item
+        self, tmp_path, capsys, text, command, item, message
     ):
+        """The CLI names the item's config path and gives the rule in the
+        words of the library object that refuses it."""
         path = tmp_path / "cfg.json"
         path.write_text(text)
         rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "2", command])
         assert rc == 2
-        assert f"'{item}'" in capsys.readouterr().err
+        assert f"config field '{item}': {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, item", [
         ('{"sweep": {"placements": ["pre", "pre"]}}', "sweep.placements[1]"),
