@@ -8,9 +8,14 @@ with Q, K, V of shape (k, d) and W of shape (d, k) per head; the feedforward
 map is f_ffn(X) = W2 phi(W1 X) applied token-wise (no bias).  Both maps take
 a stack of states ``(..., d, n)``; attention's heads are a stack axis too.
 
-Each map has one derivative, its vector-Jacobian product: the model's
-reverse sweep calls it, and the materialized nd x nd Jacobian is the same
-VJP applied to the nd unit output gradients (``jacobian_from_vjp``), rows =
+Each forward map returns its output together with the intermediates its
+derivative reads: attention the per-head keys, queries, attention and values
+``(kz, qz, attn, vz)``, the FFN its pre-activation and activation ``(pre,
+act)``.  Each map has one derivative, its vector-Jacobian product, which
+takes the state and those intermediates and recomputes none of the forward
+pass: the model's reverse sweep calls it on what the forward tape kept, and
+the materialized nd x nd Jacobian runs the forward map once and applies the
+same VJP to the nd unit output gradients (``jacobian_from_vjp``), rows =
 outputs, matching the normalization module.
 """
 
@@ -108,9 +113,10 @@ def activation_fn(name: str):
     return lambda z: np.maximum(z, 0.0)
 
 
-def activation_derivative(name: str, pre: np.ndarray) -> np.ndarray:
+def activation_derivative(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """phi'(pre), given the taped ``act = phi(pre)``: tanh' is 1 - act^2."""
     if name == TANH:
-        return 1.0 - np.tanh(pre) ** 2
+        return 1.0 - act ** 2
     if np.any(pre == 0.0):
         raise ActivationKinkError(
             "relu pre-activation is exactly zero; derivative undefined, use tanh"
@@ -130,34 +136,32 @@ def _check_state(X: np.ndarray, p: AttentionParams | FfnParams) -> np.ndarray:
     return X
 
 
-def _heads(Z: np.ndarray, p: AttentionParams):
-    """The score scale and the keys, queries, column-softmax attention and
-    values of the state(s) ``Z`` for every head at once: heads are axis -3,
-    so a ``(..., d, n)`` stack gives ``(..., H, ., n)`` maps."""
-    Zh = Z[..., None, :, :]
-    scale = 1.0 / np.sqrt(p.key_dim)
-    kz, qz = p.k @ Zh, p.q @ Zh
-    return scale, kz, qz, softmax_columns(kz.mT @ qz * scale), p.v @ Zh
-
-
-def attn_forward(X: np.ndarray, p: AttentionParams) -> np.ndarray:
+def attn_forward(X: np.ndarray, p: AttentionParams):
+    """f_attn at the state(s) ``X`` for every head at once (heads are axis
+    -3, so a ``(..., d, n)`` stack gives ``(..., H, ., n)`` maps); returns
+    ``(output, (kz, qz, attn, vz))``, the output and the per-head keys,
+    queries, column-softmax attention and values that ``attn_vjp`` takes."""
     X = _check_state(X, p)
-    _, _, _, attn, vz = _heads(X, p)
-    return np.add.reduce(p.w @ vz @ attn, axis=-3)
+    Xh = X[..., None, :, :]
+    kz, qz, vz = p.k @ Xh, p.q @ Xh, p.v @ Xh
+    attn = softmax_columns(kz.mT @ qz * (1.0 / np.sqrt(p.key_dim)))
+    return np.add.reduce(p.w @ vz @ attn, axis=-3), (kz, qz, attn, vz)
 
 
-def attn_vjp(Z: np.ndarray, p: AttentionParams, gbar: np.ndarray):
-    """Reverse sweep of ``attn_forward`` at ``Z``: given the output gradient
-    ``gbar``, returns the input gradient and the per-head weight gradients.
+def attn_vjp(Z: np.ndarray, kz: np.ndarray, qz: np.ndarray, attn: np.ndarray, vz: np.ndarray,
+             p: AttentionParams, gbar: np.ndarray):
+    """Reverse sweep of ``attn_forward`` at ``Z`` from what its forward pass
+    taped: given the output gradient ``gbar``, returns the input gradient and
+    the per-head weight gradients, recomputing none of the forward pass.
 
     ``gbar`` may stack more gradients than ``Z`` stacks states (one state,
     many upstream gradients); every result has its leading axes."""
-    scale, kz, qz, attn, vz = _heads(Z, p)
+    scale = 1.0 / np.sqrt(p.key_dim)
     g = gbar[..., None, :, :]
     t = p.w.mT @ g
     t_at = t @ attn.mT
     ga = vz.mT @ t
-    gs = attn * (ga - (attn * ga).sum(axis=-2, keepdims=True))
+    gs = attn * (ga - np.add.reduce(attn * ga, axis=-2, keepdims=True))
     gkz = qz @ gs.mT * scale
     gqz = kz @ gs * scale
     gz = np.add.reduce(p.v.mT @ t_at + p.k.mT @ gkz + p.q.mT @ gqz, axis=-3)
@@ -171,23 +175,26 @@ def attn_jacobian_full(X: np.ndarray, p: AttentionParams) -> np.ndarray:
     ``attn_vjp``.  Block (j, i) holds d[f_attn]_j / d x_i; every block
     depends linearly on V and W, which is what makes the pre-norm
     sensitivity scale with the weights and the peri-norm one not."""
-    X = _check_state(as_matrix(X), p)
-    return jacobian_from_vjp(lambda G: attn_vjp(X, p, G)[0], *X.shape)
+    X = as_matrix(X)
+    _, taped = attn_forward(X, p)
+    return jacobian_from_vjp(lambda G: attn_vjp(X, *taped, p, G)[0], *X.shape)
 
 
-def ffn_forward(X: np.ndarray, p: FfnParams) -> np.ndarray:
+def ffn_forward(X: np.ndarray, p: FfnParams):
+    """f_ffn at the state(s) ``X``; returns ``(output, (pre, act))``, the
+    output and the pre-activation and activation that ``ffn_vjp`` takes."""
     X = _check_state(X, p)
-    phi = activation_fn(p.activation)
-    return p.w2 @ phi(p.w1 @ X)
-
-
-def ffn_vjp(Z: np.ndarray, p: FfnParams, gbar: np.ndarray):
-    """Reverse sweep of ``ffn_forward`` at ``Z``: (input gradient, weight
-    gradients), stacked like ``gbar`` as in ``attn_vjp``."""
-    pre = p.w1 @ Z
+    pre = p.w1 @ X
     act = activation_fn(p.activation)(pre)
+    return p.w2 @ act, (pre, act)
+
+
+def ffn_vjp(Z: np.ndarray, pre: np.ndarray, act: np.ndarray, p: FfnParams, gbar: np.ndarray):
+    """Reverse sweep of ``ffn_forward`` at ``Z`` from what its forward pass
+    taped: (input gradient, weight gradients), stacked like ``gbar`` as in
+    ``attn_vjp``."""
     gw2 = gbar @ act.mT
-    gpre = (p.w2.T @ gbar) * activation_derivative(p.activation, pre)
+    gpre = (p.w2.T @ gbar) * activation_derivative(p.activation, pre, act)
     gw1 = gpre @ Z.mT
     gz = p.w1.T @ gpre
     return gz, {"ffn.w1": gw1, "ffn.w2": gw2}
@@ -197,5 +204,6 @@ def ffn_jacobian_blockdiag(X: np.ndarray, p: FfnParams) -> np.ndarray:
     """nd x nd Jacobian of token-wise f_ffn at one d x n state, from
     ``ffn_vjp``: block j is W2 diag(phi'(W1 x_j)) W1 on the diagonal, and
     off-token blocks are zero."""
-    X = _check_state(as_matrix(X), p)
-    return jacobian_from_vjp(lambda G: ffn_vjp(X, p, G)[0], *X.shape)
+    X = as_matrix(X)
+    _, taped = ffn_forward(X, p)
+    return jacobian_from_vjp(lambda G: ffn_vjp(X, *taped, p, G)[0], *X.shape)

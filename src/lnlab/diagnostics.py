@@ -42,6 +42,7 @@ from .model import (
     PlacementError,
     Stages,
     model_forward,
+    push_forward,
     sublayer_sensitivity,
 )
 from .numerics import (
@@ -174,7 +175,7 @@ def datawise_variance_check(
     if len(inputs) < 2:
         raise ValueError("datawise_variance_check: need at least 2 samples")
     scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
-    values = model_forward(np.stack(inputs), params, cfg).x_final[:, entry[0], entry[1]]
+    values = push_forward(np.stack(inputs), params, cfg)[:, entry[0], entry[1]]
     rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
     lhs = np.var(values, ddof=1)
     return BoundReport.for_model("datawise_variance", cfg, gmax, bmax, lhs, np.mean(rhs_terms), seed)
@@ -189,7 +190,7 @@ def pathwise_stability_check(
 ) -> BoundReport:
     """Terminal Frobenius deviation of two inputs vs the pathwise bound."""
     gmax, bmax = _output_ln_gate(cfg, params, "pathwise_stability_check")
-    xa, xb = model_forward(np.stack([x0a, x0b]), params, cfg).x_final
+    xa, xb = push_forward(np.stack([x0a, x0b]), params, cfg)
     lhs = np.linalg.norm(xa - xb)
     rhs = (
         np.linalg.norm(np.asarray(x0a) - np.asarray(x0b))
@@ -223,8 +224,8 @@ def wasserstein_stability_check(
         )
     check_sample_count(len(mu0))
     norm_equivalence = c_hat(p, cfg.nd)  # refuses p before the pushforward
-    mu_d = model_forward(mu0, params, cfg).x_final
-    nu_d = model_forward(nu0, params, cfg).x_final
+    mu_d = push_forward(mu0, params, cfg)
+    nu_d = push_forward(nu0, params, cfg)
     lhs = wasserstein_exact(mu_d, nu_d, p)
     w0 = wasserstein_exact(mu0, nu0, p)
     rhs = 2.0 ** ((p - 1.0) / p) * (
@@ -268,7 +269,7 @@ def rescale_invariance_test(
         scaled_block = BlockParams(b.attn.scaled(c1, c2), b.ffn, b.ln)
     else:
         if b.ffn.activation == RELU:
-            pre = b.ffn.w1 @ tape.traces[block_index].ffn.core_in
+            pre, _ = tape.traces[block_index].ffn.core
             # the sublayer input is unchanged by the rescale, so the scaled
             # pre-activation is exactly c1 * pre
             if np.any((pre > 0) != (c1 * pre > 0)):

@@ -84,11 +84,11 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
             jacobian = lambda X: model_mod.local_sensitivity(model_mod.model_forward(X, params, cfg), 0)
         elif category == "attention":
             p = model_mod.random_block_params(cfg, gen).attn
-            f = lambda X: attn_mod.attn_forward(X, p)
+            f = lambda X: attn_mod.attn_forward(X, p)[0]
             jacobian = lambda X: attn_mod.attn_jacobian_full(X, p)
         else:
             p = model_mod.random_block_params(cfg, gen).ffn
-            f = lambda X: attn_mod.ffn_forward(X, p)
+            f = lambda X: attn_mod.ffn_forward(X, p)[0]
             jacobian = lambda X: attn_mod.ffn_jacobian_blockdiag(X, p)
         X = gen.normal(size=(cfg.d, cfg.n))
         fd = fd_jacobian(lambda v: vec(f(unvec(v, cfg.d, cfg.n))), vec(X))
@@ -105,7 +105,7 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
         def loss(name: str, value: np.ndarray) -> np.ndarray:
             plist = list(params)
             plist[block] = model_mod.flat_to_params({**flat, name: value}, params[block])
-            return np.array([(C * model_mod.model_forward(X, plist, cfg).x_final).sum()])
+            return np.array([(C * model_mod.push_forward(X, plist, cfg)).sum()])
 
         err = max(
             rel_error(

@@ -20,10 +20,14 @@ recovers the unscaled composition bit-exactly.  The forward pass
 the only maps that branch on the row, ``ModelConfig.stages``: a
 materialized per-block sensitivity is the reverse sweep applied to the nd
 unit output gradients, so a new placement is one new row.  The tape keeps
-only what the sweep reads, each state once: per sublayer x, z, out and the
-statistics (xhat, s) of each LN site it ran, which its VJP reads in place of
-the site's input.  ``states`` (X_0 ... X_D) is read from the traces, and
-``model_forward`` copies only X_0.
+what the sweep reads, each state once, so the sweep recomputes no part of
+the forward pass: per sublayer x, z, out, the intermediates the bare map's
+VJP reads (attention's per-head kz, qz, attn, vz; the FFN's pre and act) and
+the statistics (xhat, s) of each LN site it ran, which its VJP reads in place
+of the site's input.  ``states`` (X_0 ... X_D) is read from the traces, and
+``model_forward`` copies only X_0.  Callers that read only X_D call
+``push_forward`` instead: the same checked block loop and errors, holding one
+block's trace at a time, so a forward-only pass never holds the tape.
 
 Hidden states are d x n, or a stack ``(..., d, n)`` of independent states
 (a minibatch): the forward pass and the reverse sweep map each state of a
@@ -248,6 +252,7 @@ class SublayerTrace:
 
     x: np.ndarray                      # sublayer input
     core_in: np.ndarray                # what the bare map was applied to: LN_in(x), else x
+    core: tuple                        # what the bare map's VJP reads: (kz, qz, attn, vz) or (pre, act)
     ln_in: tuple | None                # (xhat, s) of LN_in(x), norm_in only
     ln_out: tuple | None               # (xhat, s) of LN_out(f(core_in)), or of the sum if norm_sum
     out: np.ndarray
@@ -297,13 +302,13 @@ def _apply_sublayer(
     weights = b.attn if which == "attn" else b.ffn
     site_in, site_out = _SITES[which]
     z, ln_in = _ln_at_site(X, b.ln[site_in], block, site_in) if st.norm_in else (X, None)
-    y, ln_out = f(z, weights), None
+    (y, core), ln_out = f(z, weights), None
     if st.norm_out:
         y, ln_out = _ln_at_site(y, b.ln[site_out], block, site_out)
     out = X + cfg.delta_t * y
     if st.norm_sum:
         out, ln_out = _ln_at_site(out, b.ln[site_out], block, site_out)
-    return SublayerTrace(X, z, ln_in, ln_out, out)
+    return SublayerTrace(X, z, core, ln_in, ln_out, out)
 
 
 def block_forward(X: np.ndarray, b: BlockParams, cfg: ModelConfig, index: int = 0):
@@ -320,19 +325,17 @@ def block_forward(X: np.ndarray, b: BlockParams, cfg: ModelConfig, index: int = 
     return ffn_trace.out, BlockTrace(attn_trace, ffn_trace)
 
 
-def model_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -> ForwardTape:
-    """Run all blocks on one state or a stack ``(..., d, n)``, recording every
-    state.  Raises DivergenceError with the first offending block index if
-    any state goes non-finite."""
-    X0 = np.asarray(X0, dtype=np.float64)
+def _checked_blocks(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig):
+    """The checked block loop: validates the blocks and the input, then yields
+    each block's trace in turn.  Raises DivergenceError with the first
+    offending block index if any state goes non-finite (-1 for X_0)."""
     if len(params) != cfg.depth:
         raise ValueError(f"expected {cfg.depth} blocks, got {len(params)}")
     if not np.isfinite(X0).all():
         raise DivergenceError("input state is non-finite", block=-1)
     for i, b in enumerate(params):
         validate_block(b, cfg, i)
-    traces = []
-    x = X0.copy()  # the tape must not see later writes to the caller's array
+    x = X0
     for i, b in enumerate(params):
         try:
             x, trace = block_forward(x, b, cfg, index=i)
@@ -340,8 +343,23 @@ def model_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -
             raise DivergenceError(f"block {i}: {exc}", block=i) from exc
         if not np.isfinite(x).all():
             raise DivergenceError(f"block {i} produced a non-finite state", block=i)
-        traces.append(trace)
-    return ForwardTape(cfg, tuple(params), tuple(traces))
+        yield trace
+
+
+def model_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -> ForwardTape:
+    """Run all blocks on one state or a stack ``(..., d, n)``, recording every
+    block's trace for the reverse sweep."""
+    # a copy: the tape must not see later writes to the caller's array
+    traces = tuple(_checked_blocks(np.array(X0, dtype=np.float64), params, cfg))
+    return ForwardTape(cfg, tuple(params), traces)
+
+
+def push_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) -> np.ndarray:
+    """X_D of ``model_forward``, with its checks and errors, for callers that
+    read nothing else: it holds one block's trace at a time, not the tape."""
+    for trace in _checked_blocks(np.asarray(X0, dtype=np.float64), params, cfg):
+        pass
+    return trace.ffn.out
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +420,7 @@ def _sublayer_backward(
     gupdate = cfg.delta_t * g
     if st.norm_out:
         gupdate = _ln_backward(trace.ln_out, b.ln[site_out], site_out, gupdate, grads)
-    gcore, fgrads = vjp(trace.core_in, weights, gupdate)
+    gcore, fgrads = vjp(trace.core_in, *trace.core, weights, gupdate)
     grads.update(fgrads)
     if st.norm_in:
         gcore = _ln_backward(trace.ln_in, b.ln[site_in], site_in, gcore, grads)

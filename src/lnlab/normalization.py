@@ -92,13 +92,14 @@ def _column_stats(X: np.ndarray, p: LNParams, first_index: int | None = 0):
 
     A zero denominator raises DegenerateTokenError naming the first such
     column (of the first state of a stack that has one), counted from
-    ``first_index``; None leaves the token unnamed."""
+    ``first_index``; None leaves the token unnamed.  Only epsilon = 0 can
+    give one: for epsilon > 0, fl(mean(c^2) + epsilon) >= epsilon > 0, and a
+    NaN denominator never equals 0."""
     if p.kind == LAYERNORM and X.shape[-2] < 2:
         raise ValueError("LayerNorm needs d >= 2")
     c = X - _column_mean(X) if p.kind == LAYERNORM else X
     s = np.sqrt(_column_mean(c * c) + p.epsilon)
-    zero = s[..., 0, :] == 0.0
-    if zero.any():
+    if p.epsilon == 0.0 and (zero := s[..., 0, :] == 0.0).any():
         kind_msg = ("constant token under LayerNorm" if p.kind == LAYERNORM
                     else "zero token under RMSNorm")
         column = int(np.nonzero(zero)[-1][0])
@@ -174,7 +175,7 @@ def ln_vjp(xhat: np.ndarray, s: np.ndarray, p: LNParams, gbar: np.ndarray):
     gbar = np.asarray(gbar, dtype=np.float64)
     ghat = p.gamma[:, None] * gbar
     proj = xhat * _column_mean(xhat * ghat)
-    ggamma = (xhat * gbar).sum(axis=-1)
+    ggamma = np.add.reduce(xhat * gbar, axis=-1)
     if p.kind == RMSNORM:
         return (ghat - proj) / s, ggamma, None
-    return (ghat - _column_mean(ghat) - proj) / s, ggamma, gbar.sum(axis=-1)
+    return (ghat - _column_mean(ghat) - proj) / s, ggamma, np.add.reduce(gbar, axis=-1)

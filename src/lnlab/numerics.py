@@ -41,8 +41,8 @@ def softmax_columns(s: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(f"softmax_columns: expected (..., m, n), got ndim={s.ndim}")
     if not np.isfinite(s).all():
         raise NonFiniteError("softmax_columns: input contains non-finite entries")
-    e = np.exp(s - s.max(axis=-2, keepdims=True))
-    return e / e.sum(axis=-2, keepdims=True)
+    e = np.exp(s - np.maximum.reduce(s, axis=-2, keepdims=True))
+    return e / np.add.reduce(e, axis=-2, keepdims=True)
 
 
 @dataclass(frozen=True)

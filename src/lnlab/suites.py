@@ -14,7 +14,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import model as model_mod
 from . import normalization as norm
-from .model import ModelConfig, model_forward, random_model, simplified_pre_chain
+from .model import ModelConfig, model_forward, push_forward, random_model, simplified_pre_chain
 from .numerics import RngStream, spectral_norm
 from .parallel import map_indexed
 
@@ -140,7 +140,7 @@ def divergence_witness(seeds: int, master_seed: int = 0) -> list[WitnessOutcome]
         chain = simplified_pre_chain(x0, [w] * depth, [np.ones(d)] * depth)
         cfg = ModelConfig(d=d, n=n, k=4, m=8, heads=1, depth=depth, placement=model_mod.PERI)
         params = random_model(cfg, RngStream(master_seed + i, 5))
-        peri_ma = float(np.abs(model_forward(x0, params, cfg).x_final).mean())
+        peri_ma = float(np.abs(push_forward(x0, params, cfg)).mean())
         return WitnessOutcome(
             seed=master_seed + i,
             chain_ma=chain.mean_abs,

@@ -7,19 +7,20 @@ with loops pin the library's Jacobians (which it builds from its VJPs),
 brute-force enumeration solves small transport problems, the textbook
 Hungarian loop (one dual update per scanned column) pins the
 shortest-augmenting-path solver on larger ones, and extended-precision
-arithmetic recomputes the scalar kernels.  Three
-exceptions: the per-token LN VJP loops the materialized single-token
-``ln_jacobian`` (itself pinned against finite differences) to pin the
-closed-form column kernels; ``scripted_train_run`` and
-``scripted_terminal_states`` run one sample at a time through the
-library's model, to pin the stacked minibatch step and the stacked
-pushforwards of the bound checks; and ``per_head_attn_forward`` and
-``per_head_attn_vjp`` run the library's attention one head at a time, to
-pin its head axis bit for bit.  ``zero_weight_block`` and
-``gradient_product`` are test fixtures built on the library's model: a block
-whose sublayers map to zero, and the product of its local sensitivities;
-``ln_vjp_at`` is the library's LN VJP taken at a raw input, from the
-statistics the forward pass tapes.
+arithmetic recomputes the scalar kernels.  Four exceptions: the per-token
+LN VJP loops the materialized single-token ``ln_jacobian`` (itself pinned
+against finite differences) to pin the closed-form column kernels;
+``scripted_train_run`` and ``scripted_terminal_states`` run one sample at a
+time through the library's model, to pin the stacked minibatch step and the
+stacked pushforwards of the bound checks; ``per_head_attn_forward`` and
+``per_head_attn_vjp`` run the library's attention one head at a time, to pin
+its head axis bit for bit; and ``recompute_attn_vjp`` and
+``recompute_ffn_vjp`` recompute the sublayers' intermediates from the state,
+to pin bit for bit the VJPs that read them from the forward tape.
+``zero_weight_block`` and ``gradient_product`` are test fixtures built on
+the library's model: a block whose sublayers map to zero, and the product
+of its local sensitivities; ``ln_vjp_at`` is the library's LN VJP taken at
+a raw input, from the statistics the forward pass tapes.
 """
 
 from __future__ import annotations
@@ -241,6 +242,57 @@ def per_head_attn_vjp(Z: np.ndarray, p: AttentionParams, gbar: np.ndarray):
         gq[..., h, :, :] = gqz @ Z.mT
         gz += p.v[h].T @ t_at + p.k[h].T @ gkz + p.q[h].T @ gqz
     return gz, {"attn.q": gq, "attn.k": gk, "attn.v": gv, "attn.w": gw}
+
+
+def _recompute_heads(Z: np.ndarray, p: AttentionParams):
+    """The score scale and the keys, queries, column-softmax attention and
+    values of the state(s) ``Z`` for every head at once: heads are axis -3,
+    so a ``(..., d, n)`` stack gives ``(..., H, ., n)`` maps."""
+    Zh = Z[..., None, :, :]
+    scale = 1.0 / np.sqrt(p.key_dim)
+    kz, qz = p.k @ Zh, p.q @ Zh
+    return scale, kz, qz, softmax_columns(kz.mT @ qz * scale), p.v @ Zh
+
+
+def recompute_attn_vjp(Z: np.ndarray, p: AttentionParams, gbar: np.ndarray):
+    """The library's ``attn_vjp`` as it was before the forward pass taped its
+    intermediates: it recomputes the keys, queries, attention and values
+    from ``Z``."""
+    scale, kz, qz, attn, vz = _recompute_heads(Z, p)
+    g = gbar[..., None, :, :]
+    t = p.w.mT @ g
+    t_at = t @ attn.mT
+    ga = vz.mT @ t
+    gs = attn * (ga - (attn * ga).sum(axis=-2, keepdims=True))
+    gkz = qz @ gs.mT * scale
+    gqz = kz @ gs * scale
+    gz = np.add.reduce(p.v.mT @ t_at + p.k.mT @ gkz + p.q.mT @ gqz, axis=-3)
+    Zt = Z[..., None, :, :].mT
+    gw = g @ (vz @ attn).mT
+    return gz, {"attn.q": gqz @ Zt, "attn.k": gkz @ Zt, "attn.v": t_at @ Zt, "attn.w": gw}
+
+
+def _recompute_activation_derivative(name: str, pre: np.ndarray) -> np.ndarray:
+    if name == "tanh":
+        return 1.0 - np.tanh(pre) ** 2
+    if np.any(pre == 0.0):
+        raise ActivationKinkError(
+            "relu pre-activation is exactly zero; derivative undefined, use tanh"
+        )
+    return (pre > 0.0).astype(np.float64)
+
+
+def recompute_ffn_vjp(Z: np.ndarray, p: FfnParams, gbar: np.ndarray):
+    """The library's ``ffn_vjp`` as it was before the forward pass taped its
+    intermediates: it recomputes the pre-activation, the activation and
+    tanh's derivative from ``Z``."""
+    pre = p.w1 @ Z
+    act = (np.tanh if p.activation == "tanh" else lambda z: np.maximum(z, 0.0))(pre)
+    gw2 = gbar @ act.mT
+    gpre = (p.w2.T @ gbar) * _recompute_activation_derivative(p.activation, pre)
+    gw1 = gpre @ Z.mT
+    gz = p.w1.T @ gpre
+    return gz, {"ffn.w1": gw1, "ffn.w2": gw2}
 
 
 def scripted_ffn(X, w1, w2, activation: str) -> np.ndarray:

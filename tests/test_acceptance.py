@@ -94,7 +94,7 @@ def test_criterion_01_gradient_oracle_suite():
         cfg = _criterion_cfg(gen)
         p = random_model(cfg, RngStream(int(gen.integers(2**32))))[0].attn
         X = gen.normal(size=(cfg.d, cfg.n))
-        fd = central_diff_jacobian(lambda v: vec(attn_forward(unvec(v, cfg.d, cfg.n), p)), vec(X))
+        fd = central_diff_jacobian(lambda v: vec(attn_forward(unvec(v, cfg.d, cfg.n), p)[0]), vec(X))
         w = max(w, relative_error(attn_jacobian_full(X, p), fd))
     worst["attention"] = w
 
@@ -104,7 +104,7 @@ def test_criterion_01_gradient_oracle_suite():
         cfg = _criterion_cfg(gen)
         p = random_model(cfg, RngStream(int(gen.integers(2**32))))[0].ffn
         X = gen.normal(size=(cfg.d, cfg.n))
-        fd = central_diff_jacobian(lambda v: vec(ffn_forward(unvec(v, cfg.d, cfg.n), p)), vec(X))
+        fd = central_diff_jacobian(lambda v: vec(ffn_forward(unvec(v, cfg.d, cfg.n), p)[0]), vec(X))
         w = max(w, relative_error(ffn_jacobian_blockdiag(X, p), fd))
     worst["ffn"] = w
 

@@ -7,6 +7,8 @@ from oracles import (
     central_diff_jacobian,
     per_head_attn_forward,
     per_head_attn_vjp,
+    recompute_attn_vjp,
+    recompute_ffn_vjp,
     relative_error,
     scripted_attention,
     scripted_attention_jacobian,
@@ -23,6 +25,7 @@ from lnlab.attention import (
     attn_vjp,
     ffn_forward,
     ffn_jacobian_blockdiag,
+    ffn_vjp,
 )
 from lnlab.numerics import RngStream, ShapeMismatchError, unvec, vec
 
@@ -51,7 +54,7 @@ class TestAttnForward:
         p = random_attention(gen, d, k, 1)
         p = AttentionParams(np.zeros_like(p.q), np.zeros_like(p.k), p.v, p.w)
         X = gen.normal(size=(d, n))
-        out = attn_forward(X, p)
+        out = attn_forward(X, p)[0]
         mean_col = (p.w[0] @ p.v[0] @ X).mean(axis=1)
         for j in range(n):
             assert np.allclose(out[:, j], mean_col, atol=1e-14)
@@ -61,7 +64,7 @@ class TestAttnForward:
         p = random_attention(gen, 3, 2, 2)
         x = gen.normal(size=(3, 1))
         expected = sum(p.w[h] @ p.v[h] @ x for h in range(2))
-        assert np.allclose(attn_forward(x, p), expected, atol=1e-14)
+        assert np.allclose(attn_forward(x, p)[0], expected, atol=1e-14)
 
     def test_hand_set_weights_vs_scripted_eval(self):
         q = np.array([[[1.0, 0.0], [0.0, 1.0]]])
@@ -70,7 +73,7 @@ class TestAttnForward:
         w = np.array([[[2.0, 0.0], [1.0, 1.0]]])
         p = AttentionParams(q, k, v, w)
         X = np.array([[1.0, -1.0], [0.5, 2.0]])
-        assert np.allclose(attn_forward(X, p), scripted_attention(X, q, k, v, w), atol=1e-14)
+        assert np.allclose(attn_forward(X, p)[0], scripted_attention(X, q, k, v, w), atol=1e-14)
 
     def test_random_vs_scripted_eval(self):
         gen = RngStream(2).generator()
@@ -79,7 +82,7 @@ class TestAttnForward:
             p = random_attention(gen, d, k, heads)
             X = gen.normal(size=(d, n))
             assert np.allclose(
-                attn_forward(X, p), scripted_attention(X, p.q, p.k, p.v, p.w), atol=1e-13
+                attn_forward(X, p)[0], scripted_attention(X, p.q, p.k, p.v, p.w), atol=1e-13
             )
 
     def test_shape_mismatch(self):
@@ -104,7 +107,7 @@ class TestAttnJacobian:
             p = random_attention(gen, d, k, heads)
             X = gen.normal(size=(d, n))
             full_fd = central_diff_jacobian(
-                lambda v: vec(attn_forward(unvec(v, d, n), p)), vec(X)
+                lambda v: vec(attn_forward(unvec(v, d, n), p)[0]), vec(X)
             )
             assert relative_error(attn_jacobian_full(X, p), full_fd) <= 1e-6
 
@@ -132,11 +135,11 @@ class TestFfnForward:
     def test_identity_relu_on_nonnegative(self):
         p = FfnParams(np.eye(3), np.eye(3), "relu")
         X = np.abs(RngStream(8).generator().normal(size=(3, 4)))
-        assert np.array_equal(ffn_forward(X, p), X)
+        assert np.array_equal(ffn_forward(X, p)[0], X)
 
     def test_zero_first_layer(self):
         p = FfnParams(np.zeros((4, 3)), RngStream(9).generator().normal(size=(3, 4)), "tanh")
-        assert np.array_equal(ffn_forward(np.ones((3, 2)), p), np.zeros((3, 2)))
+        assert np.array_equal(ffn_forward(np.ones((3, 2)), p)[0], np.zeros((3, 2)))
 
     def test_random_vs_scripted_eval(self):
         gen = RngStream(10).generator()
@@ -144,7 +147,7 @@ class TestFfnForward:
             p = random_ffn(gen, 4, 6, activation)
             X = gen.normal(size=(4, 3))
             assert np.allclose(
-                ffn_forward(X, p), scripted_ffn(X, p.w1, p.w2, activation), atol=1e-14
+                ffn_forward(X, p)[0], scripted_ffn(X, p.w1, p.w2, activation), atol=1e-14
             )
 
     def test_shape_mismatch(self):
@@ -164,7 +167,7 @@ class TestFfnJacobian:
             d, m, n = int(gen.integers(2, 8)), int(gen.integers(2, 8)), int(gen.integers(2, 5))
             p = random_ffn(gen, d, m)
             X = gen.normal(size=(d, n))
-            fd = central_diff_jacobian(lambda v: vec(ffn_forward(unvec(v, d, n), p)), vec(X))
+            fd = central_diff_jacobian(lambda v: vec(ffn_forward(unvec(v, d, n), p)[0]), vec(X))
             assert relative_error(ffn_jacobian_blockdiag(X, p), fd) <= 1e-6
 
     def test_relu_positive_homogeneity(self):
@@ -241,6 +244,15 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_same_vjp(got, want):
+    """The input gradient and every weight gradient of two VJPs, bit for bit."""
+    (gz, grads), (gz_ref, grads_ref) = got, want
+    assert same_bits(gz, gz_ref)
+    assert grads.keys() == grads_ref.keys()
+    for name in grads_ref:
+        assert same_bits(grads[name], grads_ref[name]), name
+
+
 class TestHeadAxis:
     """Heads as a stack axis give the per-head loop's bits: the forward map,
     the input gradient and all four weight gradients."""
@@ -249,16 +261,66 @@ class TestHeadAxis:
     @given(head_axis_cases())
     def test_forward_and_vjp_bits_match_per_head_loop(self, case):
         Z, G, p = case
-        assert same_bits(attn_forward(Z, p), per_head_attn_forward(Z, p))
+        assert same_bits(attn_forward(Z, p)[0], per_head_attn_forward(Z, p))
         d, n = Z.shape[-2:]
         lone = Z.reshape(-1, d, n)[0]
         # a stack of states with one gradient each, then one state under the
         # nd stacked gradients that ``jacobian_from_vjp`` passes
         stacked = RngStream(0).generator().normal(size=(n * d, d, n))
         for state, gbar in ((Z, G), (lone, stacked)):
-            gz, grads = attn_vjp(state, p, gbar)
-            gz_ref, grads_ref = per_head_attn_vjp(state, p, gbar)
-            assert same_bits(gz, gz_ref)
-            assert grads.keys() == grads_ref.keys()
-            for name in grads_ref:
-                assert same_bits(grads[name], grads_ref[name]), name
+            gz, grads = attn_vjp(state, *attn_forward(state, p)[1], p, gbar)
+            assert_same_vjp((gz, grads), per_head_attn_vjp(state, p, gbar))
+
+
+@st.composite
+def taped_vjp_cases(draw):
+    """(states, upstream gradients, attention params, FFN params): heads
+    1..3, d 2..8, n 1..5, key and hidden widths 1..4 and 1..8, weights scaled
+    by 1e-3..1e2, tanh or relu, a lone state or a stack of B = 1..4 states,
+    and, for relu, sometimes a zero token, whose pre-activation is exactly
+    the kink."""
+    heads = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e2]))
+    lead = draw(st.sampled_from([(), (1,), (2,), (3,), (4,)]))
+    activation = draw(st.sampled_from(["tanh", "relu"]))
+    kink = draw(st.booleans())
+    gen = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
+    kdim, m = int(gen.integers(1, 5)), int(gen.integers(1, 9))
+    q, k, v = (gen.normal(scale=scale, size=(heads, kdim, d)) for _ in range(3))
+    attn = AttentionParams(q, k, v, gen.normal(scale=scale, size=(heads, d, kdim)))
+    ffn = FfnParams(gen.normal(scale=scale, size=(m, d)), gen.normal(scale=scale, size=(d, m)),
+                    activation)
+    Z = gen.normal(size=lead + (d, n))
+    if kink:
+        Z[..., :, 0] = 0.0
+    return Z, gen.normal(size=lead + (d, n)), attn, ffn
+
+
+class TestTapedVjps:
+    """The VJPs fed their forward pass's intermediates give the bits of the
+    VJPs that recompute them from the state: the input gradient and every
+    weight gradient, and the same relu kink error."""
+
+    @settings(max_examples=300)
+    @given(taped_vjp_cases())
+    def test_taped_vjps_equal_recompute_from_state(self, case):
+        Z, G, attn, ffn = case
+        d, n = Z.shape[-2:]
+        lone = Z.reshape(-1, d, n)[0]
+        # a stack of states with one gradient each, then one state under the
+        # nd stacked gradients that ``jacobian_from_vjp`` passes
+        stacked = RngStream(0).generator().normal(size=(n * d, d, n))
+        for state, gbar in ((Z, G), (lone, stacked)):
+            taped = attn_vjp(state, *attn_forward(state, attn)[1], attn, gbar)
+            assert_same_vjp(taped, recompute_attn_vjp(state, attn, gbar))
+            record = ffn_forward(state, ffn)[1]
+            if ffn.activation == "relu" and np.any(record[0] == 0.0):
+                with pytest.raises(ActivationKinkError, match="tanh"):
+                    recompute_ffn_vjp(state, ffn, gbar)
+                with pytest.raises(ActivationKinkError, match="tanh"):
+                    ffn_vjp(state, *record, ffn, gbar)
+            else:
+                assert_same_vjp(ffn_vjp(state, *record, ffn, gbar),
+                                recompute_ffn_vjp(state, ffn, gbar))

@@ -7,7 +7,7 @@ import pytest
 from lnlab import cli, diagnostics, gradcheck, suites, training
 from lnlab.cli import ConfigError, load_config, main
 from lnlab.diagnostics import BoundReport
-from lnlab.model import model_forward
+from lnlab.model import push_forward
 from lnlab.normalization import DegenerateTokenError
 from lnlab.reports import (
     BOUNDS_COLUMNS,
@@ -386,14 +386,14 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, capsys, text, field
     ):
         pushed = []
-        monkeypatch.setattr(diagnostics, "model_forward",
-                            lambda *args: pushed.append(args) or model_forward(*args))
+        monkeypatch.setattr(diagnostics, "push_forward",
+                            lambda *args: pushed.append(args) or push_forward(*args))
         path = tmp_path / "cfg.json"
         path.write_text(text)
         rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "2", "ot-check"])
+        assert pushed == []
         assert rc == 2
         assert f"'{field}'" in capsys.readouterr().err
-        assert pushed == []
 
     @pytest.mark.parametrize("command", ["gradcheck", "bounds", "ot-check", "diagnose", "train",
                                          "sweep", "report"])
@@ -413,6 +413,23 @@ class TestExitCodes:
         rc = main(["--config", str(path), "--out", str(tmp_path), "--instances", "1", *flags, command])
         assert rc == 2
         assert f"config section '{section}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, text, message", [
+        (["--placement", "sideways"], '{"model": {"placement": "sideways"}}',
+         "config error: config section 'model': unknown placement 'sideways', "
+         "expected one of ('off', 'pre', 'peri', 'post')\n"),
+        (["--format", "xml"], '{"format": "xml"}',
+         "config error: config field 'format' must be one of ('csv', 'jsonl'), got 'xml'\n"),
+    ], ids=["placement", "format"])
+    def test_bad_choice_flag_exits_two_as_its_config_value_does(
+        self, tmp_path, capsys, flag, text, message
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(tmp_path), "diagnose"]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["--out", str(tmp_path), *flag, "diagnose"]) == 2
+        assert capsys.readouterr().err == message
 
     def test_nonfinite_delta_t_flag_exits_two(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "--delta-t", "nan", "diagnose"]) == 2

@@ -14,6 +14,7 @@ from lnlab.model import (
     PlacementError,
     Stages,
     model_forward,
+    push_forward,
     random_model,
 )
 from lnlab.normalization import LNParams
@@ -240,8 +241,8 @@ class TestOneStackedPushforward:
 
     def test_bad_sample_set_or_p_refused_before_any_pushforward(self, monkeypatch):
         pushed = []
-        monkeypatch.setattr(diag, "model_forward",
-                            lambda *args: pushed.append(args) or model_forward(*args))
+        monkeypatch.setattr(diag, "push_forward",
+                            lambda *args: pushed.append(args) or push_forward(*args))
         cfg = peri_cfg(depth=2)
         params = random_model(cfg, RngStream(44))
         mu0 = np.zeros((MAX_OT_SAMPLES + 1, 4, 3))

@@ -25,6 +25,7 @@ from lnlab.model import (
     model_forward,
     param_gradients,
     params_to_flat,
+    push_forward,
     random_model,
     simplified_pre_chain,
     sublayer_sensitivity,
@@ -67,7 +68,7 @@ class TestBlockForward:
         out, trace = block_forward(X, block, cfg)
         # LN^out(0) = beta = 0 so the residual updates vanish exactly
         assert np.array_equal(out, X)
-        y = ln_forward_columns(attn_forward(trace.attn.core_in, block.attn), block.ln["attn_out"])[0]
+        y = ln_forward_columns(attn_forward(trace.attn.core_in, block.attn)[0], block.ln["attn_out"])[0]
         assert np.array_equal(y, np.zeros((4, 3)))
 
     def test_post_columns_on_output_ellipsoid(self):
@@ -95,8 +96,8 @@ class TestBlockForward:
         X = RngStream(5).generator().normal(size=(4, 3))
         out, trace = block_forward(X, params[0], cfg)
         b = params[0]
-        manual = trace.attn.x + ln_forward_columns(attn_forward(trace.attn.core_in, b.attn), b.ln["attn_out"])[0]
-        manual = manual + ln_forward_columns(ffn_forward(trace.ffn.core_in, b.ffn), b.ln["ffn_out"])[0]
+        manual = trace.attn.x + ln_forward_columns(attn_forward(trace.attn.core_in, b.attn)[0], b.ln["attn_out"])[0]
+        manual = manual + ln_forward_columns(ffn_forward(trace.ffn.core_in, b.ffn)[0], b.ln["ffn_out"])[0]
         assert np.array_equal(out, manual)
 
     def test_degenerate_ln_error_carries_block_and_site(self):
@@ -116,8 +117,8 @@ class TestPlacementSemantics:
             b = random_model(cfg, RngStream(300 + seed), ln_kind=ln_kind)[0]
             X = RngStream(400 + seed).generator().normal(size=(4, 3))
             expected = X
-            for which, f in (("attn", lambda Z: attn_forward(Z, b.attn)),
-                             ("ffn", lambda Z: ffn_forward(Z, b.ffn))):
+            for which, f in (("attn", lambda Z: attn_forward(Z, b.attn)[0]),
+                             ("ffn", lambda Z: ffn_forward(Z, b.ffn)[0])):
                 ln_in = _columnwise(b.ln.get(f"{which}_in"))
                 ln_out = _columnwise(b.ln.get(f"{which}_out"))
                 expected = scripted_sublayer(placement, expected, f, ln_in, ln_out, dt)
@@ -206,6 +207,43 @@ class TestModelForward:
         X *= 3.0
         assert np.array_equal(tape.states[0], x0)
         assert np.array_equal(backward(tape, C)[1], gx)
+
+
+def forward_error(forward, X, params, cfg):
+    """What ``forward`` raises on a state it refuses: type, message, block, site."""
+    with pytest.raises((DivergenceError, DegenerateTokenError)) as exc:
+        forward(X, params, cfg)
+    return type(exc.value), str(exc.value), exc.value.block, getattr(exc.value, "site", None)
+
+
+class TestPushForward:
+    """``push_forward`` gives the tape's terminal state, and refuses what
+    ``model_forward`` refuses with the same error, block and site."""
+
+    @pytest.mark.parametrize("placement", mdl.PLACEMENTS)
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 3)])
+    def test_equals_the_tapes_terminal_state(self, placement, shape):
+        cfg = cfg_for(placement, depth=3)
+        params = random_model(cfg, RngStream(30))
+        X = RngStream(31).generator().normal(size=shape)
+        assert np.array_equal(push_forward(X, params, cfg), model_forward(X, params, cfg).x_final)
+
+    def test_nonfinite_input_refused_alike(self):
+        cfg = cfg_for("peri", depth=2)
+        params = random_model(cfg, RngStream(12))
+        X = np.ones((2, 4, 3))
+        X[1, 2, 1] = np.nan
+        error = forward_error(push_forward, X, params, cfg)
+        assert error == forward_error(model_forward, X, params, cfg)
+        assert error[0] is DivergenceError and error[2] == -1
+
+    def test_nonfinite_block_refused_alike(self):
+        cfg = cfg_for("off", depth=3, dt=1.0)
+        params = random_model(cfg, RngStream(12))
+        params[1] = mdl.BlockParams(params[1].attn.scaled(1e200, 1e200), params[1].ffn, params[1].ln)
+        error = forward_error(push_forward, np.ones((4, 3)), params, cfg)
+        assert error == forward_error(model_forward, np.ones((4, 3)), params, cfg)
+        assert error[0] is DivergenceError and error[2] == 1
 
 
 class TestRandomModel:

@@ -9,7 +9,15 @@ from oracles import scripted_train_run
 
 from lnlab import training
 from lnlab.attention import ActivationKinkError
-from lnlab.model import ModelConfig, PlacementError
+from lnlab.model import (
+    ModelConfig,
+    PlacementError,
+    flat_to_params,
+    model_forward,
+    params_to_flat,
+    push_forward,
+)
+from lnlab.normalization import DegenerateTokenError
 from lnlab.numerics import RngStream
 from lnlab.training import (
     MEAN_REGRESSION,
@@ -184,6 +192,27 @@ class TestTrainRun:
         assert len(out.loss_curve) == out.first_divergence_step + 1
         assert out.loss_curve[-1] == float("inf")
         assert (out.cause, out.block, out.site) == ("degenerate_ln", 6, "ffn_out")
+
+    def test_degenerate_ln_state_refused_alike_by_both_forwards(self, monkeypatch):
+        # replay the repro's failing forward pass on copies of its inputs: the
+        # trained weights are views of a buffer the run updates in place
+        calls = []
+
+        def spy(X0, params, cfg):
+            copies = [flat_to_params({k: v.copy() for k, v in params_to_flat(b).items()}, b)
+                      for b in params]
+            calls.append((X0.copy(), copies, cfg))
+            return model_forward(X0, params, cfg)
+
+        monkeypatch.setattr(training, "model_forward", spy)
+        train_run(DEGENERATE_LN_REPRO)
+        errors = []
+        for forward in (model_forward, push_forward):
+            with pytest.raises(DegenerateTokenError) as exc:
+                forward(*calls[-1])
+            errors.append((str(exc.value), exc.value.block, exc.value.site))
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == (6, "ffn_out")
 
     def test_activation_kink_recorded_as_divergence(self, monkeypatch):
         # the reverse sweep kinks from step 1 on, however many samples it carries
