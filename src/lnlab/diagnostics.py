@@ -20,8 +20,9 @@ The residual scale dt sharpens every D-dependent term.  The rescaling
 probe needs ``norm_in and not norm_sum`` (pre and peri): with ``norm_out``
 the sensitivity is invariant, without it the update scales by c1 * c2.
 
-Each check pushes its sample set through one stacked forward pass.  It takes
-each input's norm on its own slice: a stacked norm can differ in the last bit.
+Each check pushes its sample set through one stacked ``push_forward``, which
+keeps no tape.  It takes each input's norm on its own slice: a stacked norm
+can differ in the last bit.
 """
 
 from __future__ import annotations
