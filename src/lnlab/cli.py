@@ -3,9 +3,11 @@
 Subcommands: gradcheck, bounds, diagnose, train, sweep, ot-check, report.
 Configuration comes from a JSON file with full defaulting (unknown keys,
 values not of their default's type and NaN or infinite floats are rejected);
-flags override file values.  Every range is that of the library object the
-value fills (``ModelConfig``, ``TrainConfig``, ``first_repeat``, the transport
-checks); the CLI builds them all before any work and names the config path.
+flags override file values.  The ``model`` and ``train`` sections are
+``ModelConfig``'s and ``TrainConfig``'s fields at their defaults.  Every
+range is that of the library object the value fills (``ModelConfig``,
+``TrainConfig``, ``first_repeat``, the transport checks); the CLI builds
+them all before any work and names the config path.
 Which rows of a report fail is decided in one place, ``CHECKS``: a command
 and ``report`` apply the same rule.  Exit codes: 0 all selected checks pass,
 1 a check failed (first failing row printed), 2 bad config, report or usage.
@@ -17,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import permutations
 from numbers import Real
 from pathlib import Path
@@ -46,15 +48,9 @@ DEFAULTS = {
     "seed": 0,
     "output": ".",
     "format": "csv",
-    "model": {
-        "d": 6, "n": 4, "k": 4, "m": 8, "heads": 1, "depth": 8,
-        "placement": "peri", "delta_t": 1.0, "activation": "tanh", "epsilon": 1e-5,
-    },
-    "train": {
-        "task": "mean_regression", "steps": 60, "lr": 0.009, "momentum": 0.9,
-        "weight_decay": 0.0, "batch_size": 2, "divergence_threshold": 1e8,
-        "noise_std": 0.1, "checkpoint_every": 10, "dataset_size": None,
-    },
+    # the training run's model and seed are the model section and the master seed
+    "model": {f.name: f.default for f in fields(ModelConfig)},
+    "train": {f.name: f.default for f in fields(TrainConfig) if f.name not in ("cfg", "seed")},
     "diagnostics": {
         "instances": 20,
         "depths": [8, 16, 32, 64],

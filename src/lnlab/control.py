@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .normalization import LAYERNORM, LNParams, ellipsoid_residual
+from .normalization import LNParams, ellipsoid_residual
 from .numerics import NonFiniteError, RngStream, ShapeMismatchError
 
 
@@ -62,8 +62,7 @@ def postln_projection(x: np.ndarray, f: np.ndarray, p: LNParams) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    center = p.beta if p.kind == LAYERNORM else np.zeros_like(p.gamma)
-    c = x - center
+    c = x - p.beta
     ginv2 = 1.0 / p.gamma**2
     quad = float(c @ (ginv2 * c))
     if quad == 0.0:
@@ -74,12 +73,11 @@ def postln_projection(x: np.ndarray, f: np.ndarray, p: LNParams) -> np.ndarray:
 
 def radial_reprojection(y: np.ndarray, p: LNParams) -> np.ndarray:
     """Exact retraction onto the ellipsoid: radial rescale about the center."""
-    center = p.beta if p.kind == LAYERNORM else np.zeros_like(p.gamma)
-    c = np.asarray(y, dtype=np.float64) - center
+    c = np.asarray(y, dtype=np.float64) - p.beta
     quad = float((c / p.gamma) @ (c / p.gamma))
     if quad == 0.0:
         raise ValueError("radial_reprojection: point coincides with the center")
-    return center + c * np.sqrt(p.dim / quad)
+    return p.beta + c * np.sqrt(p.dim / quad)
 
 
 def integrate_projected_flow(
@@ -123,5 +121,4 @@ def sample_ellipsoid(p: LNParams, stream: RngStream, count: int) -> np.ndarray:
     z[0, degenerate] = 1.0  # measure-zero guard
     c = p.gamma[:, None] * z
     quad = (z * z).sum(axis=0)
-    center = p.beta if p.kind == LAYERNORM else np.zeros(p.dim)
-    return center[:, None] + c * np.sqrt(p.dim / quad)[None, :]
+    return p.beta[:, None] + c * np.sqrt(p.dim / quad)[None, :]

@@ -104,12 +104,14 @@ class PlacementError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    d: int
-    n: int
-    k: int
-    m: int
-    heads: int
-    depth: int
+    """A model's shape and placement; defaults are the CLI's and the suites' desk scale."""
+
+    d: int = 6
+    n: int = 4
+    k: int = 4
+    m: int = 8
+    heads: int = 1
+    depth: int = 8
     placement: str = PERI
     delta_t: float = 1.0
     activation: str = attn_mod.TANH
@@ -120,17 +122,15 @@ class ModelConfig:
             raise PlacementError(f"unknown placement {self.placement!r}, expected one of {PLACEMENTS}")
         if not (0.0 < self.delta_t <= 1.0):
             raise ValueError(f"delta_t must lie in (0, 1], got {self.delta_t}")
-        if not self.depth >= 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        for name in ("d", "n", "k", "m", "heads", "depth"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.activation not in attn_mod.ACTIVATIONS:
             raise ValueError(
                 f"unknown activation {self.activation!r}, expected one of {attn_mod.ACTIVATIONS}"
             )
         if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        for name in ("d", "n", "k", "m", "heads"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1")
 
     @property
     def nd(self) -> int:

@@ -49,9 +49,10 @@ class DegenerateTokenError(ZeroDivisionError):
 class LNParams:
     """Per-site normalization parameters.
 
-    ``gamma`` and ``beta`` have length d; RMSNorm ignores ``beta`` (treated
-    as zero).  ``epsilon`` is added under the square root of the denominator;
-    the exact ellipsoid and scaling-law identities hold only at epsilon=0.
+    ``gamma`` and ``beta`` have length d; RMSNorm applies no bias, so its
+    ``beta`` is stored as zeros whatever is given.  ``epsilon`` is added
+    under the square root of the denominator; the exact ellipsoid and
+    scaling-law identities hold only at epsilon=0.
     """
 
     gamma: np.ndarray
@@ -62,16 +63,13 @@ class LNParams:
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=np.float64)
         object.__setattr__(self, "gamma", gamma)
-        beta = self.beta
-        if beta is None:
-            beta = np.zeros_like(gamma)
-        beta = np.asarray(beta, dtype=np.float64)
-        object.__setattr__(self, "beta", beta)
+        beta = np.zeros_like(gamma) if self.beta is None else np.asarray(self.beta, dtype=np.float64)
         if gamma.ndim != 1 or beta.shape != gamma.shape:
             raise ValueError(
                 f"LNParams: gamma/beta must be equal-length vectors, "
                 f"got {gamma.shape} and {beta.shape}"
             )
+        object.__setattr__(self, "beta", np.zeros_like(gamma) if self.kind == RMSNORM else beta)
         if not self.epsilon >= 0:
             raise ValueError(f"LNParams: epsilon must be >= 0, got {self.epsilon}")
         if self.kind not in _KINDS:
@@ -139,7 +137,7 @@ def ellipsoid_residual(z: np.ndarray, p: LNParams) -> float:
     z = np.asarray(z, dtype=np.float64)
     if np.any(p.gamma == 0.0):
         raise ValueError("ellipsoid_residual: gamma has a zero entry, Gamma^-2 undefined")
-    w = (z - p.beta) / p.gamma if p.kind == LAYERNORM else z / p.gamma
+    w = (z - p.beta) / p.gamma
     return float(w @ w - z.shape[0])
 
 

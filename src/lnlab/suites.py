@@ -2,7 +2,8 @@
 bound and invariance check, fanned out over per-instance RNG streams.
 
 Each suite takes an instance count and a master seed and draws instance i
-from its own child stream, so a run is reproducible bit-for-bit.
+from its own child stream, so a run is reproducible bit-for-bit.  Models are
+drawn at ``ModelConfig``'s default dimensions unless a suite says otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .model import ModelConfig, model_forward, push_forward, random_model, simpl
 from .numerics import RngStream, spectral_norm
 from .parallel import map_indexed
 
-# Default desk-scale dimensions for randomized model suites.
-GROWTH_DIMS = dict(d=6, n=4, k=4, m=8, heads=1)
 # The smoothed rescale-invariance suite runs in the large-activation regime
 # the invariance statement concerns; deviations scale like eps / scale^2.
 RESCALE_HOT_SCALE = 50.0
@@ -31,15 +30,12 @@ WITNESS_DEPTH = 32
 RESCALE_SCALES = ((10.0, 10.0), (1000.0, 0.01))
 
 
-def _growth_cfg(depth: int, delta_t: float) -> ModelConfig:
-    return ModelConfig(depth=depth, delta_t=delta_t, placement=model_mod.PERI, **GROWTH_DIMS)
-
-
 def _peri_instance(seed: int, suite: int, i: int, depths, delta_ts):
     """Instance i of a random peri-model suite: (generator, config, model),
     drawn from the instance's child stream, with the depth and dt cycled."""
     stream = RngStream(seed, suite).child(i)
-    cfg = _growth_cfg(depths[i % len(depths)], delta_ts[(i // len(depths)) % len(delta_ts)])
+    depth, delta_t = depths[i % len(depths)], delta_ts[(i // len(depths)) % len(delta_ts)]
+    cfg = ModelConfig(depth=depth, delta_t=delta_t, placement=model_mod.PERI)
     return stream.child(1).generator(), cfg, random_model(cfg, stream.child(2))
 
 
@@ -91,7 +87,8 @@ def run_wasserstein_suite(
 
 def run_chain_suite(instances: int, seed: int, depth: int = 16) -> list[diag.BoundReport]:
     """Product bound on random simplified pre-norm chains."""
-    d, n, key_dim = GROWTH_DIMS["d"], GROWTH_DIMS["n"], GROWTH_DIMS["k"]
+    dims = ModelConfig()
+    d, n, key_dim = dims.d, dims.n, dims.k
 
     def one(i: int) -> diag.BoundReport:
         gen = RngStream(seed, 3).child(i).generator()
@@ -138,7 +135,7 @@ def divergence_witness(seeds: int, master_seed: int = 0) -> list[WitnessOutcome]
         w = np.outer(u, u)
         w *= WITNESS_SPECTRAL / spectral_norm(w)
         chain = simplified_pre_chain(x0, [w] * depth, [np.ones(d)] * depth)
-        cfg = ModelConfig(d=d, n=n, k=4, m=8, heads=1, depth=depth, placement=model_mod.PERI)
+        cfg = ModelConfig(d=d, n=n, depth=depth, placement=model_mod.PERI)
         params = random_model(cfg, RngStream(master_seed + i, 5))
         peri_ma = float(np.abs(push_forward(x0, params, cfg)).mean())
         return WitnessOutcome(
@@ -167,9 +164,7 @@ def run_rescale_suite(instances: int, seed: int, epsilon: float) -> RescaleSuite
     normalization denominators dominate the smoothing term.
     """
     weight_scale = RESCALE_HOT_SCALE if epsilon > 0 else 1.0
-    cfg = ModelConfig(
-        **GROWTH_DIMS, depth=2, placement=model_mod.PERI, epsilon=epsilon, activation="relu"
-    )
+    cfg = ModelConfig(depth=2, placement=model_mod.PERI, epsilon=epsilon, activation="relu")
     cfg_pre = replace(cfg, placement=model_mod.PRE, activation="tanh")
 
     def one(i: int):

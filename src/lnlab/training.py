@@ -5,7 +5,8 @@ tasks; a run is flagged as diverged as soon as the loss goes non-finite, the
 terminal hidden-state norm crosses the threshold, or an LN denominator or a
 relu derivative is undefined at the iterate.  Everything is keyed
 off counter-based streams, so a TrainConfig determines its TrialOutcome
-bit for bit.
+bit for bit; its task (``make_task``) is drawn from the config it trains.
+``TrainConfig``'s defaults are the ``train`` section of the CLI's config.
 
 Each step runs its minibatch as one ``(B, d, n)`` stack: one forward pass
 and one reverse sweep, with the per-sample parameter gradients gathered in
@@ -54,8 +55,8 @@ CAUSES = (NORM_THRESHOLD, NONFINITE_LOSS, NONFINITE_STATE, DEGENERATE_LN, ACTIVA
 class TrainConfig:
     cfg: ModelConfig
     task: str = MEAN_REGRESSION
-    steps: int = 40
-    lr: float = 0.05
+    steps: int = 60
+    lr: float = 0.009
     momentum: float = 0.9
     weight_decay: float = 0.0
     seed: int = 0
@@ -119,30 +120,28 @@ class Task:
     come from child streams so replays are identical.
     """
 
-    kind: str
-    cfg: ModelConfig
+    tc: TrainConfig
     stream: RngStream
     readout: np.ndarray
     target_map: np.ndarray
-    noise_std: float
-    dataset_size: int | None = None
 
     def sample(self, step: int, index: int):
-        if self.dataset_size is not None:
-            step = step % self.dataset_size
+        tc = self.tc
+        if tc.dataset_size is not None:
+            step = step % tc.dataset_size
         gen = self.stream.child(step).child(index).generator()
-        x0 = gen.normal(size=(self.cfg.d, self.cfg.n))
-        if self.kind == MEAN_REGRESSION:
+        x0 = gen.normal(size=(tc.cfg.d, tc.cfg.n))
+        if tc.task == MEAN_REGRESSION:
             y = self.target_map @ x0.mean(axis=1)
         else:
-            y = x0[:, 0] + self.noise_std * gen.normal(size=self.cfg.d)
+            y = x0[:, 0] + tc.noise_std * gen.normal(size=tc.cfg.d)
         return x0, y
 
     def loss_and_grad(self, x_final: np.ndarray, y: np.ndarray):
         """Mean squared error through the linear readout; returns the loss and
         its gradient with respect to the terminal hidden state."""
         d, n = x_final.shape
-        if self.kind == MEAN_REGRESSION:
+        if self.tc.task == MEAN_REGRESSION:
             yhat = self.readout @ x_final.mean(axis=1)
             err = yhat - y
             loss = float(err @ err) / d
@@ -157,23 +156,17 @@ class Task:
         return loss, grad
 
 
-def make_task(
-    kind: str,
-    cfg: ModelConfig,
-    stream: RngStream,
-    noise_std: float = 0.1,
-    dataset_size: int | None = None,
-) -> Task:
-    if kind not in _TASKS:
-        raise ValueError(f"unknown task {kind!r}, expected one of {_TASKS}")
+def make_task(tc: TrainConfig, stream: RngStream) -> Task:
+    """The task ``tc`` trains on, its maps drawn from ``stream``."""
+    d = tc.cfg.d
     gen = stream.child(0).generator()
-    if kind == MEAN_REGRESSION:
-        readout = gen.normal(0.0, 1.0 / np.sqrt(cfg.d), size=(cfg.d, cfg.d))
-        target_map = gen.normal(0.0, 1.0 / np.sqrt(cfg.d), size=(cfg.d, cfg.d))
+    if tc.task == MEAN_REGRESSION:
+        readout = gen.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
+        target_map = gen.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
     else:
-        readout = np.eye(cfg.d)
-        target_map = np.eye(cfg.d)
-    return Task(kind, cfg, stream.child(1), readout, target_map, noise_std, dataset_size)
+        readout = np.eye(d)
+        target_map = np.eye(d)
+    return Task(tc, stream.child(1), readout, target_map)
 
 
 def _is_weight_tensor(name: str) -> bool:
@@ -244,7 +237,7 @@ def train_run(tc: TrainConfig) -> TrialOutcome:
     flat buffer ``w`` of the drawn tensors in ``params_to_flat`` order, which the model views."""
     root = RngStream(tc.seed)
     drawn = random_model(tc.cfg, root.child(0))
-    task = make_task(tc.task, tc.cfg, root.child(1), tc.noise_std, tc.dataset_size)
+    task = make_task(tc, root.child(1))
     flats = [params_to_flat(b) for b in drawn]
     keys = tuple(flats[0])
     w = np.concatenate([t.ravel() for f in flats for t in f.values()])

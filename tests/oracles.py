@@ -422,7 +422,7 @@ def scripted_train_run(tc: TrainConfig) -> TrialOutcome:
     predicate checked in sample order."""
     root = RngStream(tc.seed)
     params = random_model(tc.cfg, root.child(0))
-    task = make_task(tc.task, tc.cfg, root.child(1), tc.noise_std, tc.dataset_size)
+    task = make_task(tc, root.child(1))
     flats = [
         {k: v.copy() for k, v in params_to_flat(b).items()} for b in params
     ]

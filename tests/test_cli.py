@@ -7,7 +7,7 @@ import pytest
 from lnlab import cli, diagnostics, gradcheck, suites, training
 from lnlab.cli import ConfigError, load_config, main
 from lnlab.diagnostics import BoundReport
-from lnlab.model import push_forward
+from lnlab.model import ModelConfig, push_forward
 from lnlab.normalization import DegenerateTokenError
 from lnlab.reports import (
     BOUNDS_COLUMNS,
@@ -97,6 +97,42 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg["model"]["placement"] == "peri"
         assert cfg["seed"] == 0
+
+    def test_train_section_is_the_library_default_run(self):
+        assert cli.train_config(load_config(None)) == training.TrainConfig(ModelConfig(), seed=0)
+
+    def test_defaults_keep_their_values_and_types(self):
+        # json.dumps tells 1 from 1.0, which == does not
+        defaults = {
+            "seed": 0,
+            "output": ".",
+            "format": "csv",
+            "model": {
+                "d": 6, "n": 4, "k": 4, "m": 8, "heads": 1, "depth": 8,
+                "placement": "peri", "delta_t": 1.0, "activation": "tanh", "epsilon": 1e-5,
+            },
+            "train": {
+                "task": "mean_regression", "steps": 60, "lr": 0.009, "momentum": 0.9,
+                "weight_decay": 0.0, "batch_size": 2, "divergence_threshold": 1e8,
+                "noise_std": 0.1, "checkpoint_every": 10, "dataset_size": None,
+            },
+            "diagnostics": {
+                "instances": 20,
+                "depths": [8, 16, 32, 64],
+                "delta_ts": [1.0, 0.1],
+                "wasserstein_samples": 32,
+                "wasserstein_p": 2.0,
+                "chain_depth": 16,
+                "gradcheck_tolerance": 1e-6,
+                "param_tolerance": 1e-5,
+            },
+            "sweep": {
+                "placements": ["off", "pre", "peri"],
+                "weight_decays": [0.0, 0.3],
+                "seeds": 20,
+            },
+        }
+        assert json.dumps(load_config(None), sort_keys=True) == json.dumps(defaults, sort_keys=True)
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -75,6 +75,24 @@ class TestGrowthBounds:
         assert ma_report.rhs == pytest.approx(np.linalg.norm(X) / np.sqrt(12), abs=1e-12)
         assert ma_report.margin >= 0
 
+    def test_rmsnorm_beta_enters_no_bound(self):
+        # RMSNorm applies no bias, so a beta given to its output sites moves
+        # neither the forward pass nor the bound's constants
+        cfg = peri_cfg(depth=4)
+        X = RngStream(8).generator().normal(size=(4, 3))
+        reports, finals = [], []
+        for beta in (0.0, 3.0):
+            params = random_model(cfg, RngStream(7), ln_kind="rmsnorm")
+            for b in params:
+                for site in ("attn_out", "ffn_out"):
+                    b.ln[site] = LNParams(np.ones(4), np.full(4, beta), cfg.epsilon, "rmsnorm")
+            tape = model_forward(X, params, cfg)
+            finals.append(tape.x_final)
+            reports.append(diag.peri_growth_check(tape)[0])
+        assert np.array_equal(finals[0], finals[1])
+        assert reports[1].beta_max == 0.0
+        assert reports[1].rhs == reports[0].rhs
+
     def test_wrong_placement_rejected(self):
         cfg = peri_cfg()
         pre_cfg = replace(cfg, placement="pre")

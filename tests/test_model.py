@@ -262,13 +262,19 @@ class TestRandomModel:
 
 
 class TestModelConfig:
-    @pytest.mark.parametrize("field, value", [
-        ("activation", "sigmoid"), ("epsilon", -1e-3), ("epsilon", float("nan")),
-        ("delta_t", float("nan")), ("depth", 0), ("depth", float("nan")),
-        ("d", 0), ("heads", float("nan")),
+    @pytest.mark.parametrize("field, value, match", [
+        pytest.param(field, value, match, id=f"{field}-{value}") for field, value, match in [
+            ("activation", "sigmoid", "activation"), ("epsilon", -1e-3, "epsilon"),
+            ("epsilon", float("nan"), "epsilon"), ("delta_t", float("nan"), "delta_t"),
+            ("depth", 0, "^depth must be >= 1, got 0$"), ("depth", float("nan"), "depth"),
+            ("d", 0, "^d must be >= 1, got 0$"), ("n", -2, "^n must be >= 1, got -2$"),
+            ("k", 0, "^k must be >= 1, got 0$"), ("m", 0, "^m must be >= 1, got 0$"),
+            ("heads", 0, "^heads must be >= 1, got 0$"),
+            ("heads", float("nan"), "^heads must be >= 1, got nan$"),
+        ]
     ])
-    def test_bad_field_rejected_on_construction(self, field, value):
-        with pytest.raises(ValueError, match=field):
+    def test_bad_field_rejected_on_construction(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
             replace(cfg_for("peri"), **{field: value})
 
 

@@ -58,6 +58,12 @@ class TestForward:
         out = ln_forward(np.array([2.0, 0.0]), p)
         assert np.allclose(out, [2.0 * 1 + 1, 3.0 * (-1) - 1], atol=1e-15)
 
+    def test_rmsnorm_stores_no_bias(self):
+        p = LNParams(np.ones(3), np.full(3, 2.0), 0.0, RMSNORM)
+        assert np.array_equal(p.beta, np.zeros(3))
+        with pytest.raises(ValueError, match="equal-length"):
+            LNParams(np.ones(3), np.ones(2), 0.0, RMSNORM)
+
     def test_degenerate_constant_token(self):
         with pytest.raises(DegenerateTokenError):
             ln_forward(np.array([3.0, 3.0]), plain(2))

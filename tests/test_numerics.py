@@ -10,8 +10,7 @@ from oracles import (
     wasserstein_bruteforce,
 )
 
-from lnlab import suites
-from lnlab.model import model_forward, random_model
+from lnlab.model import ModelConfig, model_forward, random_model
 from lnlab.numerics import (
     COST_BLOCK_ROWS,
     MAX_OT_SAMPLES,
@@ -244,7 +243,7 @@ class TestAssignmentVsHungarian:
         # the pushed-forward W_2 problem of one ot-check instance at N = 256
         stream = RngStream(2001, 2).child(0)
         gen = stream.child(1).generator()
-        cfg = suites._growth_cfg(depth=8, delta_t=1.0)
+        cfg = ModelConfig(depth=8)
         params = random_model(cfg, stream.child(2))
         mu0 = gen.normal(size=(MAX_OT_SAMPLES, cfg.d, cfg.n))
         nu0 = gen.normal(size=(MAX_OT_SAMPLES, cfg.d, cfg.n)) + gen.normal(scale=0.5)

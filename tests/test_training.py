@@ -51,26 +51,24 @@ def small_tc(**kw):
 
 class TestMakeTask:
     def test_batches_replay_identically(self):
-        cfg = small_cfg()
-        t1 = make_task(MEAN_REGRESSION, cfg, RngStream(3, 1))
-        t2 = make_task(MEAN_REGRESSION, cfg, RngStream(3, 1))
+        tc = small_tc(task=MEAN_REGRESSION)
+        t1 = make_task(tc, RngStream(3, 1))
+        t2 = make_task(tc, RngStream(3, 1))
         for step in (0, 1, 7):
             (xa, ya), (xb, yb) = t1.sample(step, 0), t2.sample(step, 0)
             assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
 
     def test_zero_noise_copy_closed_form(self):
         # identity readout and a zero-depth pass-through: the loss is exactly 0
-        cfg = small_cfg()
-        task = make_task(NOISY_COPY, cfg, RngStream(4, 1), noise_std=0.0)
+        task = make_task(small_tc(task=NOISY_COPY, noise_std=0.0), RngStream(4, 1))
         x0, y = task.sample(0, 0)
         loss, grad = task.loss_and_grad(x0, y)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros((4, 3)))
 
     def test_noisy_copy_loss_matches_noise_level(self):
-        cfg = small_cfg()
         noise = 0.25
-        task = make_task(NOISY_COPY, cfg, RngStream(5, 1), noise_std=noise)
+        task = make_task(small_tc(task=NOISY_COPY, noise_std=noise), RngStream(5, 1))
         losses = []
         for step in range(500):
             x0, y = task.sample(step, 0)
@@ -80,8 +78,7 @@ class TestMakeTask:
         assert np.mean(losses) == pytest.approx(noise**2, rel=0.2)
 
     def test_input_entry_mean_near_zero(self):
-        cfg = small_cfg()
-        task = make_task(MEAN_REGRESSION, cfg, RngStream(6, 1))
+        task = make_task(small_tc(task=MEAN_REGRESSION), RngStream(6, 1))
         total = 0.0
         count = 0
         for step in range(850):
@@ -91,9 +88,8 @@ class TestMakeTask:
         assert abs(total / count) <= 0.05
 
     def test_gradient_matches_fd(self):
-        cfg = small_cfg()
         for kind in (MEAN_REGRESSION, NOISY_COPY):
-            task = make_task(kind, cfg, RngStream(7, 1))
+            task = make_task(small_tc(task=kind), RngStream(7, 1))
             x0, y = task.sample(0, 0)
             _, grad = task.loss_and_grad(x0, y)
             h = 1e-6
