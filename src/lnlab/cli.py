@@ -135,7 +135,7 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
 
 def load_config(path: str | None) -> dict:
     if path is None:
-        return json.loads(json.dumps(DEFAULTS))
+        return json.loads(json.dumps(DEFAULTS))  # a copy the caller may change
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -144,7 +144,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge(DEFAULTS, raw, "")
+    return _merge(load_config(None), raw, "")
 
 
 def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:

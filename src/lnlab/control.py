@@ -36,14 +36,14 @@ def hamiltonian_maximizer(
     """
     P = np.asarray(P, dtype=np.float64)
     gamma_out = np.asarray(gamma_out, dtype=np.float64)
-    if P.ndim != 2 or P.shape[0] != gamma_out.shape[0]:
+    beta = np.zeros_like(gamma_out) if beta_out is None else np.asarray(beta_out, dtype=np.float64)
+    if P.ndim != 2 or gamma_out.shape != P.shape[:1] or beta.shape != P.shape[:1]:
         raise ShapeMismatchError(
-            f"adjoint field {P.shape} incompatible with gamma of length {gamma_out.shape[0]}"
+            f"adjoint field {P.shape} incompatible with gamma {gamma_out.shape} and beta {beta.shape}"
         )
     if np.any(gamma_out == 0.0):
         raise ValueError("hamiltonian_maximizer: gamma has a zero entry")
     d = P.shape[0]
-    beta = np.zeros(d) if beta_out is None else np.asarray(beta_out, dtype=np.float64)
     g2p = (gamma_out**2)[:, None] * P
     quad = np.einsum("ij,ij->j", P, g2p)
     if np.any(quad <= 0.0):

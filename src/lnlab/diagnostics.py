@@ -20,9 +20,11 @@ The residual scale dt sharpens every D-dependent term.  The rescaling
 probe needs ``norm_in and not norm_sum`` (pre and peri): with ``norm_out``
 the sensitivity is invariant, without it the update scales by c1 * c2.
 
-Each check pushes its sample set through one stacked ``push_forward``, which
-keeps no tape.  It takes each input's norm on its own slice: a stacked norm
-can differ in the last bit.
+The data-wise, pathwise and Wasserstein checks push each sample set through
+one stacked ``push_forward``, which keeps no tape, and take each input's norm
+on its own slice: a stacked norm can differ in the last bit.
+``peri_growth_check`` pushes nothing: it reads the forward tape its caller
+made.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class BoundReport:
     delta_t: float
     gamma_max: float
     beta_max: float
-    nd: int
     lhs: float
     rhs: float
     seed: int = 0
@@ -74,7 +75,7 @@ class BoundReport:
         """A row for a model under ``cfg`` with output-LN extrema ``gmax``, ``bmax``."""
         return cls(
             check=check, placement=cfg.placement, depth=cfg.depth, delta_t=cfg.delta_t,
-            gamma_max=gmax, beta_max=bmax, nd=cfg.nd, lhs=float(lhs), rhs=float(rhs), seed=seed,
+            gamma_max=gmax, beta_max=bmax, lhs=float(lhs), rhs=float(rhs), seed=seed,
         )
 
     @property
@@ -301,10 +302,9 @@ def rescale_invariance_test(
 
 def pre_exponential_bound(chain: ChainResult, seed: int = 0) -> BoundReport:
     """Terminal MA of the simplified pre-norm chain vs its product bound."""
-    d, n = chain.states[0].shape
     return BoundReport(
         check="pre_exponential", placement=model_mod.PRE, depth=len(chain.factors),
-        delta_t=1.0, gamma_max=float("nan"), beta_max=float("nan"), nd=d * n,
+        delta_t=1.0, gamma_max=float("nan"), beta_max=float("nan"),
         lhs=chain.mean_abs, rhs=chain.bound_rhs, seed=seed,
     )
 

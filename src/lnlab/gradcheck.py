@@ -4,10 +4,10 @@ Central differences with step h = 1e-6 * (1 + |x|_inf) balance truncation
 against rounding in float64.  Each category draws random desk-scale
 instances and reports the Frobenius-relative error between the analytic
 object and its finite-difference counterpart: ``layernorm`` and ``rmsnorm``
-check the one-token ``ln_jacobian``; ``attention``, ``ffn`` and ``block``
-check the VJPs of the sublayers and of a whole block (the reverse sweep),
-materialized over the unit output gradients; ``params`` checks the reverse
-sweep's parameter gradients.
+check the LN VJP at one token, ``attention``, ``ffn`` and ``block`` the VJPs
+of the sublayers and of a whole block (the reverse sweep), each materialized
+over the unit output gradients; ``params`` checks the reverse sweep's
+parameter gradients.
 """
 
 from __future__ import annotations

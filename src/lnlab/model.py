@@ -509,8 +509,9 @@ def simplified_pre_chain(
     for i in range(depth):
         w = np.asarray(weights[i], dtype=np.float64)
         gamma = np.asarray(gammas[i], dtype=np.float64)
-        if w.shape != (d, d):
-            raise ShapeMismatchError(f"layer {i}: merged weight must be {d}x{d}, got {w.shape}")
+        if w.shape != (d, d) or gamma.shape != (d,):
+            raise ShapeMismatchError(
+                f"layer {i}: merged weight must be {d}x{d} and gamma ({d},), got {w.shape} and {gamma.shape}")
         col_norms = np.linalg.norm(X, axis=0)
         if np.any(col_norms == 0.0):
             bad = int(np.argmin(col_norms))

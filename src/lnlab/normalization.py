@@ -7,8 +7,7 @@ emitted with rows indexed by outputs and columns by inputs, i.e.
 ``J[a, b] = d out_a / d in_b``; every chain rule downstream of this module
 assumes that orientation.
 
-``ln_jacobian`` materializes the d x d Jacobian of one token.  The column
-kernels' derivative is the closed-form VJP ``ln_vjp``, which forms no
+The norms' one derivative is the closed-form VJP ``ln_vjp``, which forms no
 Jacobian and carries the LN part of the model's reverse sweep, and so of
 every materialized sensitivity.  With c the centered (LayerNorm) or raw
 (RMSNorm) token, s its denominator, x^ = c / s, g^ = gamma * gbar and means
@@ -17,7 +16,8 @@ over the d entries of a token, the input gradient is
     gx = (g^ - mean(g^) - x^ * mean(x^ * g^)) / s    (RMSNorm drops mean(g^))
 
 and over the tokens of each state ggamma = sum_j x^ * gbar, gbeta = sum_j gbar.
-``ln_vjp`` takes the x^ and s its site's forward pass taped, recomputing neither.
+``ln_vjp`` takes the x^ and s its site's forward pass taped, recomputing neither;
+``ln_jacobian`` materializes it at one token, as attention's and the FFN's are.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .numerics import ShapeMismatchError, jacobian_from_vjp
 
 LAYERNORM = "layernorm"
 RMSNORM = "rmsnorm"
@@ -37,7 +39,7 @@ class DegenerateTokenError(ZeroDivisionError):
     """Normalizing a constant (LayerNorm) or zero (RMSNorm) token at eps=0;
     a model's forward pass adds the block index and the LN site."""
 
-    def __init__(self, message: str, token_index: int | None = None,
+    def __init__(self, message: str, token_index: int,
                  block: int | None = None, site: str | None = None):
         super().__init__(message)
         self.token_index = token_index
@@ -80,19 +82,26 @@ class LNParams:
         return self.gamma.shape[0]
 
 
+def _check_dim(A: np.ndarray, p: LNParams) -> None:
+    """Refuse columns whose length is not the parameters' d, which numpy would broadcast."""
+    if A.shape[-2] != p.dim:
+        raise ShapeMismatchError(f"{p.kind}: columns of length {A.shape[-2]}, parameters of dim {p.dim}")
+
+
 def _column_mean(A: np.ndarray) -> np.ndarray:
     """(..., 1, n) means of the columns; the same bits as ``np.mean`` without its wrapper."""
     return np.add.reduce(A, axis=-2, keepdims=True) / A.shape[-2]
 
 
-def _column_stats(X: np.ndarray, p: LNParams, first_index: int | None = 0):
+def _column_stats(X: np.ndarray, p: LNParams):
     """Centered (LayerNorm) or raw (RMSNorm) columns and their (..., 1, n) denominators.
 
     A zero denominator raises DegenerateTokenError naming the first such
-    column (of the first state of a stack that has one), counted from
-    ``first_index``; None leaves the token unnamed.  Only epsilon = 0 can
-    give one: for epsilon > 0, fl(mean(c^2) + epsilon) >= epsilon > 0, and a
-    NaN denominator never equals 0."""
+    column (of the first state of a stack that has one); a single token is
+    token index 0.  Only epsilon = 0 can give one: for epsilon > 0,
+    fl(mean(c^2) + epsilon) >= epsilon > 0, and a NaN denominator never
+    equals 0."""
+    _check_dim(X, p)
     if p.kind == LAYERNORM and X.shape[-2] < 2:
         raise ValueError("LayerNorm needs d >= 2")
     c = X - _column_mean(X) if p.kind == LAYERNORM else X
@@ -100,10 +109,9 @@ def _column_stats(X: np.ndarray, p: LNParams, first_index: int | None = 0):
     if p.epsilon == 0.0 and (zero := s[..., 0, :] == 0.0).any():
         kind_msg = ("constant token under LayerNorm" if p.kind == LAYERNORM
                     else "zero token under RMSNorm")
-        column = int(np.nonzero(zero)[-1][0])
-        index = None if first_index is None else first_index + column
-        where = "" if index is None else f" at token index {index}"
-        raise DegenerateTokenError(f"division by zero: {kind_msg} with epsilon=0{where}", index)
+        index = int(np.nonzero(zero)[-1][0])
+        raise DegenerateTokenError(
+            f"division by zero: {kind_msg} with epsilon=0 at token index {index}", index)
     return c, s
 
 
@@ -113,7 +121,7 @@ def ln_forward(x: np.ndarray, p: LNParams) -> np.ndarray:
     RMSNorm skips the mean subtraction and the bias: gamma * x / rms(x).
     """
     x = np.asarray(x, dtype=np.float64)
-    c, s = _column_stats(x[:, None], p, None)
+    c, s = _column_stats(x[:, None], p)
     z = p.gamma * (c[:, 0] / s[0])
     return z + p.beta if p.kind == LAYERNORM else z
 
@@ -142,25 +150,11 @@ def ellipsoid_residual(z: np.ndarray, p: LNParams) -> float:
 
 
 def ln_jacobian(x: np.ndarray, p: LNParams) -> np.ndarray:
-    """Exact d x d Jacobian of the normalization map, rows = outputs.
-
-    For LayerNorm with denominator s = sqrt(var + eps) and c = x - mean(x):
-
-        J[a, b] = gamma_a * ((delta_ab - 1/d) / s - c_a c_b / (d s^3))
-
-    The mean and the denominator are both differentiated, so J annihilates
-    the constant direction (J @ 1 = 0) and matches central finite
-    differences of ``ln_forward``.  At eps=0 the map is (-1)-homogeneous:
-    J(c x) = J(x) / c for any c > 0.  RMSNorm drops the mean terms:
-
-        J[a, b] = gamma_a * (delta_ab / r - x_a x_b / (d r^2 * r))
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
-    c, s = _column_stats(x[:, None], p, None)
-    c, s = c[:, 0], s[0, 0]
-    core = np.eye(d) - 1.0 / d if p.kind == LAYERNORM else np.eye(d)
-    return p.gamma[:, None] * (core / s) - np.outer(p.gamma * c, c) / (d * s**3)
+    """d x d Jacobian of the normalization map at one token, rows = outputs,
+    from ``ln_vjp``.  At eps=0 the map is (-1)-homogeneous, J(c x) = J(x) / c
+    for c > 0, and LayerNorm's J annihilates the constant direction."""
+    _, (xhat, s) = ln_forward_columns(np.asarray(x, dtype=np.float64)[:, None], p)
+    return jacobian_from_vjp(lambda G: ln_vjp(xhat, s, p, G)[0], p.dim, 1)
 
 
 def ln_vjp(xhat: np.ndarray, s: np.ndarray, p: LNParams, gbar: np.ndarray):
@@ -171,6 +165,8 @@ def ln_vjp(xhat: np.ndarray, s: np.ndarray, p: LNParams, gbar: np.ndarray):
     None for RMSNorm.  For a stack ``(..., d, n)`` the parameter gradients are
     per state, of shape (..., d); a stack of gradients over one state broadcasts."""
     gbar = np.asarray(gbar, dtype=np.float64)
+    _check_dim(xhat, p)
+    _check_dim(gbar, p)
     ghat = p.gamma[:, None] * gbar
     proj = xhat * _column_mean(xhat * ghat)
     ggamma = np.add.reduce(xhat * gbar, axis=-1)

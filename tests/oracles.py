@@ -2,21 +2,22 @@
 
 Everything here is deliberately written without reference to the library's
 own derivative or transport code: central differences probe the forward
-maps, the closed-form attention and FFN Jacobians assembled block by block
-with loops pin the library's Jacobians (which it builds from its VJPs),
-brute-force enumeration solves small transport problems, the textbook
-Hungarian loop (one dual update per scanned column) pins the
-shortest-augmenting-path solver on larger ones, and extended-precision
-arithmetic recomputes the scalar kernels.  Four exceptions: the per-token
-LN VJP loops the materialized single-token ``ln_jacobian`` (itself pinned
-against finite differences) to pin the closed-form column kernels;
-``scripted_train_run`` and ``scripted_terminal_states`` run one sample at a
-time through the library's model, to pin the stacked minibatch step and the
-stacked pushforwards of the bound checks; ``per_head_attn_forward`` and
-``per_head_attn_vjp`` run the library's attention one head at a time, to pin
-its head axis bit for bit; and ``recompute_attn_vjp`` and
-``recompute_ffn_vjp`` recompute the sublayers' intermediates from the state,
-to pin bit for bit the VJPs that read them from the forward tape.
+maps, the closed-form LN, attention and FFN Jacobians (the LN one per
+token, the others assembled block by block with loops) pin the library's
+Jacobians, which it builds from its VJPs, and the per-token LN VJP loops the
+closed-form LN Jacobian (itself pinned against finite differences) to pin
+the column kernels; brute-force enumeration solves small transport
+problems, the textbook Hungarian loop (one dual update per scanned column)
+pins the shortest-augmenting-path solver on larger ones, and
+extended-precision arithmetic recomputes the scalar kernels.  Three
+exceptions: ``scripted_train_run`` and ``scripted_terminal_states`` run one
+sample at a time through the library's model, to pin the stacked minibatch
+step and the stacked pushforwards of the bound checks;
+``per_head_attn_forward`` and ``per_head_attn_vjp`` run the library's
+attention one head at a time, to pin its head axis bit for bit; and
+``recompute_attn_vjp`` and ``recompute_ffn_vjp`` recompute the sublayers'
+intermediates from the state, to pin bit for bit the VJPs that read them
+from the forward tape.
 ``zero_weight_block`` and ``gradient_product`` are test fixtures built on
 the library's model: a block whose sublayers map to zero, and the product
 of its local sensitivities; ``ln_vjp_at`` is the library's LN VJP taken at
@@ -46,8 +47,8 @@ from lnlab.normalization import (
     LAYERNORM,
     DegenerateTokenError,
     LNParams,
+    _column_stats,
     ln_forward_columns,
-    ln_jacobian,
     ln_vjp,
 )
 from lnlab.numerics import (
@@ -346,9 +347,31 @@ def ln_vjp_at(X, p, gbar):
     return ln_vjp(*stats, p, gbar)
 
 
+def scripted_ln_jacobian(x, p) -> np.ndarray:
+    """Closed-form d x d Jacobian of the normalization map, rows = outputs.
+
+    For LayerNorm with denominator s = sqrt(var + eps) and c = x - mean(x):
+
+        J[a, b] = gamma_a * ((delta_ab - 1/d) / s - c_a c_b / (d s^3))
+
+    The mean and the denominator are both differentiated, so J annihilates
+    the constant direction (J @ 1 = 0) and matches central finite
+    differences of ``ln_forward``.  At eps=0 the map is (-1)-homogeneous:
+    J(c x) = J(x) / c for any c > 0.  RMSNorm drops the mean terms:
+
+        J[a, b] = gamma_a * (delta_ab / r - x_a x_b / (d r^2 * r))
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[0]
+    c, s = _column_stats(x[:, None], p)
+    c, s = c[:, 0], s[0, 0]
+    core = np.eye(d) - 1.0 / d if p.kind == LAYERNORM else np.eye(d)
+    return p.gamma[:, None] * (core / s) - np.outer(p.gamma * c, c) / (d * s**3)
+
+
 def scripted_ln_vjp(X, p, gbar):
     """Column-wise LN backward pass, one token at a time: J_j^T gbar_j with the
-    materialized Jacobian of token j, plus the gamma and beta sums."""
+    closed-form Jacobian of token j, plus the gamma and beta sums."""
     X = np.asarray(X, dtype=np.float64)
     d, n = X.shape
     gx = np.zeros((d, n))
@@ -356,7 +379,7 @@ def scripted_ln_vjp(X, p, gbar):
     gbeta = np.zeros(d)
     for j in range(n):
         x = X[:, j]
-        gx[:, j] = ln_jacobian(x, p).T @ gbar[:, j]
+        gx[:, j] = scripted_ln_jacobian(x, p).T @ gbar[:, j]
         c = x - x.mean() if p.kind == LAYERNORM else x
         ggamma += c / np.sqrt(np.mean(c * c) + p.epsilon) * gbar[:, j]
         gbeta += gbar[:, j]

@@ -134,6 +134,16 @@ class TestConfig:
         }
         assert json.dumps(load_config(None), sort_keys=True) == json.dumps(defaults, sort_keys=True)
 
+    def test_loaded_config_shares_nothing_with_defaults(self, tmp_path):
+        path = tmp_path / "seed.json"
+        path.write_text('{"seed": 1}')
+        cfg = load_config(str(path))
+        cfg["train"]["steps"] = 1
+        cfg["sweep"]["placements"].append("post")
+        fresh = load_config(None)
+        assert fresh["train"]["steps"] == 60
+        assert fresh["sweep"]["placements"] == ["off", "pre", "peri"]
+
     def test_unknown_key_rejected_with_path(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": {"dd": 3}}')
@@ -493,7 +503,7 @@ class TestExitCodes:
         assert "ordering" in capsys.readouterr().out
 
     def test_bounds_and_report_print_the_same_failing_row(self, tmp_path, monkeypatch, capsys):
-        bad = BoundReport("peri_ma_growth", "peri", 8, 1.0, 1.0, 0.0, 24, 5.0, 1.0, seed=3)
+        bad = BoundReport("peri_ma_growth", "peri", 8, 1.0, 1.0, 0.0, 5.0, 1.0, seed=3)
         monkeypatch.setattr(suites, "run_growth_suite", lambda *args, **kwargs: [bad])
 
         def failing_lines(text):

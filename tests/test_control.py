@@ -12,7 +12,7 @@ from lnlab.control import (
     sample_ellipsoid,
 )
 from lnlab.normalization import LNParams, ellipsoid_residual
-from lnlab.numerics import NonFiniteError, RngStream
+from lnlab.numerics import NonFiniteError, RngStream, ShapeMismatchError
 
 
 def random_site(gen, d, with_beta=True):
@@ -74,6 +74,11 @@ class TestHamiltonianMaximizer:
         P = np.array([[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(ZeroAdjointError, match="column 1"):
             hamiltonian_maximizer(P, np.ones(2), np.zeros(2))
+
+    def test_short_beta_rejected(self):
+        # numpy would broadcast a length-1 beta over all three rows
+        with pytest.raises(ShapeMismatchError, match=r"gamma \(3,\) and beta \(1,\)"):
+            hamiltonian_maximizer(np.eye(3), np.ones(3), np.zeros(1))
 
 
 class TestProjection:

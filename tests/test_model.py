@@ -521,6 +521,12 @@ class TestSimplifiedPreChain:
             rhs[depth] = res.bound_rhs / np.linalg.norm(X0)
         assert rhs[8] / rhs[4] >= 2.0**4 and rhs[16] / rhs[8] >= 2.0**8
 
+    def test_short_gamma_rejected(self):
+        # numpy would broadcast a length-1 gamma over all three rows
+        X0 = np.arange(1.0, 7.0).reshape(3, 2)
+        with pytest.raises(mdl.ShapeMismatchError, match=r"layer 0: .* got \(3, 3\) and \(1,\)"):
+            simplified_pre_chain(X0, [np.eye(3)], [np.ones(1)])
+
     def test_zero_column_rejected(self):
         X0 = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateTokenError, match="token 1"):

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_diff_jacobian, ln_vjp_at, relative_error, scripted_ln_vjp
+from oracles import (
+    central_diff_jacobian,
+    ln_vjp_at,
+    relative_error,
+    scripted_ln_jacobian,
+    scripted_ln_vjp,
+)
 
 from lnlab.normalization import (
     LAYERNORM,
@@ -17,7 +23,7 @@ from lnlab.normalization import (
     ln_jacobian,
     ln_vjp,
 )
-from lnlab.numerics import RngStream
+from lnlab.numerics import RngStream, ShapeMismatchError
 
 
 def plain(d, eps=0.0, kind=LAYERNORM):
@@ -65,8 +71,9 @@ class TestForward:
             LNParams(np.ones(3), np.ones(2), 0.0, RMSNORM)
 
     def test_degenerate_constant_token(self):
-        with pytest.raises(DegenerateTokenError):
+        with pytest.raises(DegenerateTokenError, match="token index 0$") as exc:
             ln_forward(np.array([3.0, 3.0]), plain(2))
+        assert exc.value.token_index == 0
 
     def test_degenerate_zero_rms(self):
         with pytest.raises(DegenerateTokenError):
@@ -94,6 +101,25 @@ class TestForward:
         cols, _ = ln_forward_columns(X, p)
         for j in range(6):
             assert np.array_equal(cols[:, j], ln_forward(X[:, j], p))
+
+
+class TestParameterDim:
+    # numpy would broadcast a length-1 gamma and beta over any token
+    @pytest.mark.parametrize("kind", [LAYERNORM, RMSNORM])
+    @pytest.mark.parametrize("call", [
+        ln_forward,
+        lambda x, p: ln_forward_columns(x[:, None], p),
+        ln_jacobian,
+        lambda x, p: ln_vjp(x[:, None], np.ones((1, 1)), p, np.ones((3, 1))),
+    ], ids=["ln_forward", "ln_forward_columns", "ln_jacobian", "ln_vjp"])
+    def test_mismatched_dim_raises(self, call, kind):
+        with pytest.raises(ShapeMismatchError, match="columns of length 3, parameters of dim 1"):
+            call(np.array([1.0, 2.0, 4.0]), plain(1, kind=kind))
+
+    def test_vjp_gradient_dim_checked(self):
+        xhat = np.array([[1.0], [-1.0]])
+        with pytest.raises(ShapeMismatchError, match="columns of length 1"):
+            ln_vjp(xhat, np.ones((1, 1)), plain(2), np.ones((1, 1)))
 
 
 class TestEllipsoid:
@@ -136,8 +162,22 @@ class TestJacobian:
         assert np.allclose(fd, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [LAYERNORM, RMSNORM])
+    def test_is_the_vjp_materialized(self, kind):
+        # one derivative per map: the Jacobian's row a is ln_vjp of the unit
+        # gradient on output a, bit for bit
+        gen = RngStream(19).generator()
+        for _ in range(100):
+            d = int(gen.integers(2, 17))
+            p = random_params(gen, d, eps=float(gen.choice([0.0, 1e-5])), kind=kind)
+            x = spread_token(gen, d, 10.0 ** gen.uniform(-3.0, 3.0))
+            rows = [ln_vjp_at(x[:, None], p, e[:, None])[0][:, 0] for e in np.eye(d)]
+            assert np.array_equal(ln_jacobian(x, p), np.stack(rows))
+
+    @pytest.mark.parametrize("jacobian", [ln_jacobian, scripted_ln_jacobian],
+                             ids=["ln_jacobian", "scripted_ln_jacobian"])
+    @pytest.mark.parametrize("kind", [LAYERNORM, RMSNORM])
     @pytest.mark.parametrize("eps", [0.0, 1e-5])
-    def test_matches_finite_differences(self, kind, eps):
+    def test_matches_finite_differences(self, kind, eps, jacobian):
         # LayerNorm at d = 2 is locally constant (Jacobian 0), so a relative
         # comparison is ill-posed there; that case is pinned exactly above
         gen = RngStream(17 + int(eps > 0)).generator()
@@ -147,7 +187,7 @@ class TestJacobian:
             p = random_params(gen, d, eps=eps, kind=kind)
             scale = gen.uniform(0.5, 3.0)
             x = spread_token(gen, d, scale)
-            analytic = ln_jacobian(x, p)
+            analytic = jacobian(x, p)
             fd = central_diff_jacobian(lambda v: ln_forward(v, p), x)
             assert relative_error(analytic, fd) <= 1e-6
 
