@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .normalization import LNParams, ellipsoid_residual
+from .normalization import LNParams, as_point, ellipsoid_residual
 from .numerics import NonFiniteError, RngStream, ShapeMismatchError
 
 
@@ -60,8 +60,8 @@ def postln_projection(x: np.ndarray, f: np.ndarray, p: LNParams) -> np.ndarray:
     Orthogonality is with respect to the Gamma^-2 inner product, so the
     quadratic form (x-b)^T G^-2 (x-b) is constant along the projected flow.
     """
-    x = np.asarray(x, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    x = as_point(x, p)
+    f = as_point(f, p)
     c = x - p.beta
     ginv2 = 1.0 / p.gamma**2
     quad = float(c @ (ginv2 * c))
@@ -73,7 +73,7 @@ def postln_projection(x: np.ndarray, f: np.ndarray, p: LNParams) -> np.ndarray:
 
 def radial_reprojection(y: np.ndarray, p: LNParams) -> np.ndarray:
     """Exact retraction onto the ellipsoid: radial rescale about the center."""
-    c = np.asarray(y, dtype=np.float64) - p.beta
+    c = as_point(y, p) - p.beta
     quad = float((c / p.gamma) @ (c / p.gamma))
     if quad == 0.0:
         raise ValueError("radial_reprojection: point coincides with the center")

@@ -20,16 +20,15 @@ The residual scale dt sharpens every D-dependent term.  The rescaling
 probe needs ``norm_in and not norm_sum`` (pre and peri): with ``norm_out``
 the sensitivity is invariant, without it the update scales by c1 * c2.
 
-The data-wise, pathwise and Wasserstein checks push each sample set through
-one stacked ``push_forward``, which keeps no tape, and take each input's norm
-on its own slice: a stacked norm can differ in the last bit.
-``peri_growth_check`` pushes nothing: it reads the forward tape its caller
-made.
+Every bound check takes ``(inputs, params, cfg)`` and pushes each sample set
+through one stacked ``push_forward``, which keeps no tape, taking each input's
+norm on its own slice (a stacked norm can differ in the last bit).  The
+rescaling probe reads nothing of the tape's layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,13 +149,14 @@ def _output_ln_gate(cfg: ModelConfig, params: list[BlockParams], check: str) -> 
     return output_ln_extrema(params)
 
 
-def peri_growth_check(tape: ForwardTape, seed: int = 0) -> list[BoundReport]:
+def peri_growth_check(
+    x0: np.ndarray, params: list[BlockParams], cfg: ModelConfig, seed: int = 0
+) -> list[BoundReport]:
     """Terminal MA and entry variance against the linear/quadratic growth bounds."""
-    cfg = tape.cfg
-    gmax, bmax = _output_ln_gate(cfg, list(tape.params), "peri_growth_check")
+    gmax, bmax = _output_ln_gate(cfg, params, "peri_growth_check")
     nd = cfg.nd
-    x0_frob = float(np.linalg.norm(tape.states[0]))
-    terminal = moments(tape.x_final)
+    x0_frob = float(np.linalg.norm(x0))
+    terminal = moments(push_forward(x0, params, cfg))
     ma_rhs = x0_frob / np.sqrt(nd) + 2.0 * cfg.depth * cfg.delta_t * (gmax + bmax)
     var_rhs = (x0_frob + 2.0 * cfg.depth * cfg.delta_t * np.sqrt(nd) * (gmax + bmax)) ** 2 / (nd - 1)
     return [
@@ -176,6 +176,9 @@ def datawise_variance_check(
     gmax, bmax = _output_ln_gate(cfg, params, "datawise_variance_check")
     if len(inputs) < 2:
         raise ValueError("datawise_variance_check: need at least 2 samples")
+    if not (0 <= entry[0] < cfg.d and 0 <= entry[1] < cfg.n):
+        raise IndexError(
+            f"datawise_variance_check: entry {entry} out of range for a {cfg.d} x {cfg.n} state")
     scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
     values = push_forward(np.stack(inputs), params, cfg)[:, entry[0], entry[1]]
     rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
@@ -253,36 +256,23 @@ def rescale_invariance_test(
     params: list[BlockParams],
     cfg: ModelConfig,
     x_in: np.ndarray,
-    block_index: int,
     scales: tuple[float, float],
     sublayer: str,
 ) -> RescaleResult:
-    """Compare one sublayer's local sensitivity before and after scaling its
-    weights by (c1, c2): (W, V) for attention, (W1, W2) for the FFN."""
+    """Compare one sublayer's local sensitivity in block 0 before and after
+    scaling its weights by (c1, c2): (W, V) for attention, (W1, W2) for the
+    FFN.  relu is positively homogeneous, so a relu FFN needs c1 > 0; a c1 * pre
+    that underflows to 0 lands on the kink, which the sensitivity refuses."""
     st = _admit(cfg, "rescale_invariance_test", "norm_in")
     if sublayer not in ("attn", "ffn"):
         raise ValueError(f"unknown sublayer {sublayer!r}")
     c1, c2 = scales
-    tape = model_forward(x_in, params, cfg)
-    before = sublayer_sensitivity(tape, block_index, sublayer)
-
-    b = params[block_index]
-    if sublayer == "attn":
-        scaled_block = BlockParams(b.attn.scaled(c1, c2), b.ffn, b.ln)
-    else:
-        if b.ffn.activation == RELU:
-            pre, _ = tape.traces[block_index].ffn.core
-            # the sublayer input is unchanged by the rescale, so the scaled
-            # pre-activation is exactly c1 * pre
-            if np.any((pre > 0) != (c1 * pre > 0)):
-                raise ActivationKinkError(
-                    "weight rescaling flips relu sign patterns; use tanh"
-                )
-        scaled_block = BlockParams(b.attn, b.ffn.scaled(c1, c2), b.ln)
-    scaled_params = list(params)
-    scaled_params[block_index] = scaled_block
-    tape2 = model_forward(x_in, scaled_params, cfg)
-    after = sublayer_sensitivity(tape2, block_index, sublayer)
+    b = params[0]
+    if sublayer == "ffn" and b.ffn.activation == RELU and not c1 > 0:
+        raise ActivationKinkError(f"relu rescaling needs c1 > 0, got {c1}; use tanh")
+    before = sublayer_sensitivity(model_forward(x_in, params, cfg), 0, sublayer)
+    scaled_block = replace(b, **{sublayer: getattr(b, sublayer).scaled(c1, c2)})
+    after = sublayer_sensitivity(model_forward(x_in, [scaled_block, *params[1:]], cfg), 0, sublayer)
 
     if st.norm_out:
         return RescaleResult(

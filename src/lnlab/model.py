@@ -182,6 +182,9 @@ def validate_block(b: BlockParams, cfg: ModelConfig, index: int) -> None:
     for site, p in b.ln.items():
         if p.dim != cfg.d:
             raise ShapeMismatchError(f"block {index}: LN site {site} has dim {p.dim} != d={cfg.d}")
+    if b.ffn.activation != cfg.activation:
+        raise ValueError(f"block {index}: ffn activation {b.ffn.activation!r} does not match "
+                         f"config activation {cfg.activation!r}")
 
 
 def params_to_flat(b: BlockParams) -> dict[str, np.ndarray]:
@@ -378,6 +381,8 @@ def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
         )
     if tape.x_final.ndim != 2:
         raise ShapeMismatchError(f"sensitivities take one d x n state, got {tape.x_final.shape}")
+    if not (0 <= i < tape.depth):
+        raise IndexError(f"block index {i} out of range for depth {tape.depth}")
     trace = getattr(tape.traces[i], which)
     b = tape.params[i]
     return jacobian_from_vjp(lambda G: _sublayer_backward(trace, b, cfg, which, G, {}), cfg.d, cfg.n)
@@ -385,8 +390,6 @@ def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
 
 def local_sensitivity(tape: ForwardTape, i: int) -> np.ndarray:
     """nd x nd block Jacobian d vec(X_{i+1}) / d vec(X_i), rows = outputs."""
-    if not (0 <= i < tape.depth):
-        raise IndexError(f"block index {i} out of range for depth {tape.depth}")
     return sublayer_sensitivity(tape, i, "ffn") @ sublayer_sensitivity(tape, i, "attn")
 
 
@@ -490,12 +493,13 @@ def simplified_pre_chain(
 
     where A_i is column-stochastic: uniform attention when no query/key
     matrices are supplied, otherwise softmax((K Xhat)^T Q Xhat / sqrt(k))
-    with Xhat the normalized state and k the row count of Q.  Alongside the terminal mean absolute
-    value, returns the product upper bound
+    with Xhat the normalized state and k the row count of Q.  RMSNorm is the model's
+    ``ln_forward_columns`` at epsilon = 0 (denominators s), whose errors name layer i as
+    their block.  Alongside the terminal mean absolute value, returns the product upper bound
 
         (1/sqrt(nd)) * prod_i (1 + sqrt(n) |gamma_i|_inf max_j |x_{i,j}|^-1 |W_i|_2) * |X_0|_F
 
-    whose per-layer factors are reported for growth inspection.
+    whose per-layer factors, with |x_{i,j}| = sqrt(d) s_{i,j}, are reported for growth inspection.
     """
     X = np.asarray(X0, dtype=np.float64)
     d, n = X.shape
@@ -504,6 +508,9 @@ def simplified_pre_chain(
         raise ValueError(f"need one gamma per layer: {len(gammas)} != {depth}")
     if (attn_q is None) != (attn_k is None):
         raise ValueError("attn_q and attn_k must be supplied together")
+    if attn_q is not None and not len(attn_q) == len(attn_k) == depth:
+        raise ValueError(f"need one query and one key matrix per layer: "
+                         f"{len(attn_q)} and {len(attn_k)} != {depth}")
     states = [X.copy()]
     factors = np.empty(depth)
     for i in range(depth):
@@ -512,14 +519,8 @@ def simplified_pre_chain(
         if w.shape != (d, d) or gamma.shape != (d,):
             raise ShapeMismatchError(
                 f"layer {i}: merged weight must be {d}x{d} and gamma ({d},), got {w.shape} and {gamma.shape}")
-        col_norms = np.linalg.norm(X, axis=0)
-        if np.any(col_norms == 0.0):
-            bad = int(np.argmin(col_norms))
-            raise norm.DegenerateTokenError(
-                f"layer {i}: zero column at token {bad}, RMSNorm undefined", bad
-            )
-        rms = col_norms / np.sqrt(d)
-        xhat = gamma[:, None] * X / rms[None, :]
+        rms = norm.LNParams(gamma, epsilon=0.0, kind=norm.RMSNORM)
+        xhat, (_, s) = _ln_at_site(X, rms, i, ATTN_IN)
         if attn_q is None:
             a = np.full((n, n), 1.0 / n)
         else:
@@ -528,7 +529,7 @@ def simplified_pre_chain(
         factors[i] = 1.0 + (
             np.sqrt(n)
             * np.max(np.abs(gamma))
-            * (1.0 / col_norms.min())
+            * (1.0 / (np.sqrt(d) * s.min()))
             * spectral_norm(w)
         )
         X = X + w @ xhat @ a

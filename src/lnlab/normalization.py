@@ -88,6 +88,13 @@ def _check_dim(A: np.ndarray, p: LNParams) -> None:
         raise ShapeMismatchError(f"{p.kind}: columns of length {A.shape[-2]}, parameters of dim {p.dim}")
 
 
+def as_point(z: np.ndarray, p: LNParams) -> np.ndarray:
+    """``z`` as one float64 token; ShapeMismatchError if numpy would broadcast ``p`` over it."""
+    z = np.asarray(z, dtype=np.float64)
+    _check_dim(z[:, None], p)
+    return z
+
+
 def _column_mean(A: np.ndarray) -> np.ndarray:
     """(..., 1, n) means of the columns; the same bits as ``np.mean`` without its wrapper."""
     return np.add.reduce(A, axis=-2, keepdims=True) / A.shape[-2]
@@ -142,7 +149,7 @@ def ellipsoid_residual(z: np.ndarray, p: LNParams) -> float:
     when epsilon=0; RMSNorm outputs satisfy z^T Gamma^-2 z = d.  Returns the
     quadratic form minus d, so membership means a zero residual.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = as_point(z, p)
     if np.any(p.gamma == 0.0):
         raise ValueError("ellipsoid_residual: gamma has a zero entry, Gamma^-2 undefined")
     w = (z - p.beta) / p.gamma

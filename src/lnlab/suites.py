@@ -15,7 +15,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import model as model_mod
 from . import normalization as norm
-from .model import ModelConfig, model_forward, push_forward, random_model, simplified_pre_chain
+from .model import ModelConfig, push_forward, random_model, simplified_pre_chain
 from .numerics import RngStream, spectral_norm
 from .parallel import map_indexed
 
@@ -50,9 +50,7 @@ def run_growth_suite(
 
     def one(i: int) -> list[diag.BoundReport]:
         gen, cfg, params = _peri_instance(seed, 0, i, depths, delta_ts)
-        x0 = gen.normal(size=(cfg.d, cfg.n))
-        tape = model_forward(x0, params, cfg)
-        reports = diag.peri_growth_check(tape, seed=i)
+        reports = diag.peri_growth_check(gen.normal(size=(cfg.d, cfg.n)), params, cfg, seed=i)
         inputs = gen.normal(size=(8, cfg.d, cfg.n))
         entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
         reports.append(diag.datawise_variance_check(inputs, params, cfg, entry, seed=i))
@@ -180,11 +178,11 @@ def run_rescale_suite(instances: int, seed: int, epsilon: float) -> RescaleSuite
                 for sc in RESCALE_SCALES:
                     attn_dev = max(
                         attn_dev,
-                        diag.rescale_invariance_test(params, cfg, x0, 0, sc, "attn").max_abs_dev,
+                        diag.rescale_invariance_test(params, cfg, x0, sc, "attn").max_abs_dev,
                     )
                     ffn_dev = max(
                         ffn_dev,
-                        diag.rescale_invariance_test(params, cfg, x0, 0, sc, "ffn").max_abs_dev,
+                        diag.rescale_invariance_test(params, cfg, x0, sc, "ffn").max_abs_dev,
                     )
                 break
             except norm.DegenerateTokenError:
@@ -196,7 +194,7 @@ def run_rescale_suite(instances: int, seed: int, epsilon: float) -> RescaleSuite
         x1 = stream.child(4).generator().normal(size=(cfg_pre.d, cfg_pre.n))
         ratio_err = 0.0
         for c1, c2 in RESCALE_SCALES:
-            res = diag.rescale_invariance_test(params_pre, cfg_pre, x1, 0, (c1, c2), "attn")
+            res = diag.rescale_invariance_test(params_pre, cfg_pre, x1, (c1, c2), "attn")
             ratio_err = max(ratio_err, abs(res.scale_ratio - c1 * c2) / (c1 * c2))
         return attn_dev, ffn_dev, ratio_err
 

@@ -125,6 +125,18 @@ class TestProjection:
             postln_projection(site.beta.copy(), np.ones(3), site)
 
 
+class TestParameterDim:
+    # numpy would broadcast a length-1 gamma, beta or velocity over the point
+    @pytest.mark.parametrize("call, match", [
+        (lambda x: radial_reprojection(x, LNParams(np.ones(1))), "columns of length 3, parameters of dim 1"),
+        (lambda x: postln_projection(x, x, LNParams(np.ones(1))), "columns of length 3, parameters of dim 1"),
+        (lambda x: postln_projection(x, np.ones(1), LNParams(np.ones(3))), "columns of length 1, parameters of dim 3"),
+    ], ids=["radial_reprojection", "postln_projection", "postln_projection-velocity"])
+    def test_mismatched_dim_raises(self, call, match):
+        with pytest.raises(ShapeMismatchError, match=match):
+            call(np.array([1.0, 2.0, 3.0]))
+
+
 class TestIntegrateProjectedFlow:
     def test_zero_field_constant(self):
         site = random_site(RngStream(12).generator(), 4)

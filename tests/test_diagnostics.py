@@ -71,7 +71,7 @@ class TestGrowthBounds:
         X = RngStream(4).generator().normal(size=(4, 3))
         tape = model_forward(X, params, cfg)
         assert np.array_equal(tape.x_final, X)  # output LN emits beta = 0 only
-        ma_report = diag.peri_growth_check(tape)[0]
+        ma_report = diag.peri_growth_check(X, params, cfg)[0]
         assert ma_report.rhs == pytest.approx(np.linalg.norm(X) / np.sqrt(12), abs=1e-12)
         assert ma_report.margin >= 0
 
@@ -88,7 +88,7 @@ class TestGrowthBounds:
                     b.ln[site] = LNParams(np.ones(4), np.full(4, beta), cfg.epsilon, "rmsnorm")
             tape = model_forward(X, params, cfg)
             finals.append(tape.x_final)
-            reports.append(diag.peri_growth_check(tape)[0])
+            reports.append(diag.peri_growth_check(X, params, cfg)[0])
         assert np.array_equal(finals[0], finals[1])
         assert reports[1].beta_max == 0.0
         assert reports[1].rhs == reports[0].rhs
@@ -97,9 +97,15 @@ class TestGrowthBounds:
         cfg = peri_cfg()
         pre_cfg = replace(cfg, placement="pre")
         params = random_model(pre_cfg, RngStream(5))
-        tape = model_forward(np.ones((4, 3)), params, pre_cfg)
         with pytest.raises(PlacementError):
-            diag.peri_growth_check(tape)
+            diag.peri_growth_check(np.ones((4, 3)), params, pre_cfg)
+
+    def test_params_without_output_sites_rejected(self):
+        # the config admits the check, but the pre params have no output-LN site
+        cfg = peri_cfg()
+        params = random_model(replace(cfg, placement="pre"), RngStream(5))
+        with pytest.raises(PlacementError, match="no output-LN sites"):
+            diag.peri_growth_check(np.ones((4, 3)), params, cfg)
 
 
 class TestDatawiseVariance:
@@ -132,6 +138,17 @@ class TestDatawiseVariance:
         expected01 = np.mean([(f + 2 * 8 * 0.1 * np.sqrt(12) * (1 + 0)) ** 2 for f in frobs])
         assert r01.rhs == pytest.approx(expected01, rel=1e-12)
         assert r01.rhs < r1.rhs
+
+    @pytest.mark.parametrize("entry", [(-1, -1), (4, 0), (0, 3)], ids=["negative", "row", "column"])
+    def test_entry_out_of_range_refused_before_any_pushforward(self, entry, monkeypatch):
+        pushed = []
+        monkeypatch.setattr(diag, "push_forward", lambda *args: pushed.append(args))
+        cfg = peri_cfg(depth=2)
+        params = random_model(cfg, RngStream(12))
+        inputs = RngStream(13).generator().normal(size=(4, 4, 3))
+        with pytest.raises(IndexError, match="entry .* out of range for a 4 x 3 state$"):
+            diag.datawise_variance_check(inputs, params, cfg, entry)
+        assert pushed == []
 
     def test_needs_two_samples(self):
         cfg = peri_cfg()
@@ -282,7 +299,7 @@ class TestPlacementIsData:
         inputs = [gen.normal(size=(4, 3)) for _ in range(4)]
         mu0, nu0 = gen.normal(size=(2, 5, 4, 3))
         return [
-            *diag.peri_growth_check(model_forward(x0, params, cfg)),
+            *diag.peri_growth_check(x0, params, cfg),
             diag.datawise_variance_check(inputs, params, cfg, (1, 2)),
             diag.pathwise_stability_check(inputs[0], inputs[1], params, cfg),
             diag.wasserstein_stability_check(mu0, nu0, params, cfg),
@@ -301,13 +318,13 @@ class TestPlacementIsData:
             assert b.placement == "peri_copy"
         x = RngStream(42).generator().normal(size=(4, 3))
         for sub in ("attn", "ffn"):
-            a, b = (diag.rescale_invariance_test(params, c, x, 0, (10.0, 10.0), sub) for c in (peri, copy))
+            a, b = (diag.rescale_invariance_test(params, c, x, (10.0, 10.0), sub) for c in (peri, copy))
             assert a.max_abs_dev == b.max_abs_dev
             assert np.isnan(a.scale_ratio) and np.isnan(b.scale_ratio)  # the invariance branch
 
         both = replace(peri, placement="peri_and_sum")
         for check in (
-            lambda: diag.peri_growth_check(model_forward(x, params, both)),
+            lambda: diag.peri_growth_check(x, params, both),
             lambda: diag.datawise_variance_check([x, 2 * x], params, both, (0, 0)),
             lambda: diag.pathwise_stability_check(x, 2 * x, params, both),
             lambda: diag.wasserstein_stability_check(x[None], x[None], params, both),
@@ -317,7 +334,7 @@ class TestPlacementIsData:
         out_only = replace(peri, placement="out_only")
         out_params = random_model(out_only, RngStream(43))
         with pytest.raises(PlacementError, match="needs norm_in and not norm_sum"):
-            diag.rescale_invariance_test(out_params, out_only, x, 0, (10.0, 10.0), "attn")
+            diag.rescale_invariance_test(out_params, out_only, x, (10.0, 10.0), "attn")
 
 
 class TestCHat:
@@ -340,7 +357,7 @@ class TestRescaleInvariance:
         params = random_model(cfg, RngStream(21))
         x = RngStream(22).generator().normal(size=(4, 3))
         for sub in ("attn", "ffn"):
-            res = diag.rescale_invariance_test(params, cfg, x, 0, (1.0, 1.0), sub)
+            res = diag.rescale_invariance_test(params, cfg, x, (1.0, 1.0), sub)
             assert res.max_abs_dev == 0.0
 
     def test_peri_suite_tolerances(self):
@@ -360,14 +377,14 @@ class TestRescaleInvariance:
         params = random_model(cfg, RngStream(0))
         x = RngStream(1000).generator().normal(size=(4, 3))
         with pytest.raises(ActivationKinkError, match="tanh"):
-            diag.rescale_invariance_test(params, cfg, x, 0, (-1.0, 1.0), "ffn")
+            diag.rescale_invariance_test(params, cfg, x, (-1.0, 1.0), "ffn")
 
     def test_post_placement_rejected(self):
         cfg = peri_cfg()
         post_cfg = replace(cfg, placement="post")
         params = random_model(post_cfg, RngStream(25))
         with pytest.raises(PlacementError):
-            diag.rescale_invariance_test(params, post_cfg, np.ones((4, 3)), 0, (10.0, 10.0), "attn")
+            diag.rescale_invariance_test(params, post_cfg, np.ones((4, 3)), (10.0, 10.0), "attn")
 
 
 class TestPreExponentialAndWitness:

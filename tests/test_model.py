@@ -30,7 +30,7 @@ from lnlab.model import (
     simplified_pre_chain,
     sublayer_sensitivity,
 )
-from lnlab.normalization import DegenerateTokenError, ellipsoid_residual, ln_forward_columns
+from lnlab.normalization import DegenerateTokenError, LNParams, ellipsoid_residual, ln_forward_columns
 from lnlab.numerics import RngStream, unvec, vec
 
 
@@ -195,6 +195,20 @@ class TestModelForward:
         with pytest.raises(ValueError, match="sites"):
             model_forward(np.zeros((4, 3)), [wrong, wrong], cfg)
 
+    @pytest.mark.parametrize("drawn_under, ln, match", [
+        (dict(k=2), None, r"attention shapes \(H=2, k=2, d=4\) do not match config \(H=2, k=3, d=4\)"),
+        (dict(m=6), None, r"ffn w1 has shape \(6, 4\), expected \(5, 4\)"),
+        ({}, np.ones(3), "LN site attn_in has dim 3 != d=4"),
+        (dict(activation="relu"), None, "ffn activation 'relu' does not match config activation 'tanh'"),
+    ], ids=["attention", "w1", "ln_dim", "activation"])
+    def test_mismatched_block_refused(self, drawn_under, ln, match):
+        cfg = cfg_for("peri")
+        wrong = random_model(replace(cfg, **drawn_under), RngStream(12))[0]
+        if ln is not None:
+            wrong.ln[mdl.ATTN_IN] = LNParams(ln)
+        with pytest.raises(ValueError, match=f"^block 1: {match}$"):
+            model_forward(np.zeros((4, 3)), [random_model(cfg, RngStream(12))[0], wrong], cfg)
+
     @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)])
     def test_mutating_the_input_leaves_the_tape_alone(self, shape):
         cfg = cfg_for("peri", depth=2)
@@ -322,6 +336,18 @@ class TestLocalSensitivity:
         tape2 = model_forward(X, [scaled, params[1]], cfg)
         after = sublayer_sensitivity(tape2, 0, "attn") - np.eye(12)
         assert relative_error(after, 100.0 * before) <= 1e-8
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    @pytest.mark.parametrize("sensitivity", [
+        local_sensitivity,
+        lambda tape, i: sublayer_sensitivity(tape, i, "attn"),
+        lambda tape, i: sublayer_sensitivity(tape, i, "ffn"),
+    ], ids=["block", "attn", "ffn"])
+    def test_block_index_out_of_range(self, sensitivity, i):
+        cfg = cfg_for("peri")
+        tape = model_forward(np.ones((4, 3)), random_model(cfg, RngStream(18)), cfg)
+        with pytest.raises(IndexError, match=f"^block index {i} out of range for depth 2$"):
+            sensitivity(tape, i)
 
     def test_materialize_limit(self):
         cfg = ModelConfig(d=9, n=8, k=2, m=3, heads=1, depth=1, placement="off")
@@ -527,7 +553,20 @@ class TestSimplifiedPreChain:
         with pytest.raises(mdl.ShapeMismatchError, match=r"layer 0: .* got \(3, 3\) and \(1,\)"):
             simplified_pre_chain(X0, [np.eye(3)], [np.ones(1)])
 
+    @pytest.mark.parametrize("gammas, qs, ks, match", [
+        ([np.ones(3)], None, None, "need one gamma per layer: 1 != 2"),
+        ([np.ones(3)] * 2, [np.eye(3)] * 2, None, "attn_q and attn_k must be supplied together"),
+        ([np.ones(3)] * 2, [np.eye(3)], [np.eye(3)], "need one query and one key matrix per layer: 1 and 1 != 2"),
+        ([np.ones(3)] * 2, [np.eye(3)] * 3, [np.eye(3)] * 2,
+         "need one query and one key matrix per layer: 3 and 2 != 2"),
+    ], ids=["gamma_count", "q_without_k", "short_qk", "long_q"])
+    def test_mismatched_lists_rejected(self, gammas, qs, ks, match):
+        X0 = np.arange(1.0, 7.0).reshape(3, 2)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            simplified_pre_chain(X0, [np.eye(3)] * 2, gammas, qs, ks)
+
     def test_zero_column_rejected(self):
         X0 = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(DegenerateTokenError, match="token 1"):
+        with pytest.raises(DegenerateTokenError, match="token index 1") as exc:
             simplified_pre_chain(X0, [np.eye(2)], [np.ones(2)])
+        assert (exc.value.block, exc.value.token_index) == (0, 1)

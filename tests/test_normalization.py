@@ -111,7 +111,8 @@ class TestParameterDim:
         lambda x, p: ln_forward_columns(x[:, None], p),
         ln_jacobian,
         lambda x, p: ln_vjp(x[:, None], np.ones((1, 1)), p, np.ones((3, 1))),
-    ], ids=["ln_forward", "ln_forward_columns", "ln_jacobian", "ln_vjp"])
+        ellipsoid_residual,
+    ], ids=["ln_forward", "ln_forward_columns", "ln_jacobian", "ln_vjp", "ellipsoid_residual"])
     def test_mismatched_dim_raises(self, call, kind):
         with pytest.raises(ShapeMismatchError, match="columns of length 3, parameters of dim 1"):
             call(np.array([1.0, 2.0, 4.0]), plain(1, kind=kind))
