@@ -259,20 +259,20 @@ def rescale_invariance_test(
     scales: tuple[float, float],
     sublayer: str,
 ) -> RescaleResult:
-    """Compare one sublayer's local sensitivity in block 0 before and after
+    """Compare one sublayer's local sensitivity in block 0, run as a depth-1
+    model (later blocks are neither checked nor pushed), before and after
     scaling its weights by (c1, c2): (W, V) for attention, (W1, W2) for the
     FFN.  relu is positively homogeneous, so a relu FFN needs c1 > 0; a c1 * pre
     that underflows to 0 lands on the kink, which the sensitivity refuses."""
     st = _admit(cfg, "rescale_invariance_test", "norm_in")
-    if sublayer not in ("attn", "ffn"):
-        raise ValueError(f"unknown sublayer {sublayer!r}")
     c1, c2 = scales
     b = params[0]
     if sublayer == "ffn" and b.ffn.activation == RELU and not c1 > 0:
         raise ActivationKinkError(f"relu rescaling needs c1 > 0, got {c1}; use tanh")
-    before = sublayer_sensitivity(model_forward(x_in, params, cfg), 0, sublayer)
+    one = replace(cfg, depth=1)
+    before = sublayer_sensitivity(model_forward(x_in, [b], one), 0, sublayer)
     scaled_block = replace(b, **{sublayer: getattr(b, sublayer).scaled(c1, c2)})
-    after = sublayer_sensitivity(model_forward(x_in, [scaled_block, *params[1:]], cfg), 0, sublayer)
+    after = sublayer_sensitivity(model_forward(x_in, [scaled_block], one), 0, sublayer)
 
     if st.norm_out:
         return RescaleResult(

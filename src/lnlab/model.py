@@ -383,6 +383,8 @@ def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
         raise ShapeMismatchError(f"sensitivities take one d x n state, got {tape.x_final.shape}")
     if not (0 <= i < tape.depth):
         raise IndexError(f"block index {i} out of range for depth {tape.depth}")
+    if which not in _SITES:
+        raise ValueError(f"unknown sublayer {which!r}; expected 'attn' or 'ffn'")
     trace = getattr(tape.traces[i], which)
     b = tape.params[i]
     return jacobian_from_vjp(lambda G: _sublayer_backward(trace, b, cfg, which, G, {}), cfg.d, cfg.n)
@@ -519,6 +521,10 @@ def simplified_pre_chain(
         if w.shape != (d, d) or gamma.shape != (d,):
             raise ShapeMismatchError(
                 f"layer {i}: merged weight must be {d}x{d} and gamma ({d},), got {w.shape} and {gamma.shape}")
+        if attn_q is not None and not (np.ndim(attn_q[i]) == 2 and np.shape(attn_q[i])[1] == d
+                                       and np.shape(attn_k[i]) == np.shape(attn_q[i])):
+            raise ShapeMismatchError(f"layer {i}: query and key must both be (k, {d}), "
+                                     f"got {np.shape(attn_q[i])} and {np.shape(attn_k[i])}")
         rms = norm.LNParams(gamma, epsilon=0.0, kind=norm.RMSNORM)
         xhat, (_, s) = _ln_at_site(X, rms, i, ATTN_IN)
         if attn_q is None:

@@ -164,20 +164,18 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 
     dist = np.empty(n)  # shortest path cost to each unscanned column
     open_v = np.empty(n)  # v, with -inf at scanned columns
-    reduced = np.empty(n)
-    closer = np.empty(n, dtype=bool)
-    pred = np.empty(n, dtype=np.int64)  # row before column j on its path
+    seen = np.empty((n, n))  # row k: reduced costs from the k-th scanned row
     for start in np.flatnonzero(col < 0).tolist():
         dist.fill(np.inf)
         np.copyto(open_v, v)
-        scanned, reached = [], []
+        rows, scanned, reached = [], [], []
         i, reach = start, 0.0
         while True:
+            reduced = seen[len(rows)]
             np.subtract(cost[i], open_v, out=reduced)  # +inf where scanned
             reduced += reach - u[i]
-            np.less(reduced, dist, out=closer)
-            np.copyto(pred, i, where=closer)
             np.minimum(dist, reduced, out=dist)
+            rows.append(i)
             j = int(dist.argmin())
             reach = float(dist[j])
             scanned.append(j)
@@ -194,9 +192,10 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
         v[cols] -= shift
         u[row[cols[:-1]]] += shift[:-1]
         u[start] += reach
-        # augment along the path back to the start row
+        # augment along the path back to the start row; a column's predecessor
+        # is the first scanned row to reach its final distance (later rows: +inf)
         while True:
-            i = int(pred[j])
+            i = rows[int(seen[: len(rows), j].argmin())]
             row[j] = i
             col[i], j = j, int(col[i])
             if i == start:
@@ -222,14 +221,17 @@ def check_order(p: float) -> None:
 
 def transport_cost(flat_a: np.ndarray, flat_b: np.ndarray, p: float) -> np.ndarray:
     """N x N cost ``sum_k |a_ik - b_jk|^p`` of two (N, m) sample stacks,
-    built ``COST_BLOCK_ROWS`` rows at a time so the (rows, N, m) temporary
-    stays small.  Each entry is reduced over the same contiguous m axis as
-    in the one-shot ``(np.abs(a[:, None] - b[None]) ** p).sum(axis=2)``,
-    so the two agree bit for bit."""
+    built ``COST_BLOCK_ROWS`` rows at a time in one reused (rows, N, m)
+    buffer.  Each entry is reduced over the same contiguous m axis as in
+    the one-shot ``(np.abs(a[:, None] - b[None]) ** p).sum(axis=2)``, so
+    the two agree bit for bit."""
     n = flat_a.shape[0]
     cost = np.empty((n, flat_b.shape[0]))
+    buf = np.empty((min(n, COST_BLOCK_ROWS),) + flat_b.shape)
     for lo in range(0, n, COST_BLOCK_ROWS):
-        diff = np.abs(flat_a[lo : lo + COST_BLOCK_ROWS, None, :] - flat_b[None, :, :])
+        rows = flat_a[lo : lo + COST_BLOCK_ROWS, None, :]
+        diff = np.subtract(rows, flat_b[None, :, :], out=buf[: len(rows)])
+        np.abs(diff, out=diff)
         diff **= p
         np.add.reduce(diff, axis=2, out=cost[lo : lo + COST_BLOCK_ROWS])
     return cost

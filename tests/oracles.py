@@ -8,11 +8,13 @@ Jacobians, which it builds from its VJPs, and the per-token LN VJP loops the
 closed-form LN Jacobian (itself pinned against finite differences) to pin
 the column kernels; brute-force enumeration solves small transport
 problems, the textbook Hungarian loop (one dual update per scanned column)
-pins the shortest-augmenting-path solver on larger ones, and
-extended-precision arithmetic recomputes the scalar kernels.  Three
-exceptions: ``scripted_train_run`` and ``scripted_terminal_states`` run one
-sample at a time through the library's model, to pin the stacked minibatch
-step and the stacked pushforwards of the bound checks;
+pins the shortest-augmenting-path solver on larger ones, the same solver
+keeping a predecessor array (``pred_min_cost_assignment``) pins which
+optimal matching it returns on ties, and extended-precision arithmetic
+recomputes the scalar kernels.  Three exceptions: ``scripted_train_run``
+and ``scripted_terminal_states`` run one sample at a time through the
+library's model, to pin the stacked minibatch step and the stacked
+pushforwards of the bound checks;
 ``per_head_attn_forward`` and ``per_head_attn_vjp`` run the library's
 attention one head at a time, to pin its head axis bit for bit; and
 ``recompute_attn_vjp`` and ``recompute_ffn_vjp`` recompute the sublayers'
@@ -181,6 +183,77 @@ def scripted_min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     col = np.empty(n, dtype=np.int64)
     for j in range(1, n + 1):
         col[match[j] - 1] = j - 1
+    return col
+
+
+def pred_min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Exact minimum-cost perfect matching on a square cost matrix.
+
+    Shortest augmenting paths over dual potentials u, v (Jonker & Volgenant
+    1987; Crouse 2016, the form behind scipy's ``linear_sum_assignment``),
+    O(N^3).  A column reduction starts it: ``v`` is the column minima,
+    ``u = 0``, and each column is matched to its argmin row while that row
+    is free, so only the rows left free need a path.  Each path is a
+    Dijkstra search over reduced costs, and the duals are updated once per
+    path, not once per scanned column.  Returns ``col`` such that row i is
+    matched to column col[i]; when several matchings are optimal (ties),
+    any one of them may be returned.
+    """
+    cost = as_matrix(cost)
+    n, m = cost.shape
+    if n != m:
+        raise ShapeMismatchError(f"min_cost_assignment: cost must be square, got {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise NonFiniteError("min_cost_assignment: cost contains non-finite entries")
+    col = np.full(n, -1, dtype=np.int64)  # col[i] = column of row i, -1 = free
+    if n == 0:
+        return col
+    row = np.full(n, -1, dtype=np.int64)  # row[j] = row of column j, -1 = free
+    u = np.zeros(n)
+    v = cost.min(axis=0)
+    for j, i in enumerate(cost.argmin(axis=0).tolist()):
+        if col[i] < 0:
+            col[i], row[j] = j, i
+
+    dist = np.empty(n)  # shortest path cost to each unscanned column
+    open_v = np.empty(n)  # v, with -inf at scanned columns
+    reduced = np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    pred = np.empty(n, dtype=np.int64)  # row before column j on its path
+    for start in np.flatnonzero(col < 0).tolist():
+        dist.fill(np.inf)
+        np.copyto(open_v, v)
+        scanned, reached = [], []
+        i, reach = start, 0.0
+        while True:
+            np.subtract(cost[i], open_v, out=reduced)  # +inf where scanned
+            reduced += reach - u[i]
+            np.less(reduced, dist, out=closer)
+            np.copyto(pred, i, where=closer)
+            np.minimum(dist, reduced, out=dist)
+            j = int(dist.argmin())
+            reach = float(dist[j])
+            scanned.append(j)
+            reached.append(reach)
+            dist[j] = np.inf
+            open_v[j] = -np.inf
+            if row[j] < 0:
+                break
+            i = int(row[j])
+        # lazy dual update: every scanned column moves by how much sooner
+        # than the sink it was reached, and so does the row matched to it
+        cols = np.array(scanned)
+        shift = reach - np.array(reached)
+        v[cols] -= shift
+        u[row[cols[:-1]]] += shift[:-1]
+        u[start] += reach
+        # augment along the path back to the start row
+        while True:
+            i = int(pred[j])
+            row[j] = i
+            col[i], j = j, int(col[i])
+            if i == start:
+                break
     return col
 
 

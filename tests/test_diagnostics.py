@@ -372,6 +372,27 @@ class TestRescaleInvariance:
         exact = suites.run_rescale_suite(10, seed=4, epsilon=0.0)
         assert exact.worst_pre_ratio_err <= 1e-8
 
+    def test_forwards_block_zero_only(self, monkeypatch):
+        cfg = peri_cfg(depth=2, epsilon=0.0, activation="relu")
+        params = random_model(cfg, RngStream(21))
+        x = RngStream(22).generator().normal(size=(4, 3))
+        ran = []
+        block_forward = model.block_forward
+
+        def counted(X, b, cfg, index):
+            ran.append(index)
+            return block_forward(X, b, cfg, index=index)
+
+        monkeypatch.setattr(model, "block_forward", counted)
+        diag.rescale_invariance_test(params, cfg, x, (10.0, 10.0), "attn")
+        assert ran == [0, 0]
+
+    def test_unknown_sublayer_rejected(self):
+        cfg = peri_cfg(depth=2)
+        params = random_model(cfg, RngStream(21))
+        with pytest.raises(ValueError, match="^unknown sublayer 'mlp'; expected 'attn' or 'ffn'$"):
+            diag.rescale_invariance_test(params, cfg, np.ones((4, 3)), (10.0, 10.0), "mlp")
+
     def test_relu_sign_flip_rejected(self):
         cfg = peri_cfg(epsilon=0.0, activation="relu")
         params = random_model(cfg, RngStream(0))

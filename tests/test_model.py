@@ -349,6 +349,12 @@ class TestLocalSensitivity:
         with pytest.raises(IndexError, match=f"^block index {i} out of range for depth 2$"):
             sensitivity(tape, i)
 
+    def test_unknown_sublayer_rejected(self):
+        cfg = cfg_for("peri")
+        tape = model_forward(np.ones((4, 3)), random_model(cfg, RngStream(18)), cfg)
+        with pytest.raises(ValueError, match="^unknown sublayer 'mlp'; expected 'attn' or 'ffn'$"):
+            sublayer_sensitivity(tape, 0, "mlp")
+
     def test_materialize_limit(self):
         cfg = ModelConfig(d=9, n=8, k=2, m=3, heads=1, depth=1, placement="off")
         params = random_model(cfg, RngStream(18))
@@ -564,6 +570,17 @@ class TestSimplifiedPreChain:
         X0 = np.arange(1.0, 7.0).reshape(3, 2)
         with pytest.raises(ValueError, match=f"^{match}$"):
             simplified_pre_chain(X0, [np.eye(3)] * 2, gammas, qs, ks)
+
+    @pytest.mark.parametrize("q, k, got", [
+        (np.ones((2, 4)), np.ones((2, 3)), r"\(2, 4\) and \(2, 3\)"),
+        (np.ones((2, 3)), np.ones((3, 3)), r"\(2, 3\) and \(3, 3\)"),
+        (np.ones(3), np.ones(3), r"\(3,\) and \(3,\)"),
+    ], ids=["query_width", "key_count", "vector"])
+    def test_bad_query_key_shape_rejected(self, q, k, got):
+        X0 = np.arange(1.0, 7.0).reshape(3, 2)
+        qs, ks = [np.ones((2, 3)), q], [np.ones((2, 3)), k]
+        with pytest.raises(mdl.ShapeMismatchError, match=f"^layer 1: query and key must both be \\(k, 3\\), got {got}$"):
+            simplified_pre_chain(X0, [np.eye(3)] * 2, [np.ones(3)] * 2, qs, ks)
 
     def test_zero_column_rejected(self):
         X0 = np.array([[1.0, 0.0], [1.0, 0.0]])

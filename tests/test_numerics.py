@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     assignment_bruteforce,
+    pred_min_cost_assignment,
     scripted_min_cost_assignment,
     softmax_longdouble,
     wasserstein_bruteforce,
@@ -253,15 +254,40 @@ class TestAssignmentVsHungarian:
         assert np.array_equal(min_cost_assignment(cost), scripted_min_cost_assignment(cost))
 
 
+class TestAssignmentVsPredArray:
+    """The solver against ``oracles.pred_min_cost_assignment``, the same
+    search keeping a predecessor array updated on every strict decrease:
+    reading predecessors from the scanned rows must pick the same column
+    for every row, ties included."""
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 64),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["continuous", "integers", "constant"]),
+    )
+    def test_same_col(self, n, seed, kind):
+        gen = np.random.default_rng(seed)
+        if kind == "continuous":
+            cost = gen.uniform(-10, 10, size=(n, n))
+        elif kind == "integers":
+            cost = gen.integers(0, 3, size=(n, n)).astype(np.float64)
+        else:
+            cost = np.full((n, n), gen.normal())
+        assert np.array_equal(min_cost_assignment(cost), pred_min_cost_assignment(cost))
+
+
 class TestTransportCost:
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize(
-        "n", [1, COST_BLOCK_ROWS - 1, COST_BLOCK_ROWS, COST_BLOCK_ROWS + 1, MAX_OT_SAMPLES]
+        "n", [0, 1, COST_BLOCK_ROWS - 1, COST_BLOCK_ROWS, COST_BLOCK_ROWS + 1, MAX_OT_SAMPLES]
     )
-    def test_same_bits_as_one_shot_broadcast(self, n, p):
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_same_bits_as_one_shot_broadcast(self, n, p, extra):
+        # extra > 0: the second stack holds more samples than the first
         gen = np.random.default_rng(n)
         a = gen.normal(size=(n, 12))
-        b = gen.normal(size=(n, 12)) + 0.25
+        b = gen.normal(size=(n + extra, 12)) + 0.25
         expected = (np.abs(a[:, None] - b[None]) ** p).sum(axis=2)
         assert np.array_equal(transport_cost(a, b, p), expected)
 
