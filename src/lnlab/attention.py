@@ -7,6 +7,9 @@ The attention map is
 with Q, K, V of shape (k, d) and W of shape (d, k) per head; the feedforward
 map is f_ffn(X) = W2 phi(W1 X) applied token-wise (no bias).  Both maps take
 a stack of states ``(..., d, n)``; attention's heads are a stack axis too.
+Weights may carry leading axes that broadcast against the state's (``(T, 1,
+H, k, d)`` over ``(B, d, n)`` gives ``(T, B, d, n)``), each slice with the bits
+of its model alone; the materialized Jacobians take one state and one model.
 
 Each forward map returns its output together with the intermediates its
 derivative reads: attention the per-head keys, queries, attention and values
@@ -43,7 +46,8 @@ class ActivationKinkError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Stacked head weights: q, k, v of shape (H, k, d) and w of shape (H, d, k)."""
+    """Stacked head weights: q, k, v of shape (..., H, k, d) and w of shape
+    (..., H, d, k); leading axes, if any, hold several models."""
 
     q: np.ndarray
     k: np.ndarray
@@ -53,13 +57,14 @@ class AttentionParams:
     def __post_init__(self):
         q, k, v, w = (np.asarray(m, dtype=np.float64) for m in (self.q, self.k, self.v, self.w))
         for name, m in (("q", q), ("k", k), ("v", v), ("w", w)):
-            if m.ndim != 3:
-                raise ShapeMismatchError(f"AttentionParams.{name}: expected (H, ., .), got {m.shape}")
+            if m.ndim < 3:
+                raise ShapeMismatchError(f"AttentionParams.{name}: expected (..., H, ., .), got {m.shape}")
             object.__setattr__(self, name, m)
-        heads, kdim, d = q.shape
+        heads, kdim, d = q.shape[-3:]
         if heads < 1:
             raise ShapeMismatchError("AttentionParams: need at least one head")
-        if k.shape != (heads, kdim, d) or v.shape != (heads, kdim, d) or w.shape != (heads, d, kdim):
+        if (k.shape[-3:] != (heads, kdim, d) or v.shape[-3:] != (heads, kdim, d)
+                or w.shape[-3:] != (heads, d, kdim)):
             raise ShapeMismatchError(
                 f"AttentionParams: inconsistent head shapes q={q.shape} k={k.shape} "
                 f"v={v.shape} w={w.shape}"
@@ -67,15 +72,19 @@ class AttentionParams:
 
     @property
     def heads(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-3]
 
     @property
     def key_dim(self) -> int:
-        return self.q.shape[1]
+        return self.q.shape[-2]
 
     @property
     def model_dim(self) -> int:
-        return self.q.shape[2]
+        return self.q.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return max(m.ndim for m in (self.q, self.k, self.v, self.w)) > 3
 
     def scaled(self, c_w: float, c_v: float) -> "AttentionParams":
         return AttentionParams(self.q, self.k, self.v * c_v, self.w * c_w)
@@ -83,7 +92,8 @@ class AttentionParams:
 
 @dataclass(frozen=True)
 class FfnParams:
-    """Two-matrix token-wise MLP: w1 (m, d), w2 (d, m), activation tanh or relu."""
+    """Two-matrix token-wise MLP: w1 (..., m, d), w2 (..., d, m), activation
+    tanh or relu; leading axes, if any, hold several models."""
 
     w1: np.ndarray
     w2: np.ndarray
@@ -94,7 +104,7 @@ class FfnParams:
         w2 = np.asarray(self.w2, dtype=np.float64)
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
-        if w1.ndim != 2 or w2.ndim != 2 or w1.shape != (w2.shape[1], w2.shape[0]):
+        if w1.ndim < 2 or w2.ndim < 2 or w1.shape[-2:] != (w2.shape[-1], w2.shape[-2]):
             raise ShapeMismatchError(
                 f"FfnParams: shapes do not compose d->m->d, got w1={w1.shape} w2={w2.shape}"
             )
@@ -102,6 +112,10 @@ class FfnParams:
             raise ValueError(
                 f"FfnParams: unknown activation {self.activation!r}, expected one of {ACTIVATIONS}"
             )
+
+    @property
+    def stacked(self) -> bool:
+        return self.w1.ndim > 2 or self.w2.ndim > 2
 
     def scaled(self, c1: float, c2: float) -> "FfnParams":
         return FfnParams(self.w1 * c1, self.w2 * c2, self.activation)
@@ -128,12 +142,22 @@ def _check_state(X: np.ndarray, p: AttentionParams | FfnParams) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim < 2:
         raise ShapeMismatchError(f"hidden state must be d x n or (..., d, n), got {X.shape}")
-    d_expected = p.model_dim if isinstance(p, AttentionParams) else p.w1.shape[1]
+    d_expected = p.model_dim if isinstance(p, AttentionParams) else p.w1.shape[-1]
     if X.shape[-2] != d_expected:
         raise ShapeMismatchError(
             f"hidden state has d={X.shape[-2]} but parameters expect d={d_expected}"
         )
     return X
+
+
+def _jacobian(X: np.ndarray, p: AttentionParams | FfnParams, forward, vjp) -> np.ndarray:
+    """A sublayer's nd x nd Jacobian at one d x n state from one forward pass and its VJP."""
+    X = as_matrix(X)
+    if p.stacked:
+        raise ShapeMismatchError(f"Jacobians take one model's weights, got {type(p).__name__} "
+                                 f"with leading axes")
+    _, taped = forward(X, p)
+    return jacobian_from_vjp(lambda G: vjp(X, *taped, p, G)[0], *X.shape)
 
 
 def attn_forward(X: np.ndarray, p: AttentionParams):
@@ -175,9 +199,7 @@ def attn_jacobian_full(X: np.ndarray, p: AttentionParams) -> np.ndarray:
     ``attn_vjp``.  Block (j, i) holds d[f_attn]_j / d x_i; every block
     depends linearly on V and W, which is what makes the pre-norm
     sensitivity scale with the weights and the peri-norm one not."""
-    X = as_matrix(X)
-    _, taped = attn_forward(X, p)
-    return jacobian_from_vjp(lambda G: attn_vjp(X, *taped, p, G)[0], *X.shape)
+    return _jacobian(X, p, attn_forward, attn_vjp)
 
 
 def ffn_forward(X: np.ndarray, p: FfnParams):
@@ -194,9 +216,9 @@ def ffn_vjp(Z: np.ndarray, pre: np.ndarray, act: np.ndarray, p: FfnParams, gbar:
     taped: (input gradient, weight gradients), stacked like ``gbar`` as in
     ``attn_vjp``."""
     gw2 = gbar @ act.mT
-    gpre = (p.w2.T @ gbar) * activation_derivative(p.activation, pre, act)
+    gpre = (p.w2.mT @ gbar) * activation_derivative(p.activation, pre, act)
     gw1 = gpre @ Z.mT
-    gz = p.w1.T @ gpre
+    gz = p.w1.mT @ gpre
     return gz, {"ffn.w1": gw1, "ffn.w2": gw2}
 
 
@@ -204,6 +226,4 @@ def ffn_jacobian_blockdiag(X: np.ndarray, p: FfnParams) -> np.ndarray:
     """nd x nd Jacobian of token-wise f_ffn at one d x n state, from
     ``ffn_vjp``: block j is W2 diag(phi'(W1 x_j)) W1 on the diagonal, and
     off-token blocks are zero."""
-    X = as_matrix(X)
-    _, taped = ffn_forward(X, p)
-    return jacobian_from_vjp(lambda G: ffn_vjp(X, *taped, p, G)[0], *X.shape)
+    return _jacobian(X, p, ffn_forward, ffn_vjp)

@@ -107,6 +107,9 @@ def output_ln_extrema(params: list[BlockParams]) -> tuple[float, float]:
             p = b.ln.get(site)
             if p is None:
                 continue
+            if p.stacked:
+                raise ShapeMismatchError(f"output-LN site {site} holds stacked parameters "
+                                         f"{p.gamma.shape}; bound constants are per model")
             found = True
             gmax = max(gmax, float(np.abs(p.gamma).max()))
             bmax = max(bmax, float(np.abs(p.beta).max()))

@@ -8,6 +8,12 @@ check the LN VJP at one token, ``attention``, ``ffn`` and ``block`` the VJPs
 of the sublayers and of a whole block (the reverse sweep), each materialized
 over the unit output gradients; ``params`` checks the reverse sweep's
 parameter gradients.
+
+``fd_jacobian`` runs all 2 * size perturbed points, +e0, -e0, +e1, ..., as
+one stack through one call: the column kernel for the norms, a ``(T, d, n)``
+state stack for the sublayers and the block, and for ``params`` one
+``push_forward`` with the perturbed tensor stacked to ``(2 * size, *shape)``.
+Each slice has the bits of its own call, so the rows are a per-entry loop's.
 """
 
 from __future__ import annotations
@@ -17,22 +23,23 @@ import numpy as np
 from . import attention as attn_mod
 from . import model as model_mod
 from . import normalization as norm
-from .numerics import RngStream, unvec, vec
+from .numerics import RngStream, vec
 from .parallel import map_indexed
 
 CATEGORIES = ("layernorm", "rmsnorm", "attention", "ffn", "block", "params")
 
 
 def fd_jacobian(f, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, rows = outputs."""
+    """Central-difference Jacobian of a vector map, rows = outputs.
+
+    ``f`` maps a stack ``(T, size)`` of points to ``(T, out)``; it is called
+    once, on the 2 * size points x + h e_b and x - h e_b interleaved."""
     x = np.asarray(x, dtype=np.float64)
     h = 1e-6 * (1.0 + float(np.abs(x).max()))
-    cols = []
-    for b in range(x.size):
-        e = np.zeros_like(x)
-        e[b] = h
-        cols.append((f(x + e) - f(x - e)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    steps = np.eye(x.size)[:, None, :] * np.array([[h], [-h]])  # steps[b] = (h e_b, -h e_b)
+    values = f((x + steps).reshape(2 * x.size, x.size)).reshape(x.size, 2, -1)
+    # C order, as stacking the columns gives: rel_error's norms read memory order
+    return np.ascontiguousarray(((values[:, 0] - values[:, 1]) / (2.0 * h)).T)
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -74,7 +81,9 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
         while np.std(x) < 0.1:
             # near-constant tokens sit below the FD step's resolution
             x = gen.normal(size=d)
-        err = rel_error(norm.ln_jacobian(x, p), fd_jacobian(lambda v: norm.ln_forward(v, p), x))
+        # each point a one-token state, as ``ln_forward`` normalizes it
+        f = lambda v: norm.ln_forward_columns(v[..., None], p)[0][..., 0]
+        err = rel_error(norm.ln_jacobian(x, p), fd_jacobian(f, x))
 
     elif category in ("attention", "ffn", "block"):
         # a map of the (d, n) state and its analytic Jacobian in vec layout
@@ -91,8 +100,9 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
             f = lambda X: attn_mod.ffn_forward(X, p)[0]
             jacobian = lambda X: attn_mod.ffn_jacobian_blockdiag(X, p)
         X = gen.normal(size=(cfg.d, cfg.n))
-        fd = fd_jacobian(lambda v: vec(f(unvec(v, cfg.d, cfg.n))), vec(X))
-        err = rel_error(jacobian(X), fd)
+        # column-major points (..., nd) <-> states (..., d, n), as vec and unvec
+        stacked = lambda v: f(v.reshape(*v.shape[:-1], cfg.n, cfg.d).mT).mT.reshape(v.shape)
+        err = rel_error(jacobian(X), fd_jacobian(stacked, vec(X)))
 
     elif category == "params":
         params = model_mod.random_model(cfg, stream.child(1))
@@ -103,14 +113,17 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
         flat = model_mod.params_to_flat(params[block])
 
         def loss(name: str, value: np.ndarray) -> np.ndarray:
+            """<C, X_D> at each model of a ``(..., *shape)`` stack of one tensor, shaped (..., 1)."""
             plist = list(params)
             plist[block] = model_mod.flat_to_params({**flat, name: value}, params[block])
-            return np.array([(C * model_mod.push_forward(X, plist, cfg)).sum()])
+            XD = model_mod.push_forward(X, plist, cfg)
+            return np.reshape([(C * x).sum() for x in XD.reshape(-1, cfg.d, cfg.n)], XD.shape[:-2] + (1,))
 
         err = max(
             rel_error(
                 grads[block][name],
-                fd_jacobian(lambda v: loss(name, v.reshape(arr.shape)), arr.ravel()).reshape(arr.shape),
+                fd_jacobian(lambda v: loss(name, v.reshape(*v.shape[:-1], *arr.shape)),
+                            arr.ravel()).reshape(arr.shape),
             )
             for name, arr in flat.items()
         )

@@ -33,7 +33,10 @@ Hidden states are d x n, or a stack ``(..., d, n)`` of independent states
 (a minibatch): the forward pass and the reverse sweep map each state of a
 stack on its own, with the same bits as running it alone, and the reverse
 sweep returns per-state parameter gradients with the same leading axes.
-The materialized nd x nd sensitivities take one d x n state.
+Weights may carry leading axes as well (a tensor without them is shared):
+a block with ``(T, ...)`` tensors maps a d x n state to ``(T, d, n)``, each
+slice with the bits of its model alone, as ``gradcheck``'s finite differences
+use.  The materialized nd x nd sensitivities take one d x n state of one model.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def validate_block(b: BlockParams, cfg: ModelConfig, index: int) -> None:
             f"block {index}: attention shapes (H={b.attn.heads}, k={b.attn.key_dim}, "
             f"d={b.attn.model_dim}) do not match config (H={cfg.heads}, k={cfg.k}, d={cfg.d})"
         )
-    if b.ffn.w1.shape != (cfg.m, cfg.d):
+    if b.ffn.w1.shape[-2:] != (cfg.m, cfg.d):
         raise ShapeMismatchError(
             f"block {index}: ffn w1 has shape {b.ffn.w1.shape}, expected ({cfg.m}, {cfg.d})"
         )
@@ -379,8 +382,8 @@ def sublayer_sensitivity(tape: ForwardTape, i: int, which: str) -> np.ndarray:
             f"refusing to materialize a {nd}x{nd} sensitivity "
             f"(limit {MATERIALIZE_LIMIT}); use param_gradients for large models"
         )
-    if tape.x_final.ndim != 2:
-        raise ShapeMismatchError(f"sensitivities take one d x n state, got {tape.x_final.shape}")
+    if tape.x_final.ndim != 2:  # a stack of states, or of models: weights with leading axes stack X_D
+        raise ShapeMismatchError(f"sensitivities take one d x n state of one model, got {tape.x_final.shape}")
     if not (0 <= i < tape.depth):
         raise IndexError(f"block index {i} out of range for depth {tape.depth}")
     if which not in _SITES:
@@ -495,7 +498,7 @@ def simplified_pre_chain(
 
     where A_i is column-stochastic: uniform attention when no query/key
     matrices are supplied, otherwise softmax((K Xhat)^T Q Xhat / sqrt(k))
-    with Xhat the normalized state and k the row count of Q.  RMSNorm is the model's
+    with Xhat the normalized state and k >= 1 the row count of Q.  RMSNorm is the model's
     ``ln_forward_columns`` at epsilon = 0 (denominators s), whose errors name layer i as
     their block.  Alongside the terminal mean absolute value, returns the product upper bound
 
@@ -522,7 +525,8 @@ def simplified_pre_chain(
             raise ShapeMismatchError(
                 f"layer {i}: merged weight must be {d}x{d} and gamma ({d},), got {w.shape} and {gamma.shape}")
         if attn_q is not None and not (np.ndim(attn_q[i]) == 2 and np.shape(attn_q[i])[1] == d
-                                       and np.shape(attn_k[i]) == np.shape(attn_q[i])):
+                                       and np.shape(attn_k[i]) == np.shape(attn_q[i])
+                                       and np.shape(attn_q[i])[0] >= 1):
             raise ShapeMismatchError(f"layer {i}: query and key must both be (k, {d}), "
                                      f"got {np.shape(attn_q[i])} and {np.shape(attn_k[i])}")
         rms = norm.LNParams(gamma, epsilon=0.0, kind=norm.RMSNORM)

@@ -2,7 +2,10 @@
 
 Both norms act on a single token (a length-d vector); the column-wise kernels
 apply them to every token of a d x n hidden state, or of each state of a
-stack ``(..., d, n)``, at once, as whole-array operations.  Jacobians are
+stack ``(..., d, n)``, at once, as whole-array operations.  ``gamma`` and
+``beta`` may carry leading axes too, which broadcast against the stack's
+(parameters ``(T, 1, d)`` over states ``(B, d, n)`` give ``(T, B, d, n)``),
+each slice with the bits of one parameter set alone.  Jacobians are
 emitted with rows indexed by outputs and columns by inputs, i.e.
 ``J[a, b] = d out_a / d in_b``; every chain rule downstream of this module
 assumes that orientation.
@@ -51,7 +54,8 @@ class DegenerateTokenError(ZeroDivisionError):
 class LNParams:
     """Per-site normalization parameters.
 
-    ``gamma`` and ``beta`` have length d; RMSNorm applies no bias, so its
+    ``gamma`` and ``beta`` have length d, with leading axes if they hold
+    several sites' parameters; RMSNorm applies no bias, so its
     ``beta`` is stored as zeros whatever is given.  ``epsilon`` is added
     under the square root of the denominator; the exact ellipsoid and
     scaling-law identities hold only at epsilon=0.
@@ -66,7 +70,7 @@ class LNParams:
         gamma = np.asarray(self.gamma, dtype=np.float64)
         object.__setattr__(self, "gamma", gamma)
         beta = np.zeros_like(gamma) if self.beta is None else np.asarray(self.beta, dtype=np.float64)
-        if gamma.ndim != 1 or beta.shape != gamma.shape:
+        if gamma.ndim < 1 or beta.ndim < 1 or beta.shape[-1] != gamma.shape[-1]:
             raise ValueError(
                 f"LNParams: gamma/beta must be equal-length vectors, "
                 f"got {gamma.shape} and {beta.shape}"
@@ -79,7 +83,11 @@ class LNParams:
 
     @property
     def dim(self) -> int:
-        return self.gamma.shape[0]
+        return self.gamma.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.gamma.ndim > 1 or self.beta.ndim > 1
 
 
 def _check_dim(A: np.ndarray, p: LNParams) -> None:
@@ -138,8 +146,8 @@ def ln_forward_columns(X: np.ndarray, p: LNParams):
     returns ``(z, (xhat, s))``, the output and the statistics ``ln_vjp`` takes."""
     c, s = _column_stats(np.asarray(X, dtype=np.float64), p)
     xhat = c / s
-    z = p.gamma[:, None] * xhat
-    return (z + p.beta[:, None] if p.kind == LAYERNORM else z), (xhat, s)
+    z = p.gamma[..., None] * xhat
+    return (z + p.beta[..., None] if p.kind == LAYERNORM else z), (xhat, s)
 
 
 def ellipsoid_residual(z: np.ndarray, p: LNParams) -> float:
@@ -160,6 +168,9 @@ def ln_jacobian(x: np.ndarray, p: LNParams) -> np.ndarray:
     """d x d Jacobian of the normalization map at one token, rows = outputs,
     from ``ln_vjp``.  At eps=0 the map is (-1)-homogeneous, J(c x) = J(x) / c
     for c > 0, and LayerNorm's J annihilates the constant direction."""
+    if p.stacked:
+        raise ShapeMismatchError(f"ln_jacobian takes one parameter set, got gamma {p.gamma.shape} "
+                                 f"and beta {p.beta.shape}")
     _, (xhat, s) = ln_forward_columns(np.asarray(x, dtype=np.float64)[:, None], p)
     return jacobian_from_vjp(lambda G: ln_vjp(xhat, s, p, G)[0], p.dim, 1)
 
@@ -174,7 +185,7 @@ def ln_vjp(xhat: np.ndarray, s: np.ndarray, p: LNParams, gbar: np.ndarray):
     gbar = np.asarray(gbar, dtype=np.float64)
     _check_dim(xhat, p)
     _check_dim(gbar, p)
-    ghat = p.gamma[:, None] * gbar
+    ghat = p.gamma[..., None] * gbar
     proj = xhat * _column_mean(xhat * ghat)
     ggamma = np.add.reduce(xhat * gbar, axis=-1)
     if p.kind == RMSNORM:

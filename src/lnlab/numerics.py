@@ -225,6 +225,9 @@ def transport_cost(flat_a: np.ndarray, flat_b: np.ndarray, p: float) -> np.ndarr
     buffer.  Each entry is reduced over the same contiguous m axis as in
     the one-shot ``(np.abs(a[:, None] - b[None]) ** p).sum(axis=2)``, so
     the two agree bit for bit."""
+    if flat_a.ndim != 2 or flat_b.ndim != 2 or flat_a.shape[1] != flat_b.shape[1]:
+        raise ShapeMismatchError(
+            f"transport_cost: expected two (N, m) stacks of one width, got {flat_a.shape} and {flat_b.shape}")
     n = flat_a.shape[0]
     cost = np.empty((n, flat_b.shape[0]))
     buf = np.empty((min(n, COST_BLOCK_ROWS),) + flat_b.shape)

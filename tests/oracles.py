@@ -19,7 +19,10 @@ pushforwards of the bound checks;
 attention one head at a time, to pin its head axis bit for bit; and
 ``recompute_attn_vjp`` and ``recompute_ffn_vjp`` recompute the sublayers'
 intermediates from the state, to pin bit for bit the VJPs that read them
-from the forward tape.
+from the forward tape.  ``scripted_fd_jacobian`` is the per-entry loop that
+``gradcheck.fd_jacobian`` ran before it stacked its perturbed points: fed
+gradcheck's own maps one point at a time, it pins the stacked rows bit for
+bit.
 ``zero_weight_block`` and ``gradient_product`` are test fixtures built on
 the library's model: a block whose sublayers map to zero, and the product
 of its local sensitivities; ``ln_vjp_at`` is the library's LN VJP taken at
@@ -82,6 +85,18 @@ def central_diff_jacobian(f, x: np.ndarray, h: float | None = None) -> np.ndarra
         e = np.zeros_like(x)
         e[b] = h
         cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def scripted_fd_jacobian(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a vector map, rows = outputs."""
+    x = np.asarray(x, dtype=np.float64)
+    h = 1e-6 * (1.0 + float(np.abs(x).max()))
+    cols = []
+    for b in range(x.size):
+        e = np.zeros_like(x)
+        e[b] = h
+        cols.append((f(x + e) - f(x - e)) / (2.0 * h))
     return np.stack(cols, axis=1)
 
 

@@ -121,6 +121,12 @@ class TestAttnJacobian:
             reference = scripted_attention_jacobian(X, p.q, p.k, p.v, p.w)
             assert relative_error(attn_jacobian_full(X, p), reference) <= 1e-13
 
+    def test_stacked_weights_rejected(self):
+        p = random_attention(RngStream(8).generator(), 3, 2, 1)
+        stacked = AttentionParams(p.q, p.k, np.stack([p.v, p.v]), p.w)
+        with pytest.raises(ShapeMismatchError, match="one model's weights, got AttentionParams"):
+            attn_jacobian_full(np.ones((3, 2)), stacked)
+
     def test_linear_in_w_and_v(self):
         gen = RngStream(6).generator()
         p = random_attention(gen, 4, 3, 2)
@@ -178,6 +184,12 @@ class TestFfnJacobian:
         for c1, c2 in ((10.0, 10.0), (1000.0, 0.01)):
             scaled = ffn_jacobian_blockdiag(X, p.scaled(c1, c2))
             assert relative_error(scaled, c1 * c2 * base) <= 1e-12
+
+    def test_stacked_weights_rejected(self):
+        p = random_ffn(RngStream(8).generator(), 3, 4)
+        stacked = FfnParams(p.w1[None], p.w2, p.activation)
+        with pytest.raises(ShapeMismatchError, match="one model's weights, got FfnParams"):
+            ffn_jacobian_blockdiag(np.ones((3, 2)), stacked)
 
     def test_relu_kink_rejected(self):
         p = FfnParams(np.eye(2), np.eye(2), "relu")
@@ -324,3 +336,61 @@ class TestTapedVjps:
             else:
                 assert_same_vjp(ffn_vjp(state, *record, ffn, gbar),
                                 recompute_ffn_vjp(state, ffn, gbar))
+
+
+@st.composite
+def weight_stack_cases(draw):
+    """(states, upstream gradients, attention params, FFN params) where T =
+    1..6 models sit on a leading axis of one weight tensor or of all of them:
+    heads 1..3, d 2..8, n 1..5, key and hidden widths 1..4 and 1..8, tanh or
+    relu, over one state (weights ``(T, ...)``) or a stack of B = 1..3 states
+    (weights ``(T, 1, ...)``); the gradients are ``(T, [B,] d, n)``."""
+    heads = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 5))
+    models = draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    activation = draw(st.sampled_from(["tanh", "relu"]))
+    attn_stacked = draw(st.sampled_from(["q", "k", "v", "w", "all"]))
+    ffn_stacked = draw(st.sampled_from(["w1", "w2", "all"]))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
+    kdim, m = int(gen.integers(1, 5)), int(gen.integers(1, 9))
+    lead = (models,) + (1,) * len(batch)
+
+    def tensor(name, stacked, shape):
+        return gen.normal(size=lead + shape if stacked in (name, "all") else shape)
+
+    attn = AttentionParams(*(tensor(name, attn_stacked, (heads, kdim, d)) for name in "qkv"),
+                           tensor("w", attn_stacked, (heads, d, kdim)))
+    ffn = FfnParams(tensor("w1", ffn_stacked, (m, d)), tensor("w2", ffn_stacked, (d, m)), activation)
+    return gen.normal(size=batch + (d, n)), gen.normal(size=(models,) + batch + (d, n)), attn, ffn
+
+
+def one_model(p, t):
+    """Model t of stacked sublayer weights; a tensor without leading axes is shared."""
+    def pick(m, core):
+        return m if m.ndim == core else m.reshape(-1, *m.shape[-core:])[t]
+
+    if isinstance(p, AttentionParams):
+        return AttentionParams(*(pick(m, 3) for m in (p.q, p.k, p.v, p.w)))
+    return FfnParams(pick(p.w1, 2), pick(p.w2, 2), p.activation)
+
+
+class TestWeightAxes:
+    """Weights with leading axes map each model as the per-model call does:
+    for every slice the output, the input gradient and every weight gradient
+    have its bits."""
+
+    @settings(max_examples=300)
+    @given(weight_stack_cases())
+    def test_slices_equal_per_model_calls(self, case):
+        Z, G, attn, ffn = case
+        for p, forward, vjp in ((attn, attn_forward, attn_vjp), (ffn, ffn_forward, ffn_vjp)):
+            out, taped = forward(Z, p)
+            gz, grads = vjp(Z, *taped, p, G)
+            for t in range(G.shape[0]):
+                model = one_model(p, t)
+                out_t, taped_t = forward(Z, model)
+                assert same_bits(out[t], out_t)
+                assert_same_vjp((gz[t], {name: g[t] for name, g in grads.items()}),
+                                vjp(Z, *taped_t, model, G[t]))

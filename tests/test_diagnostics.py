@@ -18,7 +18,7 @@ from lnlab.model import (
     random_model,
 )
 from lnlab.normalization import LNParams
-from lnlab.numerics import MAX_OT_SAMPLES, RngStream, moments, wasserstein_exact
+from lnlab.numerics import MAX_OT_SAMPLES, RngStream, ShapeMismatchError, moments, wasserstein_exact
 
 
 def peri_cfg(depth=8, dt=1.0, **kw):
@@ -246,6 +246,18 @@ def _rows_from_oracle(inputs, mu0, nu0, params, cfg, entry):
         row("pathwise_stability", cfg, gmax, bmax, np.linalg.norm(xa - xb), path_rhs, 0),
         row("wasserstein_w2", cfg, gmax, bmax, wasserstein_exact(mu_d, nu_d, 2.0), w_rhs, 0),
     ]
+
+
+class TestOutputLnExtrema:
+    def test_stacked_parameters_rejected(self):
+        cfg = ModelConfig(d=4, n=3, k=2, m=4, depth=2)
+        params = random_model(cfg, RngStream(20))
+        b = params[1]
+        p = b.ln["ffn_out"]
+        params[1] = replace(b, ln={**b.ln, "ffn_out": LNParams(np.stack([p.gamma, 3.0 * p.gamma]),
+                                                               p.beta, p.epsilon, p.kind)})
+        with pytest.raises(ShapeMismatchError, match="output-LN site ffn_out holds stacked"):
+            diag.output_ln_extrema(params)
 
 
 class TestOneStackedPushforward:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -242,6 +244,26 @@ class TestPushForward:
         X = RngStream(31).generator().normal(size=shape)
         assert np.array_equal(push_forward(X, params, cfg), model_forward(X, params, cfg).x_final)
 
+    @pytest.mark.parametrize("placement, ln_kind", placements_and_kinds())
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)])
+    def test_one_stacked_tensor_gives_each_models_state(self, placement, ln_kind, shape):
+        # gradcheck's stacked finite differences: one tensor of one block holds
+        # T models on a leading axis, after any axes of the state stack
+        cfg = cfg_for(placement, depth=3)
+        params = random_model(cfg, RngStream(32), ln_kind=ln_kind)
+        X = RngStream(33).generator().normal(size=shape)
+        lead = (1,) * (len(shape) - 2)
+        for name, value in params_to_flat(params[1]).items():
+            values = value + RngStream(34).generator().normal(scale=0.1, size=(3,) + value.shape)
+            stacked = list(params)
+            stacked[1] = flat_to_params({**params_to_flat(params[1]),
+                                         name: values.reshape((3,) + lead + value.shape)}, params[1])
+            XD = push_forward(X, stacked, cfg)
+            for t in range(3):
+                one = list(params)
+                one[1] = flat_to_params({**params_to_flat(params[1]), name: values[t]}, params[1])
+                assert np.array_equal(XD[t], push_forward(X, one, cfg)), name
+
     def test_nonfinite_input_refused_alike(self):
         cfg = cfg_for("peri", depth=2)
         params = random_model(cfg, RngStream(12))
@@ -361,6 +383,21 @@ class TestLocalSensitivity:
         tape = model_forward(np.ones((9, 8)), params, cfg)
         with pytest.raises(ValueError, match="materialize"):
             local_sensitivity(tape, 0)
+
+    @pytest.mark.parametrize("sensitivity", [
+        local_sensitivity,
+        lambda tape, i: sublayer_sensitivity(tape, i, "attn"),
+        lambda tape, i: sublayer_sensitivity(tape, i, "ffn"),
+    ], ids=["block", "attn", "ffn"])
+    def test_stacked_weights_rejected(self, sensitivity):
+        cfg = cfg_for("peri")
+        params = random_model(cfg, RngStream(18))
+        b = params[1]
+        gamma = np.stack([b.ln["ffn_in"].gamma, 2.0 * b.ln["ffn_in"].gamma])
+        params[1] = replace(b, ln={**b.ln, "ffn_in": replace(b.ln["ffn_in"], gamma=gamma)})
+        tape = model_forward(np.ones((4, 3)), params, cfg)
+        with pytest.raises(mdl.ShapeMismatchError, match=r"one d x n state of one model, got \(2, 4, 3\)"):
+            sensitivity(tape, 1)
 
     def test_stacked_tape_rejected(self):
         cfg = cfg_for("peri")
@@ -581,6 +618,14 @@ class TestSimplifiedPreChain:
         qs, ks = [np.ones((2, 3)), q], [np.ones((2, 3)), k]
         with pytest.raises(mdl.ShapeMismatchError, match=f"^layer 1: query and key must both be \\(k, 3\\), got {got}$"):
             simplified_pre_chain(X0, [np.eye(3)] * 2, [np.ones(3)] * 2, qs, ks)
+
+    def test_query_key_without_rows_rejected(self):
+        X0 = np.arange(1.0, 7.0).reshape(3, 2)
+        qs, ks = [np.ones((2, 3)), np.ones((0, 3))], [np.ones((2, 3)), np.ones((0, 3))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the 1/sqrt(k) scale divides by zero
+            with pytest.raises(mdl.ShapeMismatchError, match=r"^layer 1: query and key .* got \(0, 3\)"):
+                simplified_pre_chain(X0, [np.eye(3)] * 2, [np.ones(3)] * 2, qs, ks)
 
     def test_zero_column_rejected(self):
         X0 = np.array([[1.0, 0.0], [1.0, 0.0]])

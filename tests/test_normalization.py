@@ -227,6 +227,12 @@ class TestJacobian:
         with pytest.raises(DegenerateTokenError):
             ln_jacobian(np.array([1.0, 1.0]), plain(2))
 
+    @pytest.mark.parametrize("gamma, beta", [
+        (np.ones((2, 3)), np.zeros(3)), (np.ones(3), np.zeros((1, 3)))], ids=["gamma", "beta"])
+    def test_stacked_parameters_rejected(self, gamma, beta):
+        with pytest.raises(ShapeMismatchError, match="^ln_jacobian takes one parameter set"):
+            ln_jacobian(np.array([1.0, 2.0, 4.0]), LNParams(gamma, beta))
+
 
 class TestVjp:
     @pytest.mark.parametrize("kind", [LAYERNORM, RMSNORM])
@@ -371,3 +377,49 @@ class TestColumnKernels:
         with pytest.raises(DegenerateTokenError, match=f"token index {first}$") as exc:
             ln_forward_columns(X, p)
         assert exc.value.token_index == first
+
+
+@st.composite
+def parameter_stack_cases(draw):
+    """(states, parameters, upstream gradients) where T = 1..6 parameter sets
+    sit on a leading axis of gamma, of beta (LayerNorm only) or of both: d
+    2..8, n 1..5, epsilon 0 or 1e-5, over one state (parameters ``(T, d)``)
+    or a stack of B = 1..3 states (``(T, 1, d)``)."""
+    kind = draw(st.sampled_from([LAYERNORM, RMSNORM]))
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 5))
+    eps = draw(st.sampled_from([0.0, 1e-5]))
+    models = draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    stacked = draw(st.sampled_from(["gamma", "beta", "both"] if kind == LAYERNORM else ["gamma"]))
+    gen = RngStream(draw(st.integers(0, 2**32 - 1))).generator()
+    lead = (models,) + (1,) * len(batch)
+    gamma = gen.normal(1.0, 0.4, size=lead + (d,) if stacked != "beta" else (d,))
+    beta = gen.normal(0.0, 0.5, size=lead + (d,) if stacked != "gamma" else (d,))
+    X = gen.normal(size=batch + (d, n))
+    return X, LNParams(gamma, beta, eps, kind), gen.normal(size=(models,) + batch + (d, n))
+
+
+class TestParameterAxes:
+    """gamma and beta with leading axes normalize each slice as the call with
+    that one parameter set does: the output and all three VJP results have its
+    bits."""
+
+    @settings(max_examples=300)
+    @given(parameter_stack_cases())
+    def test_slices_equal_per_parameter_calls(self, case):
+        X, p, G = case
+        z, (xhat, s) = ln_forward_columns(X, p)
+        stacked = ln_vjp(xhat, s, p, G)
+        d = p.dim
+        for t in range(G.shape[0]):
+            gamma, beta = (v if v.ndim == 1 else v.reshape(-1, d)[t] for v in (p.gamma, p.beta))
+            one = LNParams(gamma, beta, p.epsilon, p.kind)
+            z_t, (xhat_t, s_t) = ln_forward_columns(X, one)
+            assert np.array_equal(z[t], z_t)
+            assert np.array_equal(xhat, xhat_t) and np.array_equal(s, s_t)
+            for got, want in zip(stacked, ln_vjp(xhat_t, s_t, one, G[t])):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[t].shape == want.shape and np.array_equal(got[t], want)

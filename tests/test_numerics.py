@@ -291,6 +291,16 @@ class TestTransportCost:
         expected = (np.abs(a[:, None] - b[None]) ** p).sum(axis=2)
         assert np.array_equal(transport_cost(a, b, p), expected)
 
+    @pytest.mark.parametrize("a, b", [
+        (np.zeros((2, 1)), np.ones((3, 5))),
+        (np.zeros((2, 5)), np.ones((3, 1))),
+        (np.zeros((2, 3, 2)), np.ones((3, 3, 2))),
+        (np.zeros(4), np.ones((3, 4))),
+    ], ids=["narrow_first", "narrow_second", "three_axes", "one_axis"])
+    def test_stacks_of_other_shapes_rejected(self, a, b):
+        with pytest.raises(ShapeMismatchError, match="transport_cost: expected two"):
+            transport_cost(a, b, 2.0)
+
 
 class TestWassersteinExact:
     def test_identical_sets_any_order(self):
