@@ -113,7 +113,8 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
         flat = model_mod.params_to_flat(params[block])
 
         def loss(name: str, value: np.ndarray) -> np.ndarray:
-            """<C, X_D> at each model of a ``(..., *shape)`` stack of one tensor, shaped (..., 1)."""
+            """<C, X_D> of each model a ``(..., *shape)`` tensor stack holds, summed
+            per slice as one model's call sums it; shaped (..., 1)."""
             plist = list(params)
             plist[block] = model_mod.flat_to_params({**flat, name: value}, params[block])
             XD = model_mod.push_forward(X, plist, cfg)
