@@ -24,6 +24,7 @@ outputs, matching the normalization module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,7 @@ def attn_forward(X: np.ndarray, p: AttentionParams):
     X = _check_state(X, p)
     Xh = X[..., None, :, :]
     kz, qz, vz = p.k @ Xh, p.q @ Xh, p.v @ Xh
-    attn = softmax_columns(kz.mT @ qz * (1.0 / np.sqrt(p.key_dim)))
+    attn = softmax_columns(kz.mT @ qz * (1.0 / math.sqrt(p.key_dim)))
     return np.add.reduce(p.w @ vz @ attn, axis=-3), (kz, qz, attn, vz)
 
 
@@ -180,7 +181,7 @@ def attn_vjp(Z: np.ndarray, kz: np.ndarray, qz: np.ndarray, attn: np.ndarray, vz
 
     ``gbar`` may stack more gradients than ``Z`` stacks states (one state,
     many upstream gradients); every result has its leading axes."""
-    scale = 1.0 / np.sqrt(p.key_dim)
+    scale = 1.0 / math.sqrt(p.key_dim)
     g = gbar[..., None, :, :]
     t = p.w.mT @ g
     t_at = t @ attn.mT

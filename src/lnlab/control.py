@@ -60,8 +60,8 @@ def postln_projection(x: np.ndarray, f: np.ndarray, p: LNParams) -> np.ndarray:
     Orthogonality is with respect to the Gamma^-2 inner product, so the
     quadratic form (x-b)^T G^-2 (x-b) is constant along the projected flow.
     """
-    x = as_point(x, p)
-    f = as_point(f, p)
+    x = as_point(x, p, "postln_projection")
+    f = as_point(f, p, "postln_projection")
     c = x - p.beta
     ginv2 = 1.0 / p.gamma**2
     quad = float(c @ (ginv2 * c))
@@ -73,7 +73,7 @@ def postln_projection(x: np.ndarray, f: np.ndarray, p: LNParams) -> np.ndarray:
 
 def radial_reprojection(y: np.ndarray, p: LNParams) -> np.ndarray:
     """Exact retraction onto the ellipsoid: radial rescale about the center."""
-    c = as_point(y, p) - p.beta
+    c = as_point(y, p, "radial_reprojection") - p.beta
     quad = float((c / p.gamma) @ (c / p.gamma))
     if quad == 0.0:
         raise ValueError("radial_reprojection: point coincides with the center")

@@ -14,17 +14,21 @@ each wrapped in up to three LN stages, switched on by the placement's row
     post: (F, F, T)  out = LN_out(x + dt * f(x))
 
 The output and sum stages share the ``*_out`` LN site.  ``dt`` multiplies
-the sublayer output inside the residual sum for every placement; dt = 1
-recovers the unscaled composition bit-exactly.  The forward pass
+the sublayer output inside the residual sum for every placement; at dt = 1
+neither pass multiplies, since 1.0 * y is y bit for bit.  The forward pass
 (``_apply_sublayer``) and the reverse sweep (``_sublayer_backward``) are
 the only maps that branch on the row, ``ModelConfig.stages``: a
 materialized per-block sensitivity is the reverse sweep applied to the nd
 unit output gradients, so a new placement is one new row.  The tape keeps
 what the sweep reads, each state once, so the sweep recomputes no part of
-the forward pass: per sublayer x, z, out, the intermediates the bare map's
-VJP reads (attention's per-head kz, qz, attn, vz; the FFN's pre and act) and
-the statistics (xhat, s) of each LN site it ran, which its VJP reads in place
-of the site's input.  ``states`` (X_0 ... X_D) is read from the traces, and
+the forward pass.  Its records are named tuples, one ``SublayerTrace`` per
+sublayer and one ``BlockTrace`` of two per block: per sublayer x, z, out,
+the intermediates the bare map's VJP reads (attention's per-head kz, qz,
+attn, vz; the FFN's pre and act) and the statistics (xhat, s) of each LN
+site it ran, which its VJP reads in place of the site's input.  A config's
+``stages`` and ``sites`` are worked out once per config, not per block, and
+the sweep keys each site's gradients from one table of names.
+``states`` (X_0 ... X_D) is read from the traces, and
 ``model_forward`` copies only X_0.  Callers that read only X_D call
 ``push_forward`` instead: the same checked block loop and errors, holding one
 block's trace at a time, so a forward-only pass never holds the tape.
@@ -42,6 +46,7 @@ use.  The materialized nd x nd sensitivities take one d x n state of one model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +71,8 @@ ATTN_OUT = "attn_out"
 FFN_IN = "ffn_in"
 FFN_OUT = "ffn_out"
 _SITES = {"attn": (ATTN_IN, ATTN_OUT), "ffn": (FFN_IN, FFN_OUT)}  # (in, out/sum)
+# the flat names of each site's (gamma, beta), as params_to_flat and the reverse sweep key them
+_LN_KEYS = {site: (f"ln.{site}.gamma", f"ln.{site}.beta") for pair in _SITES.values() for site in pair}
 
 
 class Stages(NamedTuple):
@@ -139,11 +146,11 @@ class ModelConfig:
     def nd(self) -> int:
         return self.d * self.n
 
-    @property
+    @cached_property
     def stages(self) -> Stages:
         return STAGES[self.placement]
 
-    @property
+    @cached_property
     def sites(self) -> tuple[str, ...]:
         st = self.stages
         sites: list[str] = []
@@ -166,12 +173,10 @@ class BlockParams:
 
 
 def validate_block(b: BlockParams, cfg: ModelConfig, index: int) -> None:
-    expected = set(cfg.sites)
-    got = set(b.ln)
-    if got != expected:
+    if b.ln.keys() != set(cfg.sites):
         raise ValueError(
-            f"block {index}: LN sites {sorted(got)} do not match placement "
-            f"{cfg.placement!r} which demands {sorted(expected)}"
+            f"block {index}: LN sites {sorted(b.ln)} do not match placement "
+            f"{cfg.placement!r} which demands {sorted(cfg.sites)}"
         )
     if b.attn.model_dim != cfg.d or b.attn.key_dim != cfg.k or b.attn.heads != cfg.heads:
         raise ShapeMismatchError(
@@ -196,9 +201,10 @@ def params_to_flat(b: BlockParams) -> dict[str, np.ndarray]:
             "ffn.w1": b.ffn.w1, "ffn.w2": b.ffn.w2}
     for site in sorted(b.ln):
         p = b.ln[site]
-        flat[f"ln.{site}.gamma"] = p.gamma
+        gamma_key, beta_key = _LN_KEYS[site]
+        flat[gamma_key] = p.gamma
         if p.kind == norm.LAYERNORM:
-            flat[f"ln.{site}.beta"] = p.beta
+            flat[beta_key] = p.beta
     return flat
 
 
@@ -210,8 +216,8 @@ def flat_to_params(flat: dict[str, np.ndarray], template: BlockParams) -> BlockP
     ffn = attn_mod.FfnParams(flat["ffn.w1"], flat["ffn.w2"], template.ffn.activation)
     ln = {}
     for site, p in template.ln.items():
-        beta = flat.get(f"ln.{site}.beta", p.beta)
-        ln[site] = norm.LNParams(flat[f"ln.{site}.gamma"], beta, p.epsilon, p.kind)
+        gamma_key, beta_key = _LN_KEYS[site]
+        ln[site] = norm.LNParams(flat[gamma_key], flat.get(beta_key, p.beta), p.epsilon, p.kind)
     return BlockParams(attn, ffn, ln)
 
 
@@ -252,8 +258,7 @@ def random_model(
     ]
 
 
-@dataclass(frozen=True)
-class SublayerTrace:
+class SublayerTrace(NamedTuple):
     """What the reverse sweep reads of one placement-wrapped sublayer application."""
 
     x: np.ndarray                      # sublayer input
@@ -264,8 +269,7 @@ class SublayerTrace:
     out: np.ndarray
 
 
-@dataclass(frozen=True)
-class BlockTrace:
+class BlockTrace(NamedTuple):
     attn: SublayerTrace
     ffn: SublayerTrace
 
@@ -311,7 +315,8 @@ def _apply_sublayer(
     (y, core), ln_out = f(z, weights), None
     if st.norm_out:
         y, ln_out = _ln_at_site(y, b.ln[site_out], block, site_out)
-    out = X + cfg.delta_t * y
+    # 1.0 * y is y bit for bit, so the unscaled residual skips the multiply
+    out = X + y if cfg.delta_t == 1.0 else X + cfg.delta_t * y
     if st.norm_sum:
         out, ln_out = _ln_at_site(out, b.ln[site_out], block, site_out)
     return SublayerTrace(X, z, core, ln_in, ln_out, out)
@@ -407,9 +412,10 @@ def _ln_backward(
 ) -> np.ndarray:
     """VJP through the LN at ``site`` from its taped statistics: records its
     parameter gradients in ``grads`` and returns the gradient at its input."""
-    gx, grads[f"ln.{site}.gamma"], gbeta = norm.ln_vjp(*stats, p, g)
+    gamma_key, beta_key = _LN_KEYS[site]
+    gx, grads[gamma_key], gbeta = norm.ln_vjp(*stats, p, g)
     if gbeta is not None:
-        grads[f"ln.{site}.beta"] = gbeta
+        grads[beta_key] = gbeta
     return gx
 
 
@@ -425,7 +431,7 @@ def _sublayer_backward(
     site_in, site_out = _SITES[which]
     if st.norm_sum:
         g = _ln_backward(trace.ln_out, b.ln[site_out], site_out, g, grads)
-    gupdate = cfg.delta_t * g
+    gupdate = g if cfg.delta_t == 1.0 else cfg.delta_t * g
     if st.norm_out:
         gupdate = _ln_backward(trace.ln_out, b.ln[site_out], site_out, gupdate, grads)
     gcore, fgrads = vjp(trace.core_in, *trace.core, weights, gupdate)

@@ -92,20 +92,24 @@ class LNParams:
 
 def _check_dim(A: np.ndarray, p: LNParams) -> None:
     """Refuse columns whose length is not the parameters' d, which numpy would broadcast."""
-    if A.shape[-2] != p.dim:
+    if A.shape[-2] != p.gamma.shape[-1]:
         raise ShapeMismatchError(f"{p.kind}: columns of length {A.shape[-2]}, parameters of dim {p.dim}")
 
 
-def as_point(z: np.ndarray, p: LNParams) -> np.ndarray:
-    """``z`` as one float64 token; ShapeMismatchError if numpy would broadcast ``p`` over it."""
+def _check_one_set(p: LNParams, name: str) -> None:
+    """Refuse parameters with leading axes in ``name``, a map of one parameter set."""
+    if p.stacked:
+        raise ShapeMismatchError(f"{name} takes one parameter set, got gamma {p.gamma.shape} "
+                                 f"and beta {p.beta.shape}")
+
+
+def as_point(z: np.ndarray, p: LNParams, name: str) -> np.ndarray:
+    """``z`` as one float64 token for the one-token map ``name``; ShapeMismatchError if
+    ``p`` holds several parameter sets or numpy would broadcast it over ``z``."""
+    _check_one_set(p, name)
     z = np.asarray(z, dtype=np.float64)
     _check_dim(z[:, None], p)
     return z
-
-
-def _column_mean(A: np.ndarray) -> np.ndarray:
-    """(..., 1, n) means of the columns; the same bits as ``np.mean`` without its wrapper."""
-    return np.add.reduce(A, axis=-2, keepdims=True) / A.shape[-2]
 
 
 def _column_stats(X: np.ndarray, p: LNParams):
@@ -117,10 +121,19 @@ def _column_stats(X: np.ndarray, p: LNParams):
     fl(mean(c^2) + epsilon) >= epsilon > 0, and a NaN denominator never
     equals 0."""
     _check_dim(X, p)
-    if p.kind == LAYERNORM and X.shape[-2] < 2:
-        raise ValueError("LayerNorm needs d >= 2")
-    c = X - _column_mean(X) if p.kind == LAYERNORM else X
-    s = np.sqrt(_column_mean(c * c) + p.epsilon)
+    d = X.shape[-2]
+    c = X
+    if p.kind == LAYERNORM:
+        if d < 2:
+            raise ValueError("LayerNorm needs d >= 2")
+        # column means as np.mean takes them, sum then divide, in the fresh sum
+        mean = np.add.reduce(X, axis=-2, keepdims=True)
+        mean /= d
+        c = X - mean
+    s = np.add.reduce(c * c, axis=-2, keepdims=True)
+    s /= d
+    s += p.epsilon
+    np.sqrt(s, out=s)
     if p.epsilon == 0.0 and (zero := s[..., 0, :] == 0.0).any():
         kind_msg = ("constant token under LayerNorm" if p.kind == LAYERNORM
                     else "zero token under RMSNorm")
@@ -157,7 +170,7 @@ def ellipsoid_residual(z: np.ndarray, p: LNParams) -> float:
     when epsilon=0; RMSNorm outputs satisfy z^T Gamma^-2 z = d.  Returns the
     quadratic form minus d, so membership means a zero residual.
     """
-    z = as_point(z, p)
+    z = as_point(z, p, "ellipsoid_residual")
     if np.any(p.gamma == 0.0):
         raise ValueError("ellipsoid_residual: gamma has a zero entry, Gamma^-2 undefined")
     w = (z - p.beta) / p.gamma
@@ -168,9 +181,7 @@ def ln_jacobian(x: np.ndarray, p: LNParams) -> np.ndarray:
     """d x d Jacobian of the normalization map at one token, rows = outputs,
     from ``ln_vjp``.  At eps=0 the map is (-1)-homogeneous, J(c x) = J(x) / c
     for c > 0, and LayerNorm's J annihilates the constant direction."""
-    if p.stacked:
-        raise ShapeMismatchError(f"ln_jacobian takes one parameter set, got gamma {p.gamma.shape} "
-                                 f"and beta {p.beta.shape}")
+    _check_one_set(p, "ln_jacobian")
     _, (xhat, s) = ln_forward_columns(np.asarray(x, dtype=np.float64)[:, None], p)
     return jacobian_from_vjp(lambda G: ln_vjp(xhat, s, p, G)[0], p.dim, 1)
 
@@ -185,9 +196,15 @@ def ln_vjp(xhat: np.ndarray, s: np.ndarray, p: LNParams, gbar: np.ndarray):
     gbar = np.asarray(gbar, dtype=np.float64)
     _check_dim(xhat, p)
     _check_dim(gbar, p)
+    d = xhat.shape[-2]
     ghat = p.gamma[..., None] * gbar
-    proj = xhat * _column_mean(xhat * ghat)
+    # means over the d entries of a token, divided in their fresh sums
+    mean_proj = np.add.reduce(xhat * ghat, axis=-2, keepdims=True)
+    mean_proj /= d
+    proj = xhat * mean_proj
     ggamma = np.add.reduce(xhat * gbar, axis=-1)
     if p.kind == RMSNORM:
         return (ghat - proj) / s, ggamma, None
-    return (ghat - _column_mean(ghat) - proj) / s, ggamma, np.add.reduce(gbar, axis=-1)
+    mean_ghat = np.add.reduce(ghat, axis=-2, keepdims=True)
+    mean_ghat /= d
+    return (ghat - mean_ghat - proj) / s, ggamma, np.add.reduce(gbar, axis=-1)

@@ -8,19 +8,24 @@ off counter-based streams, so a TrainConfig determines its TrialOutcome
 bit for bit; its task (``make_task``) is drawn from the config it trains.
 ``TrainConfig``'s defaults are the ``train`` section of the CLI's config.
 
-Each step runs its minibatch as one ``(B, d, n)`` stack: one forward pass
-and one reverse sweep, with the per-sample parameter gradients gathered in
-one ``(B, P)`` array, summed over the samples and applied to one flat buffer
-of the P parameters.  The terminal norm, the loss and sample 0's checkpoint
-moments are taken per sample.  If any sample fails any predicate, the step is
-replayed one sample at a time through the same step function, so the
-recorded step, cause, block and site are those of the first sample, in
-sample order, that fails; and within a sample, the forward pass, then the
-terminal norm, then the loss, then the reverse sweep.
+Once per trial, ``train_run`` draws the model and the task, lays the drawn
+tensors out in one flat buffer of the P parameters, which the model's
+tensors view, and fills a buffer of per-entry decay factors.  Each step runs
+its minibatch as one ``(B, d, n)`` stack: B samples drawn, each from its own
+stream, one forward pass (every block validated, every state checked
+finite) and one reverse sweep, with the per-sample parameter gradients
+gathered in one ``(B, P)`` array, summed over the samples and applied in
+place to the flat buffer with the momentum buffer.  The terminal norm, the
+loss and sample 0's checkpoint moments are taken per sample.  If any sample
+fails any predicate, the step is replayed one sample at a time through the
+same step function, so the recorded step, cause, block and site are those of
+the first sample, in sample order, that fails; and within a sample, the
+forward pass, then the terminal norm, then the loss, then the reverse sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,7 +137,8 @@ class Task:
         gen = self.stream.child(step).child(index).generator()
         x0 = gen.normal(size=(tc.cfg.d, tc.cfg.n))
         if tc.task == MEAN_REGRESSION:
-            y = self.target_map @ x0.mean(axis=1)
+            # the row means as x0.mean(axis=1) takes them, without its Python wrapper
+            y = self.target_map @ (np.add.reduce(x0, axis=1) / tc.cfg.n)
         else:
             y = x0[:, 0] + tc.noise_std * gen.normal(size=tc.cfg.d)
         return x0, y
@@ -142,16 +148,16 @@ class Task:
         its gradient with respect to the terminal hidden state."""
         d, n = x_final.shape
         if self.tc.task == MEAN_REGRESSION:
-            yhat = self.readout @ x_final.mean(axis=1)
+            yhat = self.readout @ (np.add.reduce(x_final, axis=1) / n)
             err = yhat - y
             loss = float(err @ err) / d
             gcol = self.readout.T @ (2.0 * err / d) / n
-            grad = np.tile(gcol[:, None], (1, n))
+            grad = gcol[:, None].repeat(n, axis=1)
         else:
             yhat = self.readout @ x_final[:, 0]
             err = yhat - y
             loss = float(err @ err) / d
-            grad = np.zeros_like(x_final)
+            grad = np.zeros((d, n))
             grad[:, 0] = self.readout.T @ (2.0 * err / d)
         return loss, grad
 
@@ -195,24 +201,25 @@ def _step(task: Task, params, tc: TrainConfig, step: int, samples, checkpoints: 
     step and raises at the first predicate that fails; returns the samples'
     share of the batch loss and their per-sample parameter gradients."""
     drawn = [task.sample(step, bi) for bi in samples]
-    tape = model_forward(np.stack([x0 for x0, _ in drawn]), params, tc.cfg)
+    tape = model_forward(np.array([x0 for x0, _ in drawn]), params, tc.cfg)
     if samples[0] == 0 and (step % tc.checkpoint_every == 0 or step == tc.steps - 1):
         checkpoints.append((step, tuple(moments(x[0]) for x in tape.states)))
     batch_loss = 0.0
     gbars = []
     for x_final, (_, y) in zip(tape.x_final, drawn):
         final_norm = float(np.linalg.norm(x_final))
-        if not np.isfinite(final_norm) or final_norm > tc.divergence_threshold:
+        if not math.isfinite(final_norm) or final_norm > tc.divergence_threshold:
             raise DivergenceError(
                 f"terminal norm {final_norm:g} crossed threshold",
                 block=tc.cfg.depth - 1, cause=NORM_THRESHOLD,
             )
         loss, gbar = task.loss_and_grad(x_final, y)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise DivergenceError("loss is non-finite", None, NONFINITE_LOSS)
         batch_loss += loss / tc.batch_size
-        gbars.append(gbar / tc.batch_size)
-    return batch_loss, param_gradients(tape, np.stack(gbars))
+        gbars.append(gbar)
+    # dividing the stack divides each sample's gradient as it would alone
+    return batch_loss, param_gradients(tape, np.array(gbars) / tc.batch_size)
 
 
 def _batch_step(task: Task, params, tc: TrainConfig, step: int, keys, checkpoints: list):

@@ -65,8 +65,10 @@ from lnlab.numerics import (
     softmax_columns,
 )
 from lnlab.training import (
+    MEAN_REGRESSION,
     NONFINITE_LOSS,
     NORM_THRESHOLD,
+    Task,
     TrainConfig,
     TrialOutcome,
     _divergence_cause,
@@ -525,6 +527,38 @@ def gradient_product(tape: ForwardTape, i: int) -> np.ndarray:
     for j in range(i, tape.depth):
         prod = local_sensitivity(tape, j) @ prod
     return prod
+
+
+def scripted_sample(task: Task, step: int, index: int):
+    """``Task.sample`` through numpy's ``mean`` wrapper: the (x0, y) of a sample."""
+    tc = task.tc
+    if tc.dataset_size is not None:
+        step = step % tc.dataset_size
+    gen = task.stream.child(step).child(index).generator()
+    x0 = gen.normal(size=(tc.cfg.d, tc.cfg.n))
+    if tc.task == MEAN_REGRESSION:
+        y = task.target_map @ x0.mean(axis=1)
+    else:
+        y = x0[:, 0] + tc.noise_std * gen.normal(size=tc.cfg.d)
+    return x0, y
+
+
+def scripted_loss_and_grad(task: Task, x_final: np.ndarray, y: np.ndarray):
+    """``Task.loss_and_grad`` through numpy's ``mean``, ``tile`` and ``zeros_like``."""
+    d, n = x_final.shape
+    if task.tc.task == MEAN_REGRESSION:
+        yhat = task.readout @ x_final.mean(axis=1)
+        err = yhat - y
+        loss = float(err @ err) / d
+        gcol = task.readout.T @ (2.0 * err / d) / n
+        grad = np.tile(gcol[:, None], (1, n))
+    else:
+        yhat = task.readout @ x_final[:, 0]
+        err = yhat - y
+        loss = float(err @ err) / d
+        grad = np.zeros_like(x_final)
+        grad[:, 0] = task.readout.T @ (2.0 * err / d)
+    return loss, grad
 
 
 def scripted_train_run(tc: TrainConfig) -> TrialOutcome:

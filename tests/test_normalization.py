@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,11 +229,14 @@ class TestJacobian:
         with pytest.raises(DegenerateTokenError):
             ln_jacobian(np.array([1.0, 1.0]), plain(2))
 
+    @pytest.mark.parametrize("call", [ln_jacobian, ellipsoid_residual], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("gamma, beta", [
         (np.ones((2, 3)), np.zeros(3)), (np.ones(3), np.zeros((1, 3)))], ids=["gamma", "beta"])
-    def test_stacked_parameters_rejected(self, gamma, beta):
-        with pytest.raises(ShapeMismatchError, match="^ln_jacobian takes one parameter set"):
-            ln_jacobian(np.array([1.0, 2.0, 4.0]), LNParams(gamma, beta))
+    def test_stacked_parameters_rejected(self, call, gamma, beta):
+        p = LNParams(gamma, beta)
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                f"{call.__name__} takes one parameter set, got gamma {gamma.shape} and beta {beta.shape}")):
+            call(np.array([1.0, 2.0, 4.0]), p)
 
 
 class TestVjp:

@@ -1,13 +1,15 @@
+import hashlib
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import scripted_train_run
+from oracles import scripted_loss_and_grad, scripted_sample, scripted_train_run
 
-from lnlab import training
+from lnlab import cli, training
 from lnlab.attention import ActivationKinkError
 from lnlab.model import (
     ModelConfig,
@@ -99,6 +101,28 @@ class TestMakeTask:
                 xm = x0.copy(); xm[idx] -= h
                 fd[idx] = (task.loss_and_grad(xp, y)[0] - task.loss_and_grad(xm, y)[0]) / (2 * h)
             assert np.abs(grad - fd).max() <= 1e-8
+
+
+class TestTaskOracle:
+    """The task's draws, losses and gradients, bit for bit those of numpy's
+    ``mean``/``tile`` forms."""
+
+    @settings(max_examples=150)
+    @given(task=st.sampled_from([MEAN_REGRESSION, NOISY_COPY]), d=st.integers(1, 6),
+           n=st.integers(1, 5), seed=st.integers(0, 2**16), step=st.integers(0, 50),
+           index=st.integers(0, 3), dataset_size=st.sampled_from([None, 1, 7]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_draw_loss_and_gradient_equal_oracle(self, task, d, n, seed, step, index,
+                                                dataset_size, scale):
+        tc = small_tc(cfg=ModelConfig(d=d, n=n), task=task, dataset_size=dataset_size)
+        t = make_task(tc, RngStream(seed, 1))
+        (x0, y), (x0_ref, y_ref) = t.sample(step, index), scripted_sample(t, step, index)
+        assert np.array_equal(x0, x0_ref) and np.array_equal(y, y_ref)
+        # a terminal state off the input, as the model leaves it
+        x_final = scale * np.tanh(x0 + 0.5) - x0
+        (loss, grad), (loss_ref, grad_ref) = t.loss_and_grad(x_final, y), scripted_loss_and_grad(t, x_final, y)
+        assert np.array_equal(loss, loss_ref) and np.array_equal(grad, grad_ref)
+        assert grad.flags.writeable and grad.shape == (d, n)
 
 
 class TestTrainConfig:
@@ -299,6 +323,24 @@ class TestStackedStep:
     @example(DEGENERATE_LN_REPRO)
     def test_outcome_repr_equals_per_sample_loop(self, tc):
         assert repr(train_run(tc)) == repr(scripted_train_run(tc))
+
+
+class TestStepBits:
+    """The training step's floats, pinned to the bit: a rewrite of the step
+    that regroups any floating-point operation moves this digest."""
+
+    # sha256 of the reprs below, taken before the step was last rewritten
+    DIGEST = "812a09b08951fbd9a882546d53df103c5178a214e53195eeac92c298cb0e0dce"
+
+    def test_grid_and_degenerate_repro_reprs(self):
+        base = cli.train_config(cli.load_config(
+            str(Path(__file__).parents[1] / "configs" / "aggressive.json")))
+        configs = [
+            replace(base, seed=seed, weight_decay=wd, cfg=replace(base.cfg, placement=placement))
+            for placement in ("off", "pre", "peri") for wd in (0.0, 0.3) for seed in (0, 1)
+        ]
+        reprs = [repr(train_run(tc)) for tc in (*configs, DEGENERATE_LN_REPRO)]
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == self.DIGEST
 
 
 class TestStabilityTrial:
