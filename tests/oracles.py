@@ -23,6 +23,9 @@ from the forward tape.  ``scripted_fd_jacobian`` is the per-entry loop that
 ``gradcheck.fd_jacobian`` ran before it stacked its perturbed points: fed
 gradcheck's own maps one point at a time, it pins the stacked rows bit for
 bit.
+``scripted_sample`` and ``scripted_loss_and_grad`` are the task's draw, loss
+and gradient through numpy's Python-level ``mean``, ``tile`` and
+``zeros_like``, which pin the task's ufunc forms bit for bit.
 ``zero_weight_block`` and ``gradient_product`` are test fixtures built on
 the library's model: a block whose sublayers map to zero, and the product
 of its local sensitivities; ``ln_vjp_at`` is the library's LN VJP taken at

@@ -140,12 +140,12 @@ class TestParameterDim:
 
     # gamma (2, 3) holds two sites' parameters, which numpy would broadcast over one point
     @pytest.mark.parametrize("name, call", [
-        ("radial_reprojection", lambda x, p: radial_reprojection(x, p)),
+        ("radial_reprojection", radial_reprojection),
         ("postln_projection", lambda x, p: postln_projection(x, x, p)),
     ], ids=["radial_reprojection", "postln_projection"])
     def test_stacked_parameters_rejected(self, name, call):
         p = LNParams(np.ones((2, 3)), np.zeros(3))
-        with pytest.raises(ShapeMismatchError, match=re.escape(
+        with pytest.raises(ShapeMismatchError, match="^" + re.escape(
                 f"{name} takes one parameter set, got gamma (2, 3) and beta (3,)")):
             call(np.array([1.0, 2.0, 4.0]), p)
 

@@ -234,7 +234,7 @@ class TestJacobian:
         (np.ones((2, 3)), np.zeros(3)), (np.ones(3), np.zeros((1, 3)))], ids=["gamma", "beta"])
     def test_stacked_parameters_rejected(self, call, gamma, beta):
         p = LNParams(gamma, beta)
-        with pytest.raises(ShapeMismatchError, match=re.escape(
+        with pytest.raises(ShapeMismatchError, match="^" + re.escape(
                 f"{call.__name__} takes one parameter set, got gamma {gamma.shape} and beta {beta.shape}")):
             call(np.array([1.0, 2.0, 4.0]), p)
 
