@@ -8,8 +8,10 @@ flags override file values.  The ``model`` and ``train`` sections are
 range is that of the library object the value fills (``ModelConfig``,
 ``TrainConfig``, ``first_repeat``, the transport checks); the CLI builds
 them all before any work and names the config path.
-Which rows of a report fail is decided in one place, ``CHECKS``: a command
-and ``report`` apply the same rule.  Exit codes: 0 all selected checks pass,
+Every report is a CSV file that ``_out_path`` names, where a command writes
+it and ``report`` finds it.  Which rows of a report fail is decided in one
+place, ``CHECKS``, against constant tolerances: a command and ``report``
+apply the same rule.  Exit codes: 0 all selected checks pass,
 1 a check failed (first failing row printed), 2 bad config, report or usage.
 """
 
@@ -32,7 +34,6 @@ from .model import ModelConfig, model_forward, random_model
 from .numerics import RngStream, check_order, check_sample_count, wasserstein_exact
 from .reports import (
     BOUNDS_COLUMNS,
-    FORMATS,
     GRADCHECK_COLUMNS,
     MOMENTS_COLUMNS,
     TRIALS_COLUMNS,
@@ -42,12 +43,14 @@ from .reports import (
 )
 from .training import SweepResult, TrainConfig, first_repeat, stability_trial
 
+# a bounds or ot row fails below this margin, a gradcheck row above its rel_err
 MARGIN_TOLERANCE = -1e-9
+GRADCHECK_TOLERANCE = 1e-6
+PARAM_TOLERANCE = 1e-5
 
 DEFAULTS = {
     "seed": 0,
     "output": ".",
-    "format": "csv",
     # the training run's model and seed are the model section and the master seed
     "model": {f.name: f.default for f in fields(ModelConfig)},
     "train": {f.name: f.default for f in fields(TrainConfig) if f.name not in ("cfg", "seed")},
@@ -58,8 +61,6 @@ DEFAULTS = {
         "wasserstein_samples": 32,
         "wasserstein_p": 2.0,
         "chain_depth": 16,
-        "gradcheck_tolerance": 1e-6,
-        "param_tolerance": 1e-5,
     },
     "sweep": {
         "placements": ["off", "pre", "peri"],
@@ -120,8 +121,6 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
             raise ConfigError(f"config field {where!r} must be non-empty")
         elif path in _COUNTED and type(defaults[key]) is int and value < 1:
             raise ConfigError(f"config field {where!r} must be at least 1, got {value!r}")
-        elif where == "format" and value not in FORMATS:
-            raise ConfigError(f"config field 'format' must be one of {FORMATS}, got {value!r}")
         else:
             # an int given for a float field, or for an item of a float list,
             # is stored as that float
@@ -153,7 +152,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         return {key: value for key, value in values.items() if value is not None}
 
     return _merge(cfg, {
-        **given(seed=args.seed, output=args.out, format=args.format),
+        **given(seed=args.seed, output=args.out),
         "model": given(placement=args.placement, delta_t=args.delta_t, depth=args.depth),
         "diagnostics": given(instances=args.instances),
     }, "")
@@ -202,7 +201,8 @@ def _check_sections(cfg: dict) -> None:
 
 
 def _out_path(cfg: dict, stem: str) -> Path:
-    return Path(cfg["output"]) / f"{stem}.{cfg['format']}"
+    """Where a command writes, and ``report`` looks for, the report ``stem``."""
+    return Path(cfg["output"]) / f"{stem}.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -226,30 +226,33 @@ def _describe(row: dict) -> str:
 
 
 # each check is written so that a NaN fails it
-def _margin_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]:
+def _margin_fails(rows: list[dict], label: str) -> list[dict]:
     return [r for r in rows if not _number(r, "margin", label) >= MARGIN_TOLERANCE]
 
 
-def _rel_err_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]:
-    diag_cfg = cfg["diagnostics"]
+def _rel_err_fails(rows: list[dict], label: str) -> list[dict]:
     return [
         r for r in rows
         if not _number(r, "rel_err", label) <= (
-            diag_cfg["param_tolerance"] if r.get("category") == "params"
-            else diag_cfg["gradcheck_tolerance"]
+            PARAM_TOLERANCE if r.get("category") == "params" else GRADCHECK_TOLERANCE
         )
     ]
 
 
-def _trial_contract_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]:
+def _trial_contract_fails(rows: list[dict], label: str) -> list[dict]:
     """Divergence-count contract: off >= pre >= peri with peri = 0 at the
     lowest decay, and the highest decay not raising the pre count.  Each is
     evaluated only when every slice it reads is present; the failing ones
-    come back as rows."""
-    counts = {}
+    come back as rows, after every row whose decay is NaN, which no slice
+    holds."""
+    counts, failing = {}, []
     for r in rows:
-        key = (_cell(r, "placement", label, str, "text"), _number(r, "weight_decay", label))
-        counts[key] = counts.get(key, 0) + _number(r, "diverged", label)
+        placement = _cell(r, "placement", label, str, "text")
+        wd, diverged = _number(r, "weight_decay", label), _number(r, "diverged", label)
+        if wd != wd:  # a NaN key, which no slice lookup matches
+            failing.append(r)
+        else:
+            counts[(placement, wd)] = counts.get((placement, wd), 0) + diverged
     decays = sorted({wd for _, wd in counts})
     contracts = []
     if decays and all((p, decays[0]) in counts for p in ("off", "pre", "peri")):
@@ -267,7 +270,7 @@ def _trial_contract_fails(rows: list[dict], cfg: dict, label: str) -> list[dict]
         ))
     for row, ok in contracts:
         print(f"{label} {_describe(row)} -> {'PASS' if ok else 'FAIL'}")
-    return [row for row, ok in contracts if not ok]
+    return failing + [row for row, ok in contracts if not ok]
 
 
 # report stem -> the rows of that report that fail; trials are judged as a
@@ -280,9 +283,9 @@ CHECKS = {
 }
 
 
-def _judge(stem: str, rows: list[dict], cfg: dict, label: str) -> int:
+def _judge(stem: str, rows: list[dict], label: str) -> int:
     """Print the verdict on one report and its first failing row; 0 or 1."""
-    failing = CHECKS[stem](rows, cfg, label)
+    failing = CHECKS[stem](rows, label)
     print(f"{'FAIL' if failing else 'PASS'} {label}: {len(rows)} rows, {len(failing)} failing")
     if failing:
         print(f"first failing row: {_describe(failing[0])}")
@@ -295,11 +298,11 @@ def _judge(stem: str, rows: list[dict], cfg: dict, label: str) -> int:
 
 def cmd_gradcheck(cfg: dict) -> int:
     rows = gradcheck.run_all(cfg["diagnostics"]["instances"], cfg["seed"])
-    write_report(rows, GRADCHECK_COLUMNS, _out_path(cfg, "gradcheck"), cfg["format"])
+    write_report(rows, GRADCHECK_COLUMNS, _out_path(cfg, "gradcheck"))
     for category in gradcheck.CATEGORIES:
         worst = max(r["rel_err"] for r in rows if r["category"] == category)
         print(f"gradcheck {category}: max rel err {worst:.3e}")
-    return _judge("gradcheck", rows, cfg, "gradcheck")
+    return _judge("gradcheck", rows, "gradcheck")
 
 
 def cmd_bounds(cfg: dict) -> int:
@@ -313,9 +316,9 @@ def cmd_bounds(cfg: dict) -> int:
     reports += suites.run_pathwise_suite(n, seed, delta_ts=tuple(diag_cfg["delta_ts"]))
     reports += suites.run_chain_suite(n, seed, depth=diag_cfg["chain_depth"])
     rows = [r.to_row() for r in reports]
-    write_report(rows, BOUNDS_COLUMNS, _out_path(cfg, "bounds"), cfg["format"])
+    write_report(rows, BOUNDS_COLUMNS, _out_path(cfg, "bounds"))
     print(f"bounds: {len(rows)} checks, min margin {min(r['margin'] for r in rows):.3e}")
-    return _judge("bounds", rows, cfg, "bounds")
+    return _judge("bounds", rows, "bounds")
 
 
 def _moments_rows(layers, mc: ModelConfig, seed: int) -> list[dict]:
@@ -336,7 +339,7 @@ def cmd_diagnose(cfg: dict) -> int:
     x0 = stream.child(1).generator().normal(size=(mc.d, mc.n))
     tape = model_forward(x0, params, mc)
     rows = _moments_rows(layer_moments(tape), mc, cfg["seed"])
-    write_report(rows, MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"])
+    write_report(rows, MOMENTS_COLUMNS, _out_path(cfg, "moments"))
     print(f"diagnose: wrote {len(rows)} layer rows for placement {mc.placement}")
     return 0
 
@@ -346,13 +349,13 @@ def _trials(cfg: dict, placements: list, weight_decays: list, seeds: list) -> Sw
     the trials report and, at the first decay, each trial's final moments."""
     tc = train_config(cfg)
     result = stability_trial(tc, placements, weight_decays, seeds)
-    write_report(result.rows(), TRIALS_COLUMNS, _out_path(cfg, "trials"), cfg["format"])
+    write_report(result.rows(), TRIALS_COLUMNS, _out_path(cfg, "trials"))
     mrows = []
     for (placement, wd, seed), outcome in sorted(result.outcomes.items()):
         if wd == weight_decays[0] and outcome.moment_curves:
             mc = replace(tc.cfg, placement=placement)
             mrows += _moments_rows(outcome.moment_curves[-1][1], mc, seed)
-    write_report(mrows, MOMENTS_COLUMNS, _out_path(cfg, "moments"), cfg["format"])
+    write_report(mrows, MOMENTS_COLUMNS, _out_path(cfg, "moments"))
     return result
 
 
@@ -369,7 +372,7 @@ def cmd_train(cfg: dict) -> int:
         f"first_divergence_step={outcome.first_divergence_step} "
         f"final_loss={outcome.final_loss:.6g}{where}"
     )
-    return _judge("trials", result.rows(), cfg, "train")
+    return _judge("trials", result.rows(), "train")
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -378,7 +381,7 @@ def cmd_sweep(cfg: dict) -> int:
     result = _trials(cfg, sweep_cfg["placements"], sweep_cfg["weight_decays"], seeds)
     for (placement, wd), count in sorted(result.counts.items()):
         print(f"sweep: placement={placement} weight_decay={wd} diverged={count}/{len(seeds)}")
-    return _judge("trials", result.rows(), cfg, "sweep")
+    return _judge("trials", result.rows(), "sweep")
 
 
 def _wp_bruteforce(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -414,22 +417,17 @@ def cmd_ot_check(cfg: dict) -> int:
         n_samples=diag_cfg["wasserstein_samples"], p=diag_cfg["wasserstein_p"],
     )
     rows = [r.to_row() for r in reports]
-    write_report(rows, BOUNDS_COLUMNS, _out_path(cfg, "ot"), cfg["format"])
+    write_report(rows, BOUNDS_COLUMNS, _out_path(cfg, "ot"))
     print(f"ot-check: {len(rows)} transport bounds, min margin {min(r['margin'] for r in rows):.3e}")
-    return _judge("ot", rows, cfg, "ot-check")
+    return _judge("ot", rows, "ot-check")
 
 
 def cmd_report(cfg: dict) -> int:
-    out = Path(cfg["output"])
-    found = [
-        (stem, out / f"{stem}.{ext}")
-        for stem in CHECKS for ext in FORMATS
-        if (out / f"{stem}.{ext}").exists()
-    ]
+    found = [(stem, _out_path(cfg, stem)) for stem in CHECKS if _out_path(cfg, stem).exists()]
     if not found:
-        print(f"report: no report files found under {out}", file=sys.stderr)
+        print(f"report: no report files found under {Path(cfg['output'])}", file=sys.stderr)
         return 2
-    status = max([_judge(stem, read_report(path), cfg, path.name) for stem, path in found])
+    status = max([_judge(stem, read_report(path), path.name) for stem, path in found])
     print("report:", "all checks pass" if status == 0 else "FAILURES present")
     return status
 
@@ -461,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, help="number of blocks")
     parser.add_argument("--instances", type=int, help="randomized suite size")
     parser.add_argument("--out", help="output directory for reports")
-    parser.add_argument("--format", help="report format")
     parser.add_argument("command", choices=tuple(HANDLERS))
     return parser
 

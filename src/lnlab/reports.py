@@ -1,4 +1,4 @@
-"""Report emission: CSV and JSON-lines rows with round-trippable numbers.
+"""Report emission: CSV rows with round-trippable numbers.
 
 Column layouts are fixed per report kind:
 
@@ -13,13 +13,7 @@ reproduces every value bit-exactly.
 
 from __future__ import annotations
 
-import json
-import math
 from pathlib import Path
-
-CSV = "csv"
-JSONL = "jsonl"
-FORMATS = (CSV, JSONL)
 
 BOUNDS_COLUMNS = (
     "check", "placement", "D", "delta_t", "gamma_max", "beta_max",
@@ -42,35 +36,14 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, float) and not math.isfinite(v):
-        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    if isinstance(v, (int, float)):  # bools included
-        return format_value(v)
-    return json.dumps(v)
-
-
-def write_report(rows: list[dict], columns: tuple[str, ...], path, fmt: str = CSV) -> None:
-    """Write homogeneous rows to ``path``; missing keys are emitted as empty."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+def write_report(rows: list[dict], columns: tuple[str, ...], path) -> None:
+    """Write homogeneous rows to ``path`` as CSV; missing keys are emitted as empty."""
     path = Path(path)
-    if fmt == CSV:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(format_value(row.get(c)) for c in columns))
-    else:
-        lines = []
-        for row in rows:
-            parts = ", ".join(
-                f"{json.dumps(c)}: {_json_value(row.get(c))}" for c in columns
-            )
-            lines.append("{" + parts + "}")
-    text = "\n".join(lines) + "\n"
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(format_value(row.get(c)) for c in columns))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _parse_cell(s: str):
@@ -87,26 +60,14 @@ def _parse_cell(s: str):
 
 
 def read_report(path) -> list[dict]:
-    """Read a CSV or JSON-lines report back into row dicts, in the format its
-    suffix names (``.jsonl``, else CSV).  A line that is not one JSON object,
-    or a CSV row whose cells do not match the header one for one, raises
-    ValueError naming the file and the line."""
+    """Read a CSV report back into row dicts.  A row whose cells do not match
+    the header one for one raises ValueError naming the file and the line."""
     path = Path(path)
     raw = path.read_text().rstrip("\n")
     if not raw:
         return []
     lines = raw.split("\n")
     rows = []
-    if path.suffix == f".{JSONL}":
-        for number, line in enumerate(lines, 1):
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path.name} line {number}: {exc.msg} at column {exc.colno}") from None
-            if not isinstance(row, dict):
-                raise ValueError(f"{path.name} line {number}: expected a JSON object, got {line!r}")
-            rows.append(row)
-        return rows
     header = lines[0].split(",")
     for number, line in enumerate(lines[1:], 2):
         cells = line.split(",")

@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lnlab import cli, diagnostics, gradcheck, suites, training
+from lnlab import cli, diagnostics, suites, training
 from lnlab.cli import ConfigError, load_config, main
 from lnlab.diagnostics import BoundReport
 from lnlab.model import ModelConfig, push_forward
@@ -22,6 +23,11 @@ FAILING_BOUND = {
     "check": "peri_ma_growth", "placement": "peri", "D": 8, "delta_t": 1.0,
     "gamma_max": 1.0, "beta_max": 0.0, "lhs": 5.0, "rhs": 1.0, "margin": -4.0, "seed": 3,
 }
+
+
+def _trial(placement, wd, diverged):
+    return {"placement": placement, "weight_decay": wd, "seed": 0, "diverged": diverged,
+            "first_divergence_step": 5 if diverged else None, "final_loss": 0.5}
 
 
 class TestReportWriter:
@@ -50,46 +56,28 @@ class TestReportWriter:
                 else:
                     assert b[c] == a[c]
 
-    def test_jsonl_one_object_per_row(self, tmp_path):
-        rows = [{"layer": 0, "ma": 1.5, "var": 2.0, "frob": 0.25,
-                 "seed": 1, "placement": "pre", "delta_t": 1.0}]
-        path = tmp_path / "moments.jsonl"
-        write_report(rows, MOMENTS_COLUMNS, path, fmt="jsonl")
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 1
-        obj = json.loads(lines[0])
-        assert list(obj) == list(MOMENTS_COLUMNS)
-        assert obj["ma"] == 1.5
-
     def test_none_serialized_empty(self, tmp_path):
         rows = [{"placement": "pre", "weight_decay": 0.0, "seed": 0,
                  "diverged": 0, "first_divergence_step": None, "final_loss": 0.5}]
-        for fmt, written in (("csv", ",,"), ("jsonl", '"first_divergence_step": null')):
-            path = tmp_path / f"trials.{fmt}"
-            write_report(rows, TRIALS_COLUMNS, path, fmt=fmt)
-            assert written in path.read_text()
-            assert read_report(path)[0]["first_divergence_step"] is None
+        path = tmp_path / "trials.csv"
+        write_report(rows, TRIALS_COLUMNS, path)
+        assert ",," in path.read_text()
+        assert read_report(path)[0]["first_divergence_step"] is None
 
-    def test_diverged_trial_round_trips_in_both_formats(self, tmp_path):
-        # diverged runs carry an infinite loss; both writers must survive it
-        from lnlab.reports import TRIALS_COLUMNS
+    def test_diverged_trial_round_trips(self, tmp_path):
+        # diverged runs carry an infinite loss; the writer must survive it
         rows = [{"placement": "off", "weight_decay": 0.0, "seed": 4,
                  "diverged": 1, "first_divergence_step": 7, "final_loss": float("inf")}]
-        for fmt in ("csv", "jsonl"):
-            path = tmp_path / f"trials.{fmt}"
-            write_report(rows, TRIALS_COLUMNS, path, fmt=fmt)
-            back = read_report(path)
-            assert back[0]["final_loss"] == float("inf")
-            assert back[0]["first_divergence_step"] == 7
+        path = tmp_path / "trials.csv"
+        write_report(rows, TRIALS_COLUMNS, path)
+        back = read_report(path)
+        assert back[0]["final_loss"] == float("inf")
+        assert back[0]["first_divergence_step"] == 7
 
     def test_empty_file_reads_as_no_rows(self, tmp_path):
         path = tmp_path / "bounds.csv"
         path.write_text("")
         assert read_report(path) == []
-
-    def test_unknown_format_rejected_by_name(self, tmp_path):
-        with pytest.raises(ValueError, match="'xml'"):
-            write_report([], BOUNDS_COLUMNS, tmp_path / "bounds.xml", fmt="xml")
 
 
 class TestConfig:
@@ -106,7 +94,6 @@ class TestConfig:
         defaults = {
             "seed": 0,
             "output": ".",
-            "format": "csv",
             "model": {
                 "d": 6, "n": 4, "k": 4, "m": 8, "heads": 1, "depth": 8,
                 "placement": "peri", "delta_t": 1.0, "activation": "tanh", "epsilon": 1e-5,
@@ -123,8 +110,6 @@ class TestConfig:
                 "wasserstein_samples": 32,
                 "wasserstein_p": 2.0,
                 "chain_depth": 16,
-                "gradcheck_tolerance": 1e-6,
-                "param_tolerance": 1e-5,
             },
             "sweep": {
                 "placements": ["off", "pre", "peri"],
@@ -255,10 +240,10 @@ class TestExitCodes:
         assert "bounds.csv" in err and "'margin'" in err
 
     def test_report_non_numeric_margin_exits_two(self, tmp_path, capsys):
-        write_report([{**FAILING_BOUND, "margin": "wide"}], BOUNDS_COLUMNS, tmp_path / "bounds.jsonl", "jsonl")
+        write_report([{**FAILING_BOUND, "margin": "wide"}], BOUNDS_COLUMNS, tmp_path / "bounds.csv")
         assert main(["--out", str(tmp_path), "report"]) == 2
         err = capsys.readouterr().err
-        assert "bounds.jsonl" in err and "'margin'" in err and "'wide'" in err
+        assert "bounds.csv" in err and "'margin'" in err and "'wide'" in err
 
     def test_nan_margin_fails_its_row(self, tmp_path, capsys):
         write_report([{**FAILING_BOUND, "margin": float("nan")}], BOUNDS_COLUMNS, tmp_path / "bounds.csv")
@@ -269,10 +254,33 @@ class TestExitCodes:
     def test_nan_rel_err_fails_its_row(self, tmp_path, capsys):
         row = {"category": "layernorm", "instance": 0, "d": 4, "n": 3, "heads": 1,
                "depth": 1, "rel_err": float("nan"), "seed": 0}
-        write_report([row], GRADCHECK_COLUMNS, tmp_path / "gradcheck.jsonl", "jsonl")
+        write_report([row], GRADCHECK_COLUMNS, tmp_path / "gradcheck.csv")
         assert main(["--out", str(tmp_path), "report"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL gradcheck.jsonl: 1 rows, 1 failing" in out and "rel_err=nan" in out
+        assert "FAIL gradcheck.csv: 1 rows, 1 failing" in out and "rel_err=nan" in out
+
+    def test_rel_err_tolerances_are_constants(self, tmp_path, capsys):
+        # 5e-6 is over the Jacobian categories' 1e-6 and under the params' 1e-5
+        row = {"category": "layernorm", "instance": 0, "d": 4, "n": 3, "heads": 1,
+               "depth": 1, "rel_err": 5e-6, "seed": 0}
+        write_report([row], GRADCHECK_COLUMNS, tmp_path / "gradcheck.csv")
+        assert main(["--out", str(tmp_path), "report"]) == 1
+        write_report([{**row, "category": "params"}], GRADCHECK_COLUMNS, tmp_path / "gradcheck.csv")
+        assert main(["--out", str(tmp_path), "report"]) == 0
+        path = tmp_path / "cfg.json"
+        path.write_text('{"diagnostics": {"gradcheck_tolerance": 1.0}}')
+        capsys.readouterr()
+        assert main(["--config", str(path), "--out", str(tmp_path), "report"]) == 2
+        assert "unknown config field 'diagnostics.gradcheck_tolerance'" in capsys.readouterr().err
+
+    def test_nan_decay_fails_its_row(self, tmp_path, capsys):
+        # pre and peri diverged at one decay fail the ordering; a NaN decay
+        # matches no slice, so no contract reads its rows and each fails itself
+        for wd, failing in ((0.0, "contract=ordering"), (float("nan"), "placement=off weight_decay=nan")):
+            rows = [_trial("off", wd, 0), _trial("pre", wd, 1), _trial("peri", wd, 1)]
+            write_report(rows, TRIALS_COLUMNS, tmp_path / "trials.csv")
+            assert main(["--out", str(tmp_path), "report"]) == 1
+            assert f"first failing row: {failing}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("columns, placement", [
         (("weight_decay", "seed", "diverged"), "off"),
@@ -286,30 +294,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "trials.csv" in err and "'placement'" in err
 
-    @pytest.mark.parametrize("name, columns, line, message", [
-        ("bounds.jsonl", BOUNDS_COLUMNS, '{"check": oops}', "bounds.jsonl line 2: Expecting value"),
-        ("bounds.jsonl", BOUNDS_COLUMNS, "[1, 2]", "bounds.jsonl line 2: expected a JSON object"),
-        ("bounds.csv", ("check", "margin"), "a,1.0,5", "bounds.csv line 3: 3 cells under a header of 2"),
-        ("bounds.csv", BOUNDS_COLUMNS, "a,1.0", "bounds.csv line 3: 2 cells under a header of 10"),
-    ], ids=["bad-json", "json-not-object", "csv-extra-cell", "csv-missing-cell"])
-    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, name, columns, line, message):
-        fmt = name.rsplit(".", 1)[1]
-        write_report([{**FAILING_BOUND, "margin": 1.0}], columns, tmp_path / name, fmt)
-        with open(tmp_path / name, "a") as f:
+    @pytest.mark.parametrize("columns, line, message", [
+        (("check", "margin"), "a,1.0,5", "bounds.csv line 3: 3 cells under a header of 2"),
+        (BOUNDS_COLUMNS, "a,1.0", "bounds.csv line 3: 2 cells under a header of 10"),
+    ], ids=["csv-extra-cell", "csv-missing-cell"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, columns, line, message):
+        write_report([{**FAILING_BOUND, "margin": 1.0}], columns, tmp_path / "bounds.csv")
+        with open(tmp_path / "bounds.csv", "a") as f:
             f.write(line + "\n")
-        assert main(["--out", str(tmp_path), "report"]) == 2
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text, message", [
-        ("[1, 2]", "bounds.jsonl line 1: expected a JSON object, got '[1, 2]'"),
-        ("check,margin", "bounds.jsonl line 1: Expecting value at column 1"),
-    ], ids=["json-array", "csv-header"])
-    def test_jsonl_report_is_read_as_jsonl_whatever_its_first_line(
-        self, tmp_path, capsys, text, message
-    ):
-        """A report's format is its suffix's, so a .jsonl file whose first
-        line is not a JSON object is refused, not read as an empty CSV."""
-        (tmp_path / "bounds.jsonl").write_text(text + "\n")
         assert main(["--out", str(tmp_path), "report"]) == 2
         assert message in capsys.readouterr().err
 
@@ -393,23 +385,11 @@ class TestExitCodes:
         assert f"'{item}'" in capsys.readouterr().err
         assert runs == []
 
-    @pytest.mark.parametrize("command", ["gradcheck", "sweep"])
-    def test_unknown_format_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys, command):
-        runs = []
-        monkeypatch.setattr(gradcheck, "run_all", lambda *args: runs.append(args))
-        monkeypatch.setattr(training, "train_run", lambda tc: runs.append(tc))
-        path = tmp_path / "cfg.json"
-        path.write_text('{"format": "xml"}')
-        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 2
-        assert "config field 'format' must be one of ('csv', 'jsonl'), got 'xml'" in capsys.readouterr().err
-        assert runs == []
-
     @pytest.mark.parametrize("text, command, field", [
         ('{"train": {"lr": NaN}}', "train", "train.lr"),
         ('{"train": {"divergence_threshold": NaN}}', "train", "train.divergence_threshold"),
         ('{"train": {"noise_std": Infinity}}', "train", "train.noise_std"),
         ('{"model": {"epsilon": Infinity}}', "diagnose", "model.epsilon"),
-        ('{"diagnostics": {"param_tolerance": NaN}}', "gradcheck", "diagnostics.param_tolerance"),
         ('{"diagnostics": {"wasserstein_p": Infinity}}', "ot-check", "diagnostics.wasserstein_p"),
         ('{"sweep": {"weight_decays": [0.0, Infinity]}}', "sweep", "sweep.weight_decays[1]"),
         ('{"diagnostics": {"delta_ts": [-Infinity]}}', "bounds", "diagnostics.delta_ts[0]"),
@@ -464,9 +444,7 @@ class TestExitCodes:
         (["--placement", "sideways"], '{"model": {"placement": "sideways"}}',
          "config error: config section 'model': unknown placement 'sideways', "
          "expected one of ('off', 'pre', 'peri', 'post')\n"),
-        (["--format", "xml"], '{"format": "xml"}',
-         "config error: config field 'format' must be one of ('csv', 'jsonl'), got 'xml'\n"),
-    ], ids=["placement", "format"])
+    ], ids=["placement"])
     def test_bad_choice_flag_exits_two_as_its_config_value_does(
         self, tmp_path, capsys, flag, text, message
     ):
@@ -476,6 +454,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == message
         assert main(["--out", str(tmp_path), *flag, "diagnose"]) == 2
         assert capsys.readouterr().err == message
+
+    def test_readme_synopsis_names_the_parser_options(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        synopsis = re.search(r"```\n(lnlab \[--config .*?)```", readme, re.S).group(1)
+        options = {
+            option for action in cli.build_parser()._actions for option in action.option_strings
+        }
+        assert set(re.findall(r"--[a-z-]+", synopsis)) == options - {"-h", "--help"}
 
     def test_nonfinite_delta_t_flag_exits_two(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "--delta-t", "nan", "diagnose"]) == 2
@@ -489,16 +475,12 @@ class TestExitCodes:
 
     def test_partial_trials_grid_gives_a_verdict(self, tmp_path, capsys):
         # off and pre at decay 0 but peri only at 0.3: no contract has all its slices
-        def trial(placement, wd, diverged):
-            return {"placement": placement, "weight_decay": wd, "seed": 0, "diverged": diverged,
-                    "first_divergence_step": 5 if diverged else None, "final_loss": 0.5}
-
-        rows = [trial("off", 0.0, 1), trial("pre", 0.0, 0), trial("peri", 0.3, 0)]
+        rows = [_trial("off", 0.0, 1), _trial("pre", 0.0, 0), _trial("peri", 0.3, 0)]
         write_report(rows, TRIALS_COLUMNS, tmp_path / "trials.csv")
         assert main(["--out", str(tmp_path), "report"]) == 0
         # with peri at decay 0 the ordering is evaluated (and fails); pre has
         # one decay only, so the decay effect is still skipped
-        write_report(rows + [trial("peri", 0.0, 1)], TRIALS_COLUMNS, tmp_path / "trials.csv")
+        write_report(rows + [_trial("peri", 0.0, 1)], TRIALS_COLUMNS, tmp_path / "trials.csv")
         assert main(["--out", str(tmp_path), "report"]) == 1
         assert "ordering" in capsys.readouterr().out
 
@@ -554,11 +536,6 @@ class TestDeterminism:
             assert main(["--out", str(out), "report"]) == 1
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
-
-    def test_jsonl_format_flag(self, tmp_path):
-        assert main(["--out", str(tmp_path), "--format", "jsonl", "--depth", "2", "diagnose"]) == 0
-        rows = read_report(tmp_path / "moments.jsonl")
-        assert rows and set(rows[0]) == set(MOMENTS_COLUMNS)
 
 
 class TestTrainSubcommand:

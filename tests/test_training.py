@@ -12,12 +12,14 @@ from oracles import scripted_loss_and_grad, scripted_sample, scripted_train_run
 from lnlab import cli, training
 from lnlab.attention import ActivationKinkError
 from lnlab.model import (
+    PLACEMENTS,
     ModelConfig,
     PlacementError,
     flat_to_params,
     model_forward,
     params_to_flat,
     push_forward,
+    random_model,
 )
 from lnlab.normalization import DegenerateTokenError
 from lnlab.numerics import RngStream
@@ -42,6 +44,12 @@ DEGENERATE_LN_REPRO = TrainConfig(
                     activation="relu", epsilon=0.0),
     steps=20, lr=0.009, momentum=0.9, batch_size=2,
 )
+
+
+def aggressive_tc():
+    """The training run of ``configs/aggressive.json`` (dt = 1), as the CLI builds it."""
+    return cli.train_config(cli.load_config(
+        str(Path(__file__).parents[1] / "configs" / "aggressive.json")))
 
 
 def small_tc(**kw):
@@ -333,14 +341,51 @@ class TestStepBits:
     DIGEST = "812a09b08951fbd9a882546d53df103c5178a214e53195eeac92c298cb0e0dce"
 
     def test_grid_and_degenerate_repro_reprs(self):
-        base = cli.train_config(cli.load_config(
-            str(Path(__file__).parents[1] / "configs" / "aggressive.json")))
+        base = aggressive_tc()
         configs = [
             replace(base, seed=seed, weight_decay=wd, cfg=replace(base.cfg, placement=placement))
             for placement in ("off", "pre", "peri") for wd in (0.0, 0.3) for seed in (0, 1)
         ]
         reprs = [repr(train_run(tc)) for tc in (*configs, DEGENERATE_LN_REPRO)]
         assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == self.DIGEST
+
+
+class TestStepGradient:
+    """The parameter gradient ``training._step`` returns, summed over the
+    minibatch, against a central difference of the batch loss it returns,
+    along random directions in parameter space, at the dt = 1 of every
+    trial the grid runs."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_gradient_matches_central_difference(self, activation, placement, seed):
+        base = aggressive_tc()
+        tc = replace(base, seed=seed, cfg=replace(base.cfg, placement=placement, activation=activation))
+        assert tc.cfg.delta_t == 1.0
+        root = RngStream(seed)
+        params = random_model(tc.cfg, root.child(0))
+        task = make_task(tc, root.child(1))
+        samples = range(tc.batch_size)
+        _, grads = training._step(task, params, tc, 0, samples, [])
+        flats = [params_to_flat(b) for b in params]
+        gen = RngStream(seed, 1).generator()
+        h = 1e-6
+
+        def batch_loss(directions, t):
+            moved = [
+                flat_to_params({k: x + t * v[k] for k, x in f.items()}, b)
+                for f, v, b in zip(flats, directions, params)
+            ]
+            return training._step(task, moved, tc, 0, samples, [])[0]
+
+        for _ in range(2):
+            directions = [{k: gen.normal(size=x.shape) for k, x in f.items()} for f in flats]
+            analytic = sum(
+                float(np.sum(g[k].sum(axis=0) * v[k])) for g, v in zip(grads, directions) for k in v
+            )
+            fd = (batch_loss(directions, h) - batch_loss(directions, -h)) / (2 * h)
+            assert abs(fd - analytic) <= cli.PARAM_TOLERANCE * max(abs(fd), abs(analytic))
 
 
 class TestStabilityTrial:
