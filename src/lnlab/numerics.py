@@ -145,6 +145,11 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     path, not once per scanned column.  Returns ``col`` such that row i is
     matched to column col[i]; when several matchings are optimal (ties),
     any one of them may be returned.
+
+    A scan runs four vector calls over rows of ``cost``; the matching
+    (``col``, ``row``) and the row duals ``u`` are Python lists, since the
+    scan reads and writes them one entry at a time, and ``v`` stays an
+    array, since each scan subtracts all of it.
     """
     cost = as_matrix(cost)
     n, m = cost.shape
@@ -152,55 +157,56 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(f"min_cost_assignment: cost must be square, got {cost.shape}")
     if not np.isfinite(cost).all():
         raise NonFiniteError("min_cost_assignment: cost contains non-finite entries")
-    col = np.full(n, -1, dtype=np.int64)  # col[i] = column of row i, -1 = free
     if n == 0:
-        return col
-    row = np.full(n, -1, dtype=np.int64)  # row[j] = row of column j, -1 = free
-    u = np.zeros(n)
+        return np.empty(0, dtype=np.int64)
+    col = [-1] * n  # col[i] = column of row i, -1 = free
+    row = [-1] * n  # row[j] = row of column j, -1 = free
+    u = [0.0] * n
     v = cost.min(axis=0)
     for j, i in enumerate(cost.argmin(axis=0).tolist()):
         if col[i] < 0:
             col[i], row[j] = j, i
 
+    cost_rows = list(cost)
     dist = np.empty(n)  # shortest path cost to each unscanned column
     open_v = np.empty(n)  # v, with -inf at scanned columns
     seen = np.empty((n, n))  # row k: reduced costs from the k-th scanned row
-    for start in np.flatnonzero(col < 0).tolist():
+    seen_rows = list(seen)
+    for start in [i for i in range(n) if col[i] < 0]:
         dist.fill(np.inf)
         np.copyto(open_v, v)
         rows, scanned, reached = [], [], []
         i, reach = start, 0.0
         while True:
-            reduced = seen[len(rows)]
-            np.subtract(cost[i], open_v, out=reduced)  # +inf where scanned
+            reduced = seen_rows[len(rows)]
+            np.subtract(cost_rows[i], open_v, out=reduced)  # +inf where scanned
             reduced += reach - u[i]
             np.minimum(dist, reduced, out=dist)
             rows.append(i)
             j = int(dist.argmin())
-            reach = float(dist[j])
+            reach = dist.item(j)
             scanned.append(j)
             reached.append(reach)
             dist[j] = np.inf
             open_v[j] = -np.inf
-            if row[j] < 0:
+            i = row[j]
+            if i < 0:
                 break
-            i = int(row[j])
         # lazy dual update: every scanned column moves by how much sooner
         # than the sink it was reached, and so does the row matched to it
-        cols = np.array(scanned)
-        shift = reach - np.array(reached)
-        v[cols] -= shift
-        u[row[cols[:-1]]] += shift[:-1]
+        v[scanned] -= reach - np.array(reached)
+        for c, r in zip(scanned[:-1], reached):
+            u[row[c]] += reach - r
         u[start] += reach
         # augment along the path back to the start row; a column's predecessor
         # is the first scanned row to reach its final distance (later rows: +inf)
         while True:
             i = rows[int(seen[: len(rows), j].argmin())]
             row[j] = i
-            col[i], j = j, int(col[i])
+            col[i], j = j, col[i]
             if i == start:
                 break
-    return col
+    return np.array(col, dtype=np.int64)
 
 
 MAX_OT_SAMPLES = 256
@@ -224,7 +230,8 @@ def transport_cost(flat_a: np.ndarray, flat_b: np.ndarray, p: float) -> np.ndarr
     built ``COST_BLOCK_ROWS`` rows at a time in one reused (rows, N, m)
     buffer.  Each entry is reduced over the same contiguous m axis as in
     the one-shot ``(np.abs(a[:, None] - b[None]) ** p).sum(axis=2)``, so
-    the two agree bit for bit."""
+    the two agree bit for bit.  At p = 2 each difference is squared in
+    place with no ``abs`` pass: x * x and |x| * |x| are the same double."""
     if flat_a.ndim != 2 or flat_b.ndim != 2 or flat_a.shape[1] != flat_b.shape[1]:
         raise ShapeMismatchError(
             f"transport_cost: expected two (N, m) stacks of one width, got {flat_a.shape} and {flat_b.shape}")
@@ -234,8 +241,11 @@ def transport_cost(flat_a: np.ndarray, flat_b: np.ndarray, p: float) -> np.ndarr
     for lo in range(0, n, COST_BLOCK_ROWS):
         rows = flat_a[lo : lo + COST_BLOCK_ROWS, None, :]
         diff = np.subtract(rows, flat_b[None, :, :], out=buf[: len(rows)])
-        np.abs(diff, out=diff)
-        diff **= p
+        if p == 2:
+            np.multiply(diff, diff, out=diff)
+        else:
+            np.abs(diff, out=diff)
+            diff **= p
         np.add.reduce(diff, axis=2, out=cost[lo : lo + COST_BLOCK_ROWS])
     return cost
 

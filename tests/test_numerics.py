@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -266,6 +266,8 @@ class TestAssignmentVsPredArray:
         st.integers(0, 2**32 - 1),
         st.sampled_from(["continuous", "integers", "constant"]),
     )
+    @example(MAX_OT_SAMPLES, 1301, "integers")  # ties at certify's N
+    @example(MAX_OT_SAMPLES, 1301, "constant")
     def test_same_col(self, n, seed, kind):
         gen = np.random.default_rng(seed)
         if kind == "continuous":
