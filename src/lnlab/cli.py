@@ -243,13 +243,14 @@ def _trial_contract_fails(rows: list[dict], label: str) -> list[dict]:
     """Divergence-count contract: off >= pre >= peri with peri = 0 at the
     lowest decay, and the highest decay not raising the pre count.  Each is
     evaluated only when every slice it reads is present; the failing ones
-    come back as rows, after every row whose decay is NaN, which no slice
-    holds."""
+    come back as rows, after every row that no count can take: a NaN decay,
+    which no slice holds, or a ``diverged`` cell other than 0 or 1, which
+    would move its slice's count by other than one trial."""
     counts, failing = {}, []
     for r in rows:
         placement = _cell(r, "placement", label, str, "text")
         wd, diverged = _number(r, "weight_decay", label), _number(r, "diverged", label)
-        if wd != wd:  # a NaN key, which no slice lookup matches
+        if wd != wd or diverged not in (0, 1):  # a NaN key matches no slice lookup
             failing.append(r)
         else:
             counts[(placement, wd)] = counts.get((placement, wd), 0) + diverged

@@ -282,6 +282,17 @@ class TestExitCodes:
             assert main(["--out", str(tmp_path), "report"]) == 1
             assert f"first failing row: {failing}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cell", [-1, 0.5, 2])
+    def test_diverged_cell_not_0_or_1_fails_its_row(self, tmp_path, capsys, cell):
+        # a second peri row at -1 would cancel the divergence and pass the
+        # ordering; a count that is neither 0 nor 1 fails itself, first
+        rows = [_trial("off", 0.0, 0), _trial("pre", 0.0, 0), _trial("peri", 0.0, 1),
+                _trial("peri", 0.0, cell)]
+        write_report(rows, TRIALS_COLUMNS, tmp_path / "trials.csv")
+        assert main(["--out", str(tmp_path), "report"]) == 1
+        out = capsys.readouterr().out
+        assert f"first failing row: placement=peri weight_decay=0 seed=0 diverged={cell} " in out
+
     @pytest.mark.parametrize("columns, placement", [
         (("weight_decay", "seed", "diverged"), "off"),
         (TRIALS_COLUMNS, 3),
