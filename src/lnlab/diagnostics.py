@@ -22,8 +22,11 @@ the sensitivity is invariant, without it the update scales by c1 * c2.
 
 Every bound check takes ``(inputs, params, cfg)`` and pushes each sample set
 through one stacked ``push_forward``, which keeps no tape, taking each input's
-norm on its own slice (a stacked norm can differ in the last bit).  The
-rescaling probe reads nothing of the tape's layout.
+norm on its own slice (a stacked norm can differ in the last bit).
+``growth_checks`` gives the rows of ``peri_growth_check`` and
+``datawise_variance_check`` from one stack ``[x0, *inputs]``, so a model of
+the growth suite is pushed forward once.  The rescaling probe reads nothing
+of the tape's layout.
 """
 
 from __future__ import annotations
@@ -152,20 +155,47 @@ def _output_ln_gate(cfg: ModelConfig, params: list[BlockParams], check: str) -> 
     return output_ln_extrema(params)
 
 
-def peri_growth_check(
-    x0: np.ndarray, params: list[BlockParams], cfg: ModelConfig, seed: int = 0
+def _growth_rows(
+    x0: np.ndarray, x_d: np.ndarray, cfg: ModelConfig, gmax: float, bmax: float, seed: int
 ) -> list[BoundReport]:
-    """Terminal MA and entry variance against the linear/quadratic growth bounds."""
-    gmax, bmax = _output_ln_gate(cfg, params, "peri_growth_check")
+    """The peri_ma_growth and peri_var_growth rows of ``x0`` and its terminal state ``x_d``."""
     nd = cfg.nd
     x0_frob = float(np.linalg.norm(x0))
-    terminal = moments(push_forward(x0, params, cfg))
+    terminal = moments(x_d)
     ma_rhs = x0_frob / np.sqrt(nd) + 2.0 * cfg.depth * cfg.delta_t * (gmax + bmax)
     var_rhs = (x0_frob + 2.0 * cfg.depth * cfg.delta_t * np.sqrt(nd) * (gmax + bmax)) ** 2 / (nd - 1)
     return [
         BoundReport.for_model("peri_ma_growth", cfg, gmax, bmax, terminal.mean_abs, ma_rhs, seed),
         BoundReport.for_model("peri_var_growth", cfg, gmax, bmax, terminal.var, var_rhs, seed),
     ]
+
+
+def _check_datawise(inputs, cfg: ModelConfig, entry: tuple[int, int], check: str) -> None:
+    """Refuse fewer than 2 inputs or an entry outside the d x n state."""
+    if len(inputs) < 2:
+        raise ValueError(f"{check}: need at least 2 samples")
+    if not (0 <= entry[0] < cfg.d and 0 <= entry[1] < cfg.n):
+        raise IndexError(f"{check}: entry {entry} out of range for a {cfg.d} x {cfg.n} state")
+
+
+def _datawise_row(
+    inputs, x_d: np.ndarray, cfg: ModelConfig, gmax: float, bmax: float,
+    entry: tuple[int, int], seed: int,
+) -> BoundReport:
+    """The datawise_variance row of ``inputs`` and their terminal states ``x_d``."""
+    scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
+    values = x_d[:, entry[0], entry[1]]
+    rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
+    lhs = np.var(values, ddof=1)
+    return BoundReport.for_model("datawise_variance", cfg, gmax, bmax, lhs, np.mean(rhs_terms), seed)
+
+
+def peri_growth_check(
+    x0: np.ndarray, params: list[BlockParams], cfg: ModelConfig, seed: int = 0
+) -> list[BoundReport]:
+    """Terminal MA and entry variance against the linear/quadratic growth bounds."""
+    gmax, bmax = _output_ln_gate(cfg, params, "peri_growth_check")
+    return _growth_rows(x0, push_forward(x0, params, cfg), cfg, gmax, bmax, seed)
 
 
 def datawise_variance_check(
@@ -177,16 +207,35 @@ def datawise_variance_check(
 ) -> BoundReport:
     """Variance of one terminal entry across N inputs vs the quadratic bound."""
     gmax, bmax = _output_ln_gate(cfg, params, "datawise_variance_check")
-    if len(inputs) < 2:
-        raise ValueError("datawise_variance_check: need at least 2 samples")
-    if not (0 <= entry[0] < cfg.d and 0 <= entry[1] < cfg.n):
-        raise IndexError(
-            f"datawise_variance_check: entry {entry} out of range for a {cfg.d} x {cfg.n} state")
-    scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
-    values = push_forward(np.stack(inputs), params, cfg)[:, entry[0], entry[1]]
-    rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
-    lhs = np.var(values, ddof=1)
-    return BoundReport.for_model("datawise_variance", cfg, gmax, bmax, lhs, np.mean(rhs_terms), seed)
+    _check_datawise(inputs, cfg, entry, "datawise_variance_check")
+    x_d = push_forward(np.stack(inputs), params, cfg)
+    return _datawise_row(inputs, x_d, cfg, gmax, bmax, entry, seed)
+
+
+def growth_checks(
+    x0: np.ndarray,
+    inputs: np.ndarray | list[np.ndarray],
+    params: list[BlockParams],
+    cfg: ModelConfig,
+    entry: tuple[int, int],
+    seed: int = 0,
+) -> list[BoundReport]:
+    """``peri_growth_check`` of ``x0`` followed by ``datawise_variance_check``
+    of ``inputs``, with the same rows, from one push of the stack
+    ``[x0, *inputs]``: slice 0 gives the moments, slices 1..N the variance."""
+    gmax, bmax = _output_ln_gate(cfg, params, "growth_checks")
+    _check_datawise(inputs, cfg, entry, "growth_checks")
+    x0 = np.asarray(x0, dtype=np.float64)
+    stack = np.asarray(inputs, dtype=np.float64)
+    if x0.shape != (cfg.d, cfg.n) or stack.shape[1:] != (cfg.d, cfg.n):
+        raise ShapeMismatchError(
+            f"growth_checks: need a {cfg.d} x {cfg.n} x0 and (N, {cfg.d}, {cfg.n}) inputs, "
+            f"got {x0.shape} and {stack.shape}")
+    pushed = push_forward(np.concatenate([x0[None], stack]), params, cfg)
+    return [
+        *_growth_rows(x0, pushed[0], cfg, gmax, bmax, seed),
+        _datawise_row(inputs, pushed[1:], cfg, gmax, bmax, entry, seed),
+    ]
 
 
 def pathwise_stability_check(

@@ -46,15 +46,14 @@ def run_growth_suite(
     delta_ts: tuple[float, ...] = (1.0, 0.1),
 ) -> list[diag.BoundReport]:
     """Entry-moment and data-wise variance bounds over random peri models,
-    the latter on 8 input samples per model."""
+    the latter on 8 input samples per model, all from one pushforward per model."""
 
     def one(i: int) -> list[diag.BoundReport]:
         gen, cfg, params = _peri_instance(seed, 0, i, depths, delta_ts)
-        reports = diag.peri_growth_check(gen.normal(size=(cfg.d, cfg.n)), params, cfg, seed=i)
+        x0 = gen.normal(size=(cfg.d, cfg.n))
         inputs = gen.normal(size=(8, cfg.d, cfg.n))
         entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
-        reports.append(diag.datawise_variance_check(inputs, params, cfg, entry, seed=i))
-        return reports
+        return diag.growth_checks(x0, inputs, params, cfg, entry, seed=i)
 
     return [r for sub in map_indexed(one, instances) for r in sub]
 

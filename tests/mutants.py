@@ -60,6 +60,18 @@ MUTANTS = {
         "np.multiply(diff, diff, out=diff)",
         "np.abs(diff, out=diff)",
     ),
+    # the data-wise variance of the growth pair also takes x0's terminal entry
+    "growth-datawise-includes-x0": (
+        "src/lnlab/diagnostics.py",
+        "_datawise_row(inputs, pushed[1:],",
+        "_datawise_row(inputs, pushed[:],",
+    ),
+    # the growth pair's entry moments read the last input's terminal state
+    "growth-moments-last-slice": (
+        "src/lnlab/diagnostics.py",
+        "_growth_rows(x0, pushed[0],",
+        "_growth_rows(x0, pushed[-1],",
+    ),
     # the unscaled residual adds half the sublayer's output
     "apply-sublayer-dt1": (
         "src/lnlab/model.py",

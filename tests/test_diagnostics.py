@@ -222,11 +222,16 @@ class TestWassersteinStability:
         assert hits >= 0.9 * total
 
 
-def _rows_from_oracle(inputs, mu0, nu0, params, cfg, entry):
-    """The data-wise, pathwise and W_2 rows as the checks compute them, with
-    each input pushed forward on its own."""
+def _rows_from_oracle(x0, inputs, mu0, nu0, params, cfg, entry):
+    """The entry-moment, data-wise, pathwise and W_2 rows as the checks
+    compute them, with each input pushed forward on its own."""
     gmax, bmax = diag.output_ln_extrema(params)
     scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
+    (x_d,) = scripted_terminal_states([x0], params, cfg)
+    terminal = moments(x_d)
+    x0_frob = float(np.linalg.norm(x0))
+    ma_rhs = x0_frob / np.sqrt(cfg.nd) + 2.0 * cfg.depth * cfg.delta_t * (gmax + bmax)
+    var_rhs = (x0_frob + scale) ** 2 / (cfg.nd - 1)
     values = [x[entry] for x in scripted_terminal_states(inputs, params, cfg)]
     rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
     xa, xb = scripted_terminal_states(inputs[:2], params, cfg)
@@ -242,6 +247,8 @@ def _rows_from_oracle(inputs, mu0, nu0, params, cfg, entry):
     )
     row = diag.BoundReport.for_model
     return [
+        row("peri_ma_growth", cfg, gmax, bmax, terminal.mean_abs, ma_rhs, 0),
+        row("peri_var_growth", cfg, gmax, bmax, terminal.var, var_rhs, 0),
         row("datawise_variance", cfg, gmax, bmax, np.var(values, ddof=1), np.mean(rhs_terms), 0),
         row("pathwise_stability", cfg, gmax, bmax, np.linalg.norm(xa - xb), path_rhs, 0),
         row("wasserstein_w2", cfg, gmax, bmax, wasserstein_exact(mu_d, nu_d, 2.0), w_rhs, 0),
@@ -278,13 +285,17 @@ class TestOneStackedPushforward:
         gen = RngStream(seed, 1).generator()
         inputs, mu0, nu0 = gen.normal(size=(3, samples, d, n))
         entry = (int(gen.integers(d)), int(gen.integers(n)))
+        x0 = gen.normal(size=(d, n))
         rows = [
+            *diag.growth_checks(x0, inputs, params, cfg, entry),
             diag.datawise_variance_check(inputs, params, cfg, entry),
             diag.pathwise_stability_check(inputs[0], inputs[1], params, cfg),
             diag.wasserstein_stability_check(mu0, nu0, params, cfg),
         ]
-        for got, want in zip(rows, _rows_from_oracle(inputs, mu0, nu0, params, cfg, entry)):
-            assert vars(got) == vars(want)
+        want = _rows_from_oracle(x0, inputs, mu0, nu0, params, cfg, entry)
+        assert len(rows) == len(want) + 1
+        for got, row in zip(rows, [*want[:3], *want[2:]]):
+            assert vars(got) == vars(row)
 
     def test_bad_sample_set_or_p_refused_before_any_pushforward(self, monkeypatch):
         pushed = []
@@ -300,6 +311,54 @@ class TestOneStackedPushforward:
         assert pushed == []
         diag.wasserstein_stability_check(mu0[:2], mu0[:2] + 1.0, params, cfg)
         assert len(pushed) == 2
+
+    def test_growth_suite_pushes_each_model_once(self, monkeypatch):
+        pushed = []
+        monkeypatch.setattr(diag, "push_forward",
+                            lambda *args: pushed.append(args) or push_forward(*args))
+        rows = suites.run_growth_suite(8, seed=5)
+        assert len(pushed) == 8
+        assert all(args[0].shape[0] == 9 for args in pushed)  # x0 and the 8 inputs
+        want = []
+        for i in range(8):
+            gen, cfg, params = suites._peri_instance(5, 0, i, (8, 16, 32, 64), (1.0, 0.1))
+            x0 = gen.normal(size=(cfg.d, cfg.n))
+            inputs = gen.normal(size=(8, cfg.d, cfg.n))
+            entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
+            want += diag.peri_growth_check(x0, params, cfg, seed=i)
+            want.append(diag.datawise_variance_check(inputs, params, cfg, entry, seed=i))
+        assert [vars(r) for r in rows] == [vars(r) for r in want]
+
+    @pytest.mark.parametrize(
+        "placement, x0_shape, inputs_shape, entry, error, match",
+        [
+            ("peri", (4, 3), (4, 4, 3), (4, 0), IndexError,
+             r"growth_checks: entry \(4, 0\) out of range for a 4 x 3 state$"),
+            ("peri", (4, 3), (4, 4, 3), (-1, 0), IndexError, "out of range"),
+            ("peri", (4, 3), (1, 4, 3), (0, 0), ValueError, "growth_checks: need at least 2 samples"),
+            ("pre", (4, 3), (4, 4, 3), (0, 0), PlacementError, "needs norm_out and not norm_sum"),
+            ("peri_and_sum", (4, 3), (4, 4, 3), (0, 0), PlacementError,
+             "needs norm_out and not norm_sum"),
+            ("peri", (3, 4), (4, 4, 3), (0, 0), ShapeMismatchError, "need a 4 x 3 x0"),
+            ("peri", (1, 4, 3), (4, 4, 3), (0, 0), ShapeMismatchError, "need a 4 x 3 x0"),
+            ("peri", (4, 3), (4, 3, 4), (0, 0), ShapeMismatchError, r"\(N, 4, 3\) inputs"),
+        ],
+        ids=["entry-row", "entry-negative", "one-input", "pre", "peri-and-sum",
+             "x0-transposed", "x0-stacked", "inputs-transposed"],
+    )
+    def test_growth_checks_refuse_before_any_pushforward(
+        self, placement, x0_shape, inputs_shape, entry, error, match, monkeypatch
+    ):
+        pushed = []
+        monkeypatch.setattr(diag, "push_forward", lambda *args: pushed.append(args))
+        monkeypatch.setitem(model.STAGES, "peri_and_sum", Stages(True, True, True))
+        cfg = peri_cfg(depth=2, placement=placement)
+        params = random_model(cfg, RngStream(45))
+        gen = RngStream(46).generator()
+        x0, inputs = gen.normal(size=x0_shape), gen.normal(size=inputs_shape)
+        with pytest.raises(error, match=match):
+            diag.growth_checks(x0, inputs, params, cfg, entry)
+        assert pushed == []
 
 
 class TestPlacementIsData:
