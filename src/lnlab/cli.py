@@ -285,7 +285,10 @@ CHECKS = {
 
 
 def _judge(stem: str, rows: list[dict], label: str) -> int:
-    """Print the verdict on one report and its first failing row; 0 or 1."""
+    """Print the verdict on one report and its first failing row; 0 or 1.
+    No command writes a report without rows, so one (a truncated file) is malformed."""
+    if not rows:
+        raise ConfigError(f"{label}: no rows")
     failing = CHECKS[stem](rows, label)
     print(f"{'FAIL' if failing else 'PASS'} {label}: {len(rows)} rows, {len(failing)} failing")
     if failing:

@@ -124,11 +124,9 @@ def output_ln_extrema(params: list[BlockParams]) -> tuple[float, float]:
 def c_hat(p: float, nd: int) -> float:
     """Norm-equivalence constant relating the entrywise p-norm to Frobenius.
 
-    Exactly 1 at p = 2; (nd)^|1/2 - 1/p| otherwise.
+    (nd)^|1/2 - 1/p|, exactly 1 at p = 2, where the exponent is 0.0.
     """
     check_order(p)
-    if p == 2.0:
-        return 1.0
     return float(nd ** abs(0.5 - 1.0 / p))
 
 

@@ -14,8 +14,8 @@ each wrapped in up to three LN stages, switched on by the placement's row
     post: (F, F, T)  out = LN_out(x + dt * f(x))
 
 The output and sum stages share the ``*_out`` LN site.  ``dt`` multiplies
-the sublayer output inside the residual sum for every placement; at dt = 1
-neither pass multiplies, since 1.0 * y is y bit for bit.  The forward pass
+the sublayer output inside the residual sum for every placement and dt;
+dt = 1 gives the unscaled sum bit for bit, as 1.0 * y is y.  The forward pass
 (``_apply_sublayer``) and the reverse sweep (``_sublayer_backward``) are
 the only maps that branch on the row, ``ModelConfig.stages``: a
 materialized per-block sensitivity is the reverse sweep applied to the nd
@@ -315,8 +315,7 @@ def _apply_sublayer(
     (y, core), ln_out = f(z, weights), None
     if st.norm_out:
         y, ln_out = _ln_at_site(y, b.ln[site_out], block, site_out)
-    # 1.0 * y is y bit for bit, so the unscaled residual skips the multiply
-    out = X + y if cfg.delta_t == 1.0 else X + cfg.delta_t * y
+    out = X + cfg.delta_t * y
     if st.norm_sum:
         out, ln_out = _ln_at_site(out, b.ln[site_out], block, site_out)
     return SublayerTrace(X, z, core, ln_in, ln_out, out)
@@ -431,7 +430,7 @@ def _sublayer_backward(
     site_in, site_out = _SITES[which]
     if st.norm_sum:
         g = _ln_backward(trace.ln_out, b.ln[site_out], site_out, g, grads)
-    gupdate = g if cfg.delta_t == 1.0 else cfg.delta_t * g
+    gupdate = cfg.delta_t * g
     if st.norm_out:
         gupdate = _ln_backward(trace.ln_out, b.ln[site_out], site_out, gupdate, grads)
     gcore, fgrads = vjp(trace.core_in, *trace.core, weights, gupdate)

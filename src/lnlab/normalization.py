@@ -112,6 +112,12 @@ def as_point(z: np.ndarray, p: LNParams, name: str) -> np.ndarray:
     return z
 
 
+def _column_mean(A: np.ndarray) -> np.ndarray:
+    """(..., 1, n) means of the columns: the sum over axis -2, then one division,
+    as ``np.mean`` takes it, so the same bits without its wrapper."""
+    return np.add.reduce(A, axis=-2, keepdims=True) / A.shape[-2]
+
+
 def _column_stats(X: np.ndarray, p: LNParams):
     """Centered (LayerNorm) or raw (RMSNorm) columns and their (..., 1, n) denominators.
 
@@ -121,19 +127,10 @@ def _column_stats(X: np.ndarray, p: LNParams):
     fl(mean(c^2) + epsilon) >= epsilon > 0, and a NaN denominator never
     equals 0."""
     _check_dim(X, p)
-    d = X.shape[-2]
-    c = X
-    if p.kind == LAYERNORM:
-        if d < 2:
-            raise ValueError("LayerNorm needs d >= 2")
-        # column means as np.mean takes them, sum then divide, in the fresh sum
-        mean = np.add.reduce(X, axis=-2, keepdims=True)
-        mean /= d
-        c = X - mean
-    s = np.add.reduce(c * c, axis=-2, keepdims=True)
-    s /= d
-    s += p.epsilon
-    np.sqrt(s, out=s)
+    if p.kind == LAYERNORM and X.shape[-2] < 2:
+        raise ValueError("LayerNorm needs d >= 2")
+    c = X - _column_mean(X) if p.kind == LAYERNORM else X
+    s = np.sqrt(_column_mean(c * c) + p.epsilon)
     if p.epsilon == 0.0 and (zero := s[..., 0, :] == 0.0).any():
         kind_msg = ("constant token under LayerNorm" if p.kind == LAYERNORM
                     else "zero token under RMSNorm")
@@ -196,15 +193,9 @@ def ln_vjp(xhat: np.ndarray, s: np.ndarray, p: LNParams, gbar: np.ndarray):
     gbar = np.asarray(gbar, dtype=np.float64)
     _check_dim(xhat, p)
     _check_dim(gbar, p)
-    d = xhat.shape[-2]
     ghat = p.gamma[..., None] * gbar
-    # means over the d entries of a token, divided in their fresh sums
-    mean_proj = np.add.reduce(xhat * ghat, axis=-2, keepdims=True)
-    mean_proj /= d
-    proj = xhat * mean_proj
+    proj = xhat * _column_mean(xhat * ghat)
     ggamma = np.add.reduce(xhat * gbar, axis=-1)
     if p.kind == RMSNORM:
         return (ghat - proj) / s, ggamma, None
-    mean_ghat = np.add.reduce(ghat, axis=-2, keepdims=True)
-    mean_ghat /= d
-    return (ghat - mean_ghat - proj) / s, ggamma, np.add.reduce(gbar, axis=-1)
+    return (ghat - _column_mean(ghat) - proj) / s, ggamma, np.add.reduce(gbar, axis=-1)

@@ -72,23 +72,23 @@ MUTANTS = {
         "_growth_rows(x0, pushed[0],",
         "_growth_rows(x0, pushed[-1],",
     ),
-    # the unscaled residual adds half the sublayer's output
-    "apply-sublayer-dt1": (
+    # the residual adds half the scaled sublayer output, at every dt
+    "residual-half-update": (
         "src/lnlab/model.py",
-        "out = X + y if cfg.delta_t == 1.0",
-        "out = X + 0.5 * y if cfg.delta_t == 1.0",
+        "out = X + cfg.delta_t * y",
+        "out = X + 0.5 * cfg.delta_t * y",
     ),
-    # ... and its backward pass halves the gradient into the sublayer
-    "sublayer-backward-dt1": (
+    # ... and the reverse sweep halves the gradient into the sublayer
+    "residual-half-gradient": (
         "src/lnlab/model.py",
-        "gupdate = g if cfg.delta_t == 1.0",
-        "gupdate = 0.5 * g if cfg.delta_t == 1.0",
+        "gupdate = cfg.delta_t * g",
+        "gupdate = 0.5 * cfg.delta_t * g",
     ),
     # the same sum in another order: a rounding change only
     "ln-vjp-grouping": (
         "src/lnlab/normalization.py",
-        "return (ghat - mean_ghat - proj) / s,",
-        "return (ghat - (mean_ghat + proj)) / s,",
+        "return (ghat - _column_mean(ghat) - proj) / s,",
+        "return (ghat - (_column_mean(ghat) + proj)) / s,",
     ),
     # 1/k in place of 1/sqrt(k) in the score gradients
     "attn-vjp-scale": (

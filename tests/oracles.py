@@ -25,7 +25,9 @@ gradcheck's own maps one point at a time, it pins the stacked rows bit for
 bit.
 ``scripted_sample`` and ``scripted_loss_and_grad`` are the task's draw, loss
 and gradient through numpy's Python-level ``mean``, ``tile`` and
-``zeros_like``, which pin the task's ufunc forms bit for bit.
+``zeros_like``, which pin the task's ufunc forms bit for bit;
+``mean_ln_stats`` and ``mean_ln_input_grad`` are the LN kernels' column
+means through ``np.mean``, which pin them bit for bit.
 ``zero_weight_block`` and ``gradient_product`` are test fixtures built on
 the library's model: a block whose sublayers map to zero, and the product
 of its local sensitivities; ``ln_vjp_at`` is the library's LN VJP taken at
@@ -53,6 +55,7 @@ from lnlab.model import (
 )
 from lnlab.normalization import (
     LAYERNORM,
+    RMSNORM,
     DegenerateTokenError,
     LNParams,
     _column_stats,
@@ -477,6 +480,25 @@ def scripted_ln_vjp(X, p, gbar):
         ggamma += c / np.sqrt(np.mean(c * c) + p.epsilon) * gbar[:, j]
         gbeta += gbar[:, j]
     return gx, ggamma, gbeta if p.kind == LAYERNORM else None
+
+
+def mean_ln_stats(X, p):
+    """The LN kernels' statistics through ``np.mean``: the centered (LayerNorm)
+    or raw (RMSNorm) columns of a state or stack, and their denominators."""
+    c = X - np.mean(X, axis=-2, keepdims=True) if p.kind == LAYERNORM else X
+    return c, np.sqrt(np.mean(c * c, axis=-2, keepdims=True) + p.epsilon)
+
+
+def mean_ln_input_grad(X, p, gbar):
+    """``ln_vjp``'s input gradient through ``np.mean``, from ``mean_ln_stats``:
+    (g^ - mean(g^) - x^ * mean(x^ * g^)) / s, RMSNorm dropping mean(g^)."""
+    c, s = mean_ln_stats(X, p)
+    xhat = c / s
+    ghat = p.gamma[..., None] * gbar
+    proj = xhat * np.mean(xhat * ghat, axis=-2, keepdims=True)
+    if p.kind == RMSNORM:
+        return (ghat - proj) / s
+    return (ghat - np.mean(ghat, axis=-2, keepdims=True) - proj) / s
 
 
 def scripted_sublayer(placement: str, X, f, ln_in, ln_out, dt: float) -> np.ndarray:

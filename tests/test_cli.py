@@ -232,6 +232,22 @@ class TestExitCodes:
     def test_report_empty_dir_exits_two(self, tmp_path):
         assert main(["--out", str(tmp_path), "report"]) == 2
 
+    @pytest.mark.parametrize("stem, columns", [
+        ("bounds", BOUNDS_COLUMNS), ("ot", BOUNDS_COLUMNS),
+        ("gradcheck", GRADCHECK_COLUMNS), ("trials", TRIALS_COLUMNS),
+    ])
+    @pytest.mark.parametrize("header", [False, True], ids=["empty", "header-only"])
+    def test_report_without_rows_exits_two(self, tmp_path, capsys, stem, columns, header):
+        # a truncated report must not read as a pass
+        path = tmp_path / f"{stem}.csv"
+        if header:
+            write_report([], columns, path)
+        else:
+            path.write_text("")
+        assert main(["--out", str(tmp_path), "report"]) == 2
+        captured = capsys.readouterr()
+        assert f"{stem}.csv: no rows" in captured.err and "PASS" not in captured.out
+
     def test_report_without_margin_column_exits_two(self, tmp_path, capsys):
         columns = tuple(c for c in BOUNDS_COLUMNS if c != "margin")
         write_report([FAILING_BOUND], columns, tmp_path / "bounds.csv")

@@ -410,7 +410,9 @@ class TestPlacementIsData:
 
 class TestCHat:
     def test_p2_is_one(self):
-        assert diag.c_hat(2.0, 12) == 1.0
+        # the exponent |1/2 - 1/2| is 0.0, so nd ** 0.0 is exactly 1.0 at any nd
+        for nd in (1, 2, 12, 64, 4096):
+            assert diag.c_hat(2.0, nd) == 1.0
 
     def test_norm_equivalence_exponent(self):
         assert diag.c_hat(1.0, 16) == pytest.approx(4.0)

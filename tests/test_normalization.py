@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oracles import (
     central_diff_jacobian,
     ln_vjp_at,
+    mean_ln_input_grad,
+    mean_ln_stats,
     relative_error,
     scripted_ln_jacobian,
     scripted_ln_vjp,
@@ -350,6 +352,16 @@ class TestColumnKernels:
         for got, want in zip(taped, recomputed):
             assert (got is None and want is None) or np.array_equal(got, want)
         assert taped[0].shape == np.broadcast_shapes(X.shape, gbar.shape)
+
+    @settings(max_examples=300)
+    @given(taped_cases())
+    def test_column_means_are_np_mean_bits(self, case):
+        # the kernels' sum-then-divide means take np.mean's bits, so a
+        # regrouping of the gradient's terms shows here, not only in bit pins
+        X, p, gbar = case
+        for got, want in zip(_column_stats(X, p), mean_ln_stats(X, p)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(ln_vjp_at(X, p, gbar)[0], mean_ln_input_grad(X, p, gbar))
 
     @settings(max_examples=300)
     @given(column_cases())
