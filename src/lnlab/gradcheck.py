@@ -10,9 +10,9 @@ over the unit output gradients; ``params`` checks the reverse sweep's
 parameter gradients.
 
 ``fd_jacobian`` runs all 2 * size perturbed points, +e0, -e0, +e1, ..., as
-one stack through one call: the column kernel for the norms, a ``(T, d, n)``
-state stack for the sublayers and the block, and for ``params`` one
-``push_forward`` with the perturbed tensor stacked to ``(2 * size, *shape)``.
+one stack through one call: the column kernel for the norms, and through
+``fd_state_jacobian`` and ``fd_param_gradients``, which acceptance criterion 1
+also runs, a ``(T, d, n)`` state stack or one ``push_forward`` per tensor.
 Each slice has the bits of its own call, so the rows are a per-entry loop's.
 """
 
@@ -40,6 +40,35 @@ def fd_jacobian(f, x: np.ndarray) -> np.ndarray:
     values = f((x + steps).reshape(2 * x.size, x.size)).reshape(x.size, 2, -1)
     # C order, as stacking the columns gives: rel_error's norms read memory order
     return np.ascontiguousarray(((values[:, 0] - values[:, 1]) / (2.0 * h)).T)
+
+
+def fd_state_jacobian(f, X: np.ndarray) -> np.ndarray:
+    """Central-difference nd x nd Jacobian of a map of d x n states, in vec
+    layout; ``f`` maps a ``(T, d, n)`` stack and is called once, on 2 nd states."""
+    d, n = X.shape
+    # column-major points (..., nd) <-> states (..., d, n), as vec and unvec
+    stacked = lambda v: f(v.reshape(*v.shape[:-1], n, d).mT).mT.reshape(v.shape)
+    return fd_jacobian(stacked, vec(X))
+
+
+def fd_param_gradients(params: list, cfg, X: np.ndarray, C: np.ndarray, block: int) -> dict:
+    """Central-difference gradient of <C, X_D> by each tensor of ``params[block]``:
+    one ``push_forward`` per tensor, stacked to ``(2 * size, *shape)``."""
+    flat = model_mod.params_to_flat(params[block])
+
+    def loss(name: str, value: np.ndarray) -> np.ndarray:
+        """<C, X_D> of each model a ``(..., *shape)`` tensor stack holds, summed
+        per slice as one model's call sums it; shaped (..., 1)."""
+        plist = list(params)
+        plist[block] = model_mod.flat_to_params({**flat, name: value}, params[block])
+        XD = model_mod.push_forward(X, plist, cfg)
+        return np.reshape([(C * x).sum() for x in XD.reshape(-1, cfg.d, cfg.n)], XD.shape[:-2] + (1,))
+
+    return {
+        name: fd_jacobian(lambda v: loss(name, v.reshape(*v.shape[:-1], *arr.shape)),
+                          arr.ravel()).reshape(arr.shape)
+        for name, arr in flat.items()
+    }
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -100,9 +129,7 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
             f = lambda X: attn_mod.ffn_forward(X, p)[0]
             jacobian = lambda X: attn_mod.ffn_jacobian_blockdiag(X, p)
         X = gen.normal(size=(cfg.d, cfg.n))
-        # column-major points (..., nd) <-> states (..., d, n), as vec and unvec
-        stacked = lambda v: f(v.reshape(*v.shape[:-1], cfg.n, cfg.d).mT).mT.reshape(v.shape)
-        err = rel_error(jacobian(X), fd_jacobian(stacked, vec(X)))
+        err = rel_error(jacobian(X), fd_state_jacobian(f, X))
 
     elif category == "params":
         params = model_mod.random_model(cfg, stream.child(1))
@@ -110,24 +137,8 @@ def check_instance(category: str, seed: int, instance: int) -> dict:
         C = gen.normal(size=(cfg.d, cfg.n))  # loss(X_D) = <C, X_D>
         grads = model_mod.param_gradients(model_mod.model_forward(X, params, cfg), C)
         block = int(gen.integers(cfg.depth))
-        flat = model_mod.params_to_flat(params[block])
-
-        def loss(name: str, value: np.ndarray) -> np.ndarray:
-            """<C, X_D> of each model a ``(..., *shape)`` tensor stack holds, summed
-            per slice as one model's call sums it; shaped (..., 1)."""
-            plist = list(params)
-            plist[block] = model_mod.flat_to_params({**flat, name: value}, params[block])
-            XD = model_mod.push_forward(X, plist, cfg)
-            return np.reshape([(C * x).sum() for x in XD.reshape(-1, cfg.d, cfg.n)], XD.shape[:-2] + (1,))
-
-        err = max(
-            rel_error(
-                grads[block][name],
-                fd_jacobian(lambda v: loss(name, v.reshape(*v.shape[:-1], *arr.shape)),
-                            arr.ravel()).reshape(arr.shape),
-            )
-            for name, arr in flat.items()
-        )
+        fd = fd_param_gradients(params, cfg, X, C, block)
+        err = max(rel_error(grads[block][name], g) for name, g in fd.items())
 
     else:
         raise ValueError(f"unknown gradcheck category {category!r}")

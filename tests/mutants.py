@@ -72,6 +72,18 @@ MUTANTS = {
         "_growth_rows(x0, pushed[0],",
         "_growth_rows(x0, pushed[-1],",
     ),
+    # the entry mean-absolute growth bound at 3 D in place of 2 D
+    "growth-ma-rhs-3d": (
+        "src/lnlab/diagnostics.py",
+        "ma_rhs = x0_frob / np.sqrt(nd) + 2.0 * cfg.depth",
+        "ma_rhs = x0_frob / np.sqrt(nd) + 3.0 * cfg.depth",
+    ),
+    # the entry variance growth bound without its dt
+    "growth-var-rhs-no-dt": (
+        "src/lnlab/diagnostics.py",
+        "var_rhs = (x0_frob + 2.0 * cfg.depth * cfg.delta_t * np.sqrt(nd)",
+        "var_rhs = (x0_frob + 2.0 * cfg.depth * np.sqrt(nd)",
+    ),
     # the residual adds half the scaled sublayer output, at every dt
     "residual-half-update": (
         "src/lnlab/model.py",
@@ -113,6 +125,60 @@ MUTANTS = {
         "src/lnlab/training.py",
         "        m *= tc.momentum\n        m += g\n",
         "        m += g\n        m *= tc.momentum\n",
+    ),
+    # a bound row exactly at the margin tolerance fails
+    "margin-strict": (
+        "src/lnlab/cli.py",
+        '_number(r, "margin", label) >= MARGIN_TOLERANCE',
+        '_number(r, "margin", label) > MARGIN_TOLERANCE',
+    ),
+    # a bound row passes only at a margin of 0 or more
+    "margin-zero-tolerance": (
+        "src/lnlab/cli.py",
+        '_number(r, "margin", label) >= MARGIN_TOLERANCE',
+        '_number(r, "margin", label) >= 0.0',
+    ),
+    # a gradcheck row exactly at its tolerance fails
+    "rel-err-strict": (
+        "src/lnlab/cli.py",
+        'if not _number(r, "rel_err", label) <= (',
+        'if not _number(r, "rel_err", label) < (',
+    ),
+    # every gradcheck category at the params tolerance
+    "rel-err-one-tolerance": (
+        "src/lnlab/cli.py",
+        'PARAM_TOLERANCE if r.get("category") == "params" else GRADCHECK_TOLERANCE',
+        "PARAM_TOLERANCE",
+    ),
+    # the ordering contract no longer needs peri = 0
+    "contract-peri-nonzero": (
+        "src/lnlab/cli.py",
+        "off >= pre >= peri == 0,",
+        "off >= pre >= peri,",
+    ),
+    # the ordering contract no longer compares off with pre
+    "contract-off-pre": (
+        "src/lnlab/cli.py",
+        "off >= pre >= peri == 0,",
+        "pre >= peri == 0,",
+    ),
+    # the highest decay must lower the pre count, not only not raise it
+    "contract-decay-strict": (
+        "src/lnlab/cli.py",
+        "            hi <= lo,\n",
+        "            hi < lo,\n",
+    ),
+    # gradcheck's relative error divides by the analytic norm only
+    "rel-error-analytic-denominator": (
+        "src/lnlab/gradcheck.py",
+        "denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-12)",
+        "denom = max(float(np.linalg.norm(a)), 1e-12)",
+    ),
+    # ... or compares the two norms, not the difference
+    "rel-error-norm-difference": (
+        "src/lnlab/gradcheck.py",
+        "return float(np.linalg.norm(a - b)) / denom",
+        "return abs(float(np.linalg.norm(a)) - float(np.linalg.norm(b))) / denom",
     ),
 }
 

@@ -19,10 +19,11 @@ pushforwards of the bound checks;
 attention one head at a time, to pin its head axis bit for bit; and
 ``recompute_attn_vjp`` and ``recompute_ffn_vjp`` recompute the sublayers'
 intermediates from the state, to pin bit for bit the VJPs that read them
-from the forward tape.  ``scripted_fd_jacobian`` is the per-entry loop that
-``gradcheck.fd_jacobian`` ran before it stacked its perturbed points: fed
-gradcheck's own maps one point at a time, it pins the stacked rows bit for
-bit.
+from the forward tape.  ``central_diff_jacobian`` at its default step is the
+per-entry loop that ``gradcheck.fd_jacobian`` ran before it stacked its
+perturbed points: fed gradcheck's own maps one point at a time, it pins the
+stacked rows bit for bit.  ``richardson_scalar_grad`` extrapolates two
+central differences, for gradients too small for one difference to resolve.
 ``scripted_sample`` and ``scripted_loss_and_grad`` are the task's draw, loss
 and gradient through numpy's Python-level ``mean``, ``tile`` and
 ``zeros_like``, which pin the task's ufunc forms bit for bit;
@@ -96,18 +97,6 @@ def central_diff_jacobian(f, x: np.ndarray, h: float | None = None) -> np.ndarra
     return np.stack(cols, axis=1)
 
 
-def scripted_fd_jacobian(f, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, rows = outputs."""
-    x = np.asarray(x, dtype=np.float64)
-    h = 1e-6 * (1.0 + float(np.abs(x).max()))
-    cols = []
-    for b in range(x.size):
-        e = np.zeros_like(x)
-        e[b] = h
-        cols.append((f(x + e) - f(x - e)) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
 def central_diff_scalar_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Entrywise central differences of a scalar function of an array."""
     x = np.asarray(x, dtype=np.float64)
@@ -121,6 +110,12 @@ def central_diff_scalar_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[idx] -= h
         g[idx] = (f(xp) - f(xm)) / (2.0 * h)
     return g
+
+
+def richardson_scalar_grad(f, x: np.ndarray, h: float) -> np.ndarray:
+    """(4 D(h/2) - D(h)) / 3 of the central differences D at steps h and h/2:
+    truncation O(h^4), so a wider step keeps rounding further from the gradient."""
+    return (4.0 * central_diff_scalar_grad(f, x, h / 2.0) - central_diff_scalar_grad(f, x, h)) / 3.0
 
 
 def relative_error(a, b, floor: float = 1e-12) -> float:

@@ -12,7 +12,6 @@ import numpy as np
 
 from oracles import (
     central_diff_jacobian,
-    central_diff_scalar_grad,
     loglog_slope,
     relative_error,
     wasserstein_bruteforce,
@@ -20,18 +19,17 @@ from oracles import (
 
 from lnlab import control, suites
 from lnlab.attention import attn_forward, attn_jacobian_full, ffn_forward, ffn_jacobian_blockdiag
+from lnlab.gradcheck import fd_param_gradients, fd_state_jacobian
 from lnlab.model import (
     ModelConfig,
     block_forward,
-    flat_to_params,
     local_sensitivity,
     model_forward,
     param_gradients,
-    params_to_flat,
     random_model,
 )
 from lnlab.normalization import LAYERNORM, RMSNORM, LNParams, ellipsoid_residual, ln_forward, ln_jacobian
-from lnlab.numerics import RngStream, unvec, vec, wasserstein_exact
+from lnlab.numerics import RngStream, wasserstein_exact
 from lnlab.training import TrainConfig, stability_trial
 
 
@@ -87,42 +85,28 @@ def test_criterion_01_gradient_oracle_suite():
             w = max(w, relative_error(ln_jacobian(x, p), fd))
         worst[kind] = w
 
-    # attention: all n^2 blocks at once via the assembled nd x nd Jacobian
-    gen = RngStream(1, 2).generator()
-    w = 0.0
-    for _ in range(100):
-        cfg = _criterion_cfg(gen)
-        p = random_model(cfg, RngStream(int(gen.integers(2**32))))[0].attn
-        X = gen.normal(size=(cfg.d, cfg.n))
-        fd = central_diff_jacobian(lambda v: vec(attn_forward(unvec(v, cfg.d, cfg.n), p)[0]), vec(X))
-        w = max(w, relative_error(attn_jacobian_full(X, p), fd))
-    worst["attention"] = w
+    # attention, FFN and block local sensitivity (all placements): each nd x nd
+    # Jacobian against the stacked central differences ``lnlab gradcheck`` runs
+    for stream, name in enumerate(("attention", "ffn", "block"), start=2):
+        gen = RngStream(1, stream).generator()
+        w = 0.0
+        for _ in range(100):
+            cfg = _criterion_cfg(gen)
+            params = random_model(cfg, RngStream(int(gen.integers(2**32))))
+            b = params[0]
+            X = gen.normal(size=(cfg.d, cfg.n))
+            if name == "attention":
+                f, jacobian = (lambda Z: attn_forward(Z, b.attn)[0]), attn_jacobian_full(X, b.attn)
+            elif name == "ffn":
+                f, jacobian = (lambda Z: ffn_forward(Z, b.ffn)[0]), ffn_jacobian_blockdiag(X, b.ffn)
+            else:
+                f = lambda Z: block_forward(Z, b, cfg)[0]
+                jacobian = local_sensitivity(model_forward(X, params, cfg), 0)
+            w = max(w, relative_error(jacobian, fd_state_jacobian(f, X)))
+        worst[name] = w
 
-    gen = RngStream(1, 3).generator()
-    w = 0.0
-    for _ in range(100):
-        cfg = _criterion_cfg(gen)
-        p = random_model(cfg, RngStream(int(gen.integers(2**32))))[0].ffn
-        X = gen.normal(size=(cfg.d, cfg.n))
-        fd = central_diff_jacobian(lambda v: vec(ffn_forward(unvec(v, cfg.d, cfg.n), p)[0]), vec(X))
-        w = max(w, relative_error(ffn_jacobian_blockdiag(X, p), fd))
-    worst["ffn"] = w
-
-    # block-level local sensitivity, all placements
-    gen = RngStream(1, 4).generator()
-    w = 0.0
-    for _ in range(100):
-        cfg = _criterion_cfg(gen)
-        params = random_model(cfg, RngStream(int(gen.integers(2**32))))
-        X = gen.normal(size=(cfg.d, cfg.n))
-        tape = model_forward(X, params, cfg)
-        fd = central_diff_jacobian(
-            lambda v: vec(block_forward(unvec(v, cfg.d, cfg.n), params[0], cfg)[0]), vec(X)
-        )
-        w = max(w, relative_error(local_sensitivity(tape, 0), fd))
-    worst["block"] = w
-
-    # full parameter gradients of a scalar loss, every entry by FD
+    # full parameter gradients of a scalar loss, every entry by FD, one
+    # stacked call per tensor as ``lnlab gradcheck`` runs it
     gen = RngStream(1, 5).generator()
     w = 0.0
     for _ in range(100):
@@ -130,20 +114,9 @@ def test_criterion_01_gradient_oracle_suite():
         params = random_model(cfg, RngStream(int(gen.integers(2**32))))
         X = gen.normal(size=(cfg.d, cfg.n))
         C = gen.normal(size=(cfg.d, cfg.n))
-        tape = model_forward(X, params, cfg)
-        grads = param_gradients(tape, C)
+        grads = param_gradients(model_forward(X, params, cfg), C)
         bi = int(gen.integers(cfg.depth))
-        flat = {k: v.copy() for k, v in params_to_flat(params[bi]).items()}
-        for name, arr in flat.items():
-            def loss(a, name=name):
-                trial = dict(flat)
-                trial[name] = a
-                plist = list(params)
-                plist[bi] = flat_to_params(trial, params[bi])
-                return float((C * model_forward(X, plist, cfg).x_final).sum())
-
-            h = 1e-6 * (1.0 + float(np.abs(arr).max()))
-            fd = central_diff_scalar_grad(loss, arr, h=h)
+        for name, fd in fd_param_gradients(params, cfg, X, C, bi).items():
             w = max(w, relative_error(grads[bi][name], fd))
     worst["params"] = w
 

@@ -289,6 +289,44 @@ class TestExitCodes:
         assert main(["--config", str(path), "--out", str(tmp_path), "report"]) == 2
         assert "unknown config field 'diagnostics.gradcheck_tolerance'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stem, cells, rc", [
+        ("bounds", {"margin": cli.MARGIN_TOLERANCE}, 0),
+        ("ot", {"margin": -1e-10}, 0),
+        ("bounds", {"margin": -2e-9}, 1),
+        ("gradcheck", {"rel_err": cli.GRADCHECK_TOLERANCE}, 0),
+        ("gradcheck", {"rel_err": 1.1e-6}, 1),
+        ("gradcheck", {"category": "params", "rel_err": cli.PARAM_TOLERANCE}, 0),
+        ("gradcheck", {"category": "params", "rel_err": 1.1e-5}, 1),
+    ])
+    def test_rows_at_a_tolerance_pass_and_beyond_it_fail(self, tmp_path, stem, cells, rc):
+        # each verdict admits its tolerance itself: margin -1e-9, rel_err 1e-6 and 1e-5
+        if stem == "gradcheck":
+            row = {"category": "layernorm", "instance": 0, "d": 4, "n": 3, "heads": 1,
+                   "depth": 1, "rel_err": 0.0, "seed": 0}
+            columns = GRADCHECK_COLUMNS
+        else:
+            row, columns = FAILING_BOUND, BOUNDS_COLUMNS
+        write_report([{**row, **cells}], columns, tmp_path / f"{stem}.csv")
+        assert main(["--out", str(tmp_path), "report"]) == rc
+
+    @pytest.mark.parametrize("counts, failing", [
+        ((1, 1, 0), None),
+        ((0, 1, 0), "contract=ordering"),
+        ((1, 1, 1), "contract=ordering"),
+        ((1, 1, 0, 0), None),
+        ((1, 1, 0, 1), None),
+        ((1, 0, 0, 1), "contract=pre_decay_effect"),
+    ])
+    def test_trial_contracts(self, tmp_path, capsys, counts, failing):
+        # off, pre and peri diverged at decay 0, then pre at decay 0.3 if given:
+        # off >= pre >= peri = 0, and the higher decay may keep the pre count
+        rows = [_trial(p, 0.0, c) for p, c in zip(("off", "pre", "peri"), counts)]
+        rows += [_trial("pre", 0.3, c) for c in counts[3:]]
+        write_report(rows, TRIALS_COLUMNS, tmp_path / "trials.csv")
+        assert main(["--out", str(tmp_path), "report"]) == int(failing is not None)
+        out = capsys.readouterr().out
+        assert failing is None or f"first failing row: {failing}" in out
+
     def test_nan_decay_fails_its_row(self, tmp_path, capsys):
         # pre and peri diverged at one decay fail the ordering; a NaN decay
         # matches no slice, so no contract reads its rows and each fails itself

@@ -222,9 +222,9 @@ class TestWassersteinStability:
         assert hits >= 0.9 * total
 
 
-def _rows_from_oracle(x0, inputs, mu0, nu0, params, cfg, entry):
-    """The entry-moment, data-wise, pathwise and W_2 rows as the checks
-    compute them, with each input pushed forward on its own."""
+def _growth_rows_from_oracle(x0, inputs, params, cfg, entry, seed=0):
+    """The entry-moment and data-wise rows as the checks compute them, with
+    each input pushed forward on its own."""
     gmax, bmax = diag.output_ln_extrema(params)
     scale = 2.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * (gmax + bmax)
     (x_d,) = scripted_terminal_states([x0], params, cfg)
@@ -234,6 +234,18 @@ def _rows_from_oracle(x0, inputs, mu0, nu0, params, cfg, entry):
     var_rhs = (x0_frob + scale) ** 2 / (cfg.nd - 1)
     values = [x[entry] for x in scripted_terminal_states(inputs, params, cfg)]
     rhs_terms = [(float(np.linalg.norm(x0)) + scale) ** 2 for x0 in inputs]
+    row = diag.BoundReport.for_model
+    return [
+        row("peri_ma_growth", cfg, gmax, bmax, terminal.mean_abs, ma_rhs, seed),
+        row("peri_var_growth", cfg, gmax, bmax, terminal.var, var_rhs, seed),
+        row("datawise_variance", cfg, gmax, bmax, np.var(values, ddof=1), np.mean(rhs_terms), seed),
+    ]
+
+
+def _rows_from_oracle(x0, inputs, mu0, nu0, params, cfg, entry):
+    """``_growth_rows_from_oracle``'s rows, then the pathwise and W_2 rows,
+    with each input pushed forward on its own."""
+    gmax, bmax = diag.output_ln_extrema(params)
     xa, xb = scripted_terminal_states(inputs[:2], params, cfg)
     path_rhs = (
         np.linalg.norm(inputs[0] - inputs[1])
@@ -247,9 +259,7 @@ def _rows_from_oracle(x0, inputs, mu0, nu0, params, cfg, entry):
     )
     row = diag.BoundReport.for_model
     return [
-        row("peri_ma_growth", cfg, gmax, bmax, terminal.mean_abs, ma_rhs, 0),
-        row("peri_var_growth", cfg, gmax, bmax, terminal.var, var_rhs, 0),
-        row("datawise_variance", cfg, gmax, bmax, np.var(values, ddof=1), np.mean(rhs_terms), 0),
+        *_growth_rows_from_oracle(x0, inputs, params, cfg, entry),
         row("pathwise_stability", cfg, gmax, bmax, np.linalg.norm(xa - xb), path_rhs, 0),
         row("wasserstein_w2", cfg, gmax, bmax, wasserstein_exact(mu_d, nu_d, 2.0), w_rhs, 0),
     ]
@@ -325,8 +335,7 @@ class TestOneStackedPushforward:
             x0 = gen.normal(size=(cfg.d, cfg.n))
             inputs = gen.normal(size=(8, cfg.d, cfg.n))
             entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
-            want += diag.peri_growth_check(x0, params, cfg, seed=i)
-            want.append(diag.datawise_variance_check(inputs, params, cfg, entry, seed=i))
+            want += _growth_rows_from_oracle(x0, inputs, params, cfg, entry, seed=i)
         assert [vars(r) for r in rows] == [vars(r) for r in want]
 
     @pytest.mark.parametrize(
