@@ -357,17 +357,18 @@ def dro_bound(
     delta_t: float,
     nd: int,
     gamma_max: float,
-    c_hat_1: float = 1.0,
 ) -> float:
     """Deterministic robustness bound on the loss over a Wasserstein ball:
 
         train_loss + L * (C(1) * r + 4 D dt sqrt(nd) gamma_max)
+
+    with C(1) = ``c_hat(1, nd)`` = sqrt(nd), the C(p) that
+    ``wasserstein_stability_check`` uses at p = 1.
     """
-    for name, value in (("lipschitz", lipschitz), ("radius", radius),
-                        ("gamma_max", gamma_max), ("c_hat_1", c_hat_1)):
+    for name, value in (("lipschitz", lipschitz), ("radius", radius), ("gamma_max", gamma_max)):
         if not value >= 0:
             raise ValueError(f"dro_bound: {name} must be >= 0, got {value}")
     return float(
         train_loss
-        + lipschitz * (c_hat_1 * radius + 4.0 * depth * delta_t * np.sqrt(nd) * gamma_max)
+        + lipschitz * (c_hat(1.0, nd) * radius + 4.0 * depth * delta_t * np.sqrt(nd) * gamma_max)
     )

@@ -230,8 +230,8 @@ def transport_cost(flat_a: np.ndarray, flat_b: np.ndarray, p: float) -> np.ndarr
     built ``COST_BLOCK_ROWS`` rows at a time in one reused (rows, N, m)
     buffer.  Each entry is reduced over the same contiguous m axis as in
     the one-shot ``(np.abs(a[:, None] - b[None]) ** p).sum(axis=2)``, so
-    the two agree bit for bit.  At p = 2 each difference is squared in
-    place with no ``abs`` pass: x * x and |x| * |x| are the same double."""
+    the two agree bit for bit.  ``wasserstein_exact`` calls it at p != 2
+    only; at p = 2 it ranks pairings by a Gram product instead."""
     if flat_a.ndim != 2 or flat_b.ndim != 2 or flat_a.shape[1] != flat_b.shape[1]:
         raise ShapeMismatchError(
             f"transport_cost: expected two (N, m) stacks of one width, got {flat_a.shape} and {flat_b.shape}")
@@ -241,11 +241,8 @@ def transport_cost(flat_a: np.ndarray, flat_b: np.ndarray, p: float) -> np.ndarr
     for lo in range(0, n, COST_BLOCK_ROWS):
         rows = flat_a[lo : lo + COST_BLOCK_ROWS, None, :]
         diff = np.subtract(rows, flat_b[None, :, :], out=buf[: len(rows)])
-        if p == 2:
-            np.multiply(diff, diff, out=diff)
-        else:
-            np.abs(diff, out=diff)
-            diff **= p
+        np.abs(diff, out=diff)
+        diff **= p
         np.add.reduce(diff, axis=2, out=cost[lo : lo + COST_BLOCK_ROWS])
     return cost
 
@@ -261,6 +258,16 @@ def wasserstein_exact(
     with B_j is the entrywise p-norm raised to the p-th power; the N x N
     assignment problem is solved exactly and the p-th root of the optimal
     mean cost is returned.
+
+    At p != 2 the pairings are ranked by ``transport_cost``.  At p = 2 they
+    are ranked by G_ij = |a_i|^2 - 2 a_i.b_j, one Gram product taken after
+    both stacks are shifted by a's mean, so G rounds at the clouds' spread,
+    not at their distance from the origin.  G is the squared-distance matrix
+    less |b_j|^2, a constant per column that every pairing pays once, so the
+    two have the same optimal matchings.  Only the N matched costs
+    |a_i - b_col[i]|^2 are formed, each reduced over the contiguous m axis
+    as ``transport_cost`` reduces an entry: W_2 keeps the cost matrix's bits
+    wherever the optimal matching is unique.
     """
     a = np.asarray(a_samples, dtype=np.float64)
     b = np.asarray(b_samples, dtype=np.float64)
@@ -275,7 +282,16 @@ def wasserstein_exact(
     if n == 0:
         raise ShapeMismatchError("wasserstein_exact: need at least one sample, got N=0")
     check_sample_count(n)
-    cost = transport_cost(a.reshape(n, -1), b.reshape(n, -1), p)
-    col = min_cost_assignment(cost)
-    mean_cost = float(cost[np.arange(n), col].mean())
-    return mean_cost ** (1.0 / p)
+    flat_a, flat_b = a.reshape(n, -1), b.reshape(n, -1)
+    if p == 2:
+        shift = flat_a.mean(axis=0)
+        ca, cb = flat_a - shift, flat_b - shift
+        gram = ca @ (-2.0 * cb).T
+        gram += np.einsum("ij,ij->i", ca, ca)[:, None]
+        col = min_cost_assignment(gram)
+        matched = np.add.reduce((flat_a - flat_b[col]) ** 2, axis=1)
+    else:
+        cost = transport_cost(flat_a, flat_b, p)
+        col = min_cost_assignment(cost)
+        matched = cost[np.arange(n), col]
+    return float(matched.mean()) ** (1.0 / p)

@@ -48,17 +48,29 @@ MUTANTS = {
         "i = rows[int(seen[: len(rows), j].argmin())]",
         "i = rows[len(rows) - 1 - int(seen[len(rows) - 1 :: -1, j].argmin())]",
     ),
-    # no absolute value at any p (p = 2 squares without one already)
+    # the cost matrix takes no absolute value
     "cost-no-abs": (
         "src/lnlab/numerics.py",
-        "            np.abs(diff, out=diff)\n",
+        "        np.abs(diff, out=diff)\n",
         "",
     ),
-    # the p = 2 cost sums |a - b|, not its square
+    # W_2's matched costs sum |a - b|, not its square
     "cost-p2-no-square": (
         "src/lnlab/numerics.py",
-        "np.multiply(diff, diff, out=diff)",
-        "np.abs(diff, out=diff)",
+        "(flat_a - flat_b[col]) ** 2",
+        "abs(flat_a - flat_b[col])",
+    ),
+    # the Gram ranking adds 2 a.b in place of subtracting it
+    "w2-gram-sign": (
+        "src/lnlab/numerics.py",
+        "(-2.0 * cb)",
+        "(2.0 * cb)",
+    ),
+    # W_2's matched costs pair a_i with b_i, not with b_col[i]
+    "w2-matched-unpermuted": (
+        "src/lnlab/numerics.py",
+        "(flat_a - flat_b[col])",
+        "(flat_a - flat_b)",
     ),
     # the data-wise variance of the growth pair also takes x0's terminal entry
     "growth-datawise-includes-x0": (

@@ -10,8 +10,13 @@ the column kernels; brute-force enumeration solves small transport
 problems, the textbook Hungarian loop (one dual update per scanned column)
 pins the shortest-augmenting-path solver on larger ones, the same solver
 keeping a predecessor array (``pred_min_cost_assignment``) pins which
-optimal matching it returns on ties, and extended-precision arithmetic
-recomputes the scalar kernels.  Three exceptions: ``scripted_train_run``
+optimal matching it returns on ties, ``exact_matched_cost`` sums matched
+squared distances in rational arithmetic to say which of two matchings is
+cheaper, and extended-precision arithmetic recomputes the scalar
+kernels.  Four exceptions: ``cost_matrix_w2`` solves W_2 through the
+library's ``transport_cost`` and ``min_cost_assignment`` on the full
+squared-distance matrix, to pin the Gram path of ``wasserstein_exact`` bit
+for bit; ``scripted_train_run``
 and ``scripted_terminal_states`` run one sample at a time through the
 library's model, to pin the stacked minibatch step and the stacked
 pushforwards of the bound checks;
@@ -37,6 +42,7 @@ a raw input, from the statistics the forward pass tapes.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -68,8 +74,10 @@ from lnlab.numerics import (
     RngStream,
     ShapeMismatchError,
     as_matrix,
+    min_cost_assignment,
     moments,
     softmax_columns,
+    transport_cost,
 )
 from lnlab.training import (
     MEAN_REGRESSION,
@@ -142,6 +150,27 @@ def wasserstein_bruteforce(a: np.ndarray, b: np.ndarray, p: float) -> float:
     cost = (np.abs(fa[:, None, :] - fb[None, :, :]) ** p).sum(axis=2)
     best = min(sum(cost[i, pi] for i, pi in enumerate(perm)) for perm in permutations(range(n)))
     return float((best / n) ** (1.0 / p))
+
+
+def cost_matrix_w2(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """(W_2, matching) of two equally shaped sample stacks through the N x N
+    squared-distance matrix: ``transport_cost``, then ``min_cost_assignment``,
+    then the root of the mean matched entry."""
+    n = a.shape[0]
+    cost = transport_cost(a.reshape(n, -1), b.reshape(n, -1), 2.0)
+    col = min_cost_assignment(cost)
+    return float(cost[np.arange(n), col].mean()) ** 0.5, col
+
+
+def exact_matched_cost(a: np.ndarray, b: np.ndarray, rows, col) -> Fraction:
+    """sum over ``rows`` i of |a_i - b_col[i]|^2, in exact rational arithmetic."""
+    n = a.shape[0]
+    fa, fb = a.reshape(n, -1), b.reshape(n, -1)
+    return sum(
+        (sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(fa[i].tolist(), fb[col[i]].tolist()))
+         for i in rows),
+        Fraction(0),
+    )
 
 
 def assignment_bruteforce(cost: np.ndarray) -> float:

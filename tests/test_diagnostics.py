@@ -510,9 +510,10 @@ class TestDroBound:
         assert diag.dro_bound(2.5, 3.0, 0.0, 6, 0.5, 8, 0.0) == 2.5
 
     def test_hand_value(self):
-        # 1 + 2 * (0.5 + 4 * 4 * 1 * sqrt(12) * 0.25), evaluated by hand
-        got = diag.dro_bound(1.0, 2.0, 0.5, 4, 1.0, 12, 0.25, c_hat_1=1.0)
-        assert got == pytest.approx(29.712812921102035, rel=1e-15)
+        # 1 + 2 * (sqrt(12) * 0.5 + 4 * 4 * 1 * sqrt(12) * 0.25) = 1 + 9 sqrt(12),
+        # evaluated by hand; C(1) = sqrt(nd) multiplies the radius
+        got = diag.dro_bound(1.0, 2.0, 0.5, 4, 1.0, 12, 0.25)
+        assert got == pytest.approx(32.17691453623979, rel=1e-15)
 
     @pytest.mark.parametrize("lipschitz", [-2.0, float("nan")])
     def test_negative_inputs_rejected(self, lipschitz):

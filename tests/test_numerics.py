@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     assignment_bruteforce,
+    cost_matrix_w2,
+    exact_matched_cost,
     pred_min_cost_assignment,
     scripted_min_cost_assignment,
     softmax_longdouble,
     wasserstein_bruteforce,
 )
 
+from lnlab import numerics
 from lnlab.model import ModelConfig, model_forward, random_model
 from lnlab.numerics import (
     COST_BLOCK_ROWS,
@@ -180,6 +183,20 @@ class TestRngStream:
         assert first == RngStream(0, 0).generator().integers(0, 2**63)
 
 
+def _certify_pushforward() -> tuple[np.ndarray, np.ndarray]:
+    """The pushed-forward W_2 problem of one ot-check instance at N = 256,
+    as two (N, nd) stacks."""
+    stream = RngStream(2001, 2).child(0)
+    gen = stream.child(1).generator()
+    cfg = ModelConfig(depth=8)
+    params = random_model(cfg, stream.child(2))
+    mu0 = gen.normal(size=(MAX_OT_SAMPLES, cfg.d, cfg.n))
+    nu0 = gen.normal(size=(MAX_OT_SAMPLES, cfg.d, cfg.n)) + gen.normal(scale=0.5)
+    mu_d = model_forward(mu0, params, cfg).x_final.reshape(MAX_OT_SAMPLES, -1)
+    nu_d = model_forward(nu0, params, cfg).x_final.reshape(MAX_OT_SAMPLES, -1)
+    return mu_d, nu_d
+
+
 class TestAssignment:
     def test_vs_bruteforce(self):
         for seed in range(150):
@@ -241,16 +258,7 @@ class TestAssignmentVsHungarian:
         assert cost[rows, col].sum() == expected
 
     def test_certify_shaped_same_col(self):
-        # the pushed-forward W_2 problem of one ot-check instance at N = 256
-        stream = RngStream(2001, 2).child(0)
-        gen = stream.child(1).generator()
-        cfg = ModelConfig(depth=8)
-        params = random_model(cfg, stream.child(2))
-        mu0 = gen.normal(size=(MAX_OT_SAMPLES, cfg.d, cfg.n))
-        nu0 = gen.normal(size=(MAX_OT_SAMPLES, cfg.d, cfg.n)) + gen.normal(scale=0.5)
-        mu_d = model_forward(mu0, params, cfg).x_final.reshape(MAX_OT_SAMPLES, -1)
-        nu_d = model_forward(nu0, params, cfg).x_final.reshape(MAX_OT_SAMPLES, -1)
-        cost = transport_cost(mu_d, nu_d, 2.0)
+        cost = transport_cost(*_certify_pushforward(), 2.0)
         assert np.array_equal(min_cost_assignment(cost), scripted_min_cost_assignment(cost))
 
 
@@ -360,3 +368,76 @@ class TestWassersteinExact:
         n = MAX_OT_SAMPLES + 1
         with pytest.raises(ValueError, match="cap"):
             wasserstein_exact(np.zeros((n, 1, 1)), np.zeros((n, 1, 1)), 2.0)
+
+    @pytest.mark.parametrize("p, calls", [(1.0, 1), (2.0, 0), (3.0, 1)])
+    def test_cost_matrix_only_off_p2(self, monkeypatch, p, calls):
+        seen = []
+        cost = numerics.transport_cost
+        monkeypatch.setattr(numerics, "transport_cost", lambda a, b, q: seen.append(q) or cost(a, b, q))
+        gen = np.random.default_rng(4)
+        wasserstein_exact(gen.normal(size=(7, 3, 2)), gen.normal(size=(7, 3, 2)), p)
+        assert seen == [p] * calls
+
+
+def _clouds(n: int, m: int, seed: int, offset: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two (n, m) standard normal clouds, both moved by ``offset`` in every
+    coordinate and the second by ``shift`` more."""
+    gen = np.random.default_rng(seed)
+    a = gen.normal(size=(n, m)) + offset
+    return a, gen.normal(size=(n, m)) + (offset + shift)
+
+
+def _solved(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """``wasserstein_exact(a, b, 2.0)`` and the matching its solver returned."""
+    cols = []
+    solve = numerics.min_cost_assignment
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "min_cost_assignment", lambda g: cols.append(solve(g)) or cols[-1])
+        w = wasserstein_exact(a, b, 2.0)
+    return w, cols[0]
+
+
+class TestWassersteinGram:
+    """W_2 from the Gram product against ``oracles.cost_matrix_w2``, the
+    same solver on the full squared-distance matrix."""
+
+    @settings(max_examples=60)
+    @given(
+        st.builds(
+            _clouds,
+            st.integers(1, MAX_OT_SAMPLES),
+            st.integers(1, 30),
+            st.integers(0, 2**32 - 1),
+            st.floats(-1e4, 1e4),
+            st.floats(-1e4, 1e4),
+        )
+    )
+    @example(_certify_pushforward())
+    @example(_clouds(MAX_OT_SAMPLES, 1, 2, -1e4, 1e4))  # the two matchings part
+    def test_same_bits_as_the_cost_matrix(self, clouds):
+        a, b = clouds
+        w, col = _solved(a, b)
+        ref_w, ref_col = cost_matrix_w2(a, b)
+        rows = np.flatnonzero(col != ref_col)
+        if rows.size == 0:
+            assert w == ref_w
+        else:
+            # the cost matrix rounds each entry at eps |a - b|^2, G at about
+            # eps |a - mean(a)| |b - mean(a)|: where the two part, the cost
+            # matrix's pick must cost more, exactly
+            assert exact_matched_cost(a, b, rows, col) < exact_matched_cost(a, b, rows, ref_col)
+            assert w == pytest.approx(ref_w, rel=1e-12)
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, MAX_OT_SAMPLES),
+        st.integers(1, 30),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_duplicated_samples_same_optimal_cost(self, n, m, k, seed):
+        # k distinct points per cloud: ties, so any optimal matching may come back
+        gen = np.random.default_rng(seed)
+        a = gen.normal(size=(k, m))[gen.integers(0, k, size=n)]
+        b = (gen.normal(size=(k, m)) + gen.normal())[gen.integers(0, k, size=n)]
+        assert wasserstein_exact(a, b, 2.0) == pytest.approx(cost_matrix_w2(a, b)[0], rel=1e-12)
