@@ -133,18 +133,61 @@ class RngStream:
         return RngStream(self.seed, _mix64(self.stream ^ _mix64(index)))
 
 
+def _reduction(cost: np.ndarray) -> tuple[list, list, list, np.ndarray]:
+    """The start of ``min_cost_assignment``: ``(col, row, u, v)`` of a finite
+    square ``cost`` (Jonker & Volgenant 1987).  A column reduction sets ``v``
+    to the column minima and gives each column its argmin row while that row
+    is free.  Two rounds of augmenting row reduction then move each free row,
+    in order, to its cheapest column under ``v``: on a strict minimum that
+    column's ``v`` falls until the row pays its second-cheapest reduced cost
+    there, and the row it displaces is retried at once (N times a round at
+    most, then in the next round); on a tie the row takes the second column
+    if the first is matched.  Each matched row's u is its reduced cost, its
+    row minimum; free rows keep u = 0, feasible since ``v`` only falls."""
+    n = len(cost)
+    col = [-1] * n  # col[i] = column of row i, -1 = free
+    row = [-1] * n  # row[j] = row of column j, -1 = free
+    v = cost.min(axis=0)
+    for j, i in enumerate(cost.argmin(axis=0).tolist()):
+        if col[i] < 0:
+            col[i], row[j] = j, i
+    cost_rows = list(cost)
+    free = [i for i in range(n) if col[i] < 0]
+    for _ in range(2):
+        todo, free, retries = free[::-1], [], 0
+        while todo:
+            i = todo.pop()
+            reduced = cost_rows[i] - v
+            j = int(reduced.argmin())
+            low = reduced.item(j)
+            reduced[j] = np.inf
+            k = int(reduced.argmin())
+            lowered = v.item(j) - (reduced.item(k) - low)
+            displaced, strict = row[j], lowered < v.item(j)
+            if strict:
+                v[j] = lowered
+            elif displaced >= 0:
+                j, displaced = k, row[k]
+            col[i], row[j] = j, i
+            if displaced >= 0:
+                col[displaced] = -1
+                retries += strict
+                (todo if strict and retries <= n else free).append(displaced)
+    u = [cost_rows[i].item(j) - v.item(j) if j >= 0 else 0.0 for i, j in enumerate(col)]
+    return col, row, u, v
+
+
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost perfect matching on a square cost matrix.
 
     Shortest augmenting paths over dual potentials u, v (Jonker & Volgenant
     1987; Crouse 2016, the form behind scipy's ``linear_sum_assignment``),
-    O(N^3).  A column reduction starts it: ``v`` is the column minima,
-    ``u = 0``, and each column is matched to its argmin row while that row
-    is free, so only the rows left free need a path.  Each path is a
-    Dijkstra search over reduced costs, and the duals are updated once per
-    path, not once per scanned column.  Returns ``col`` such that row i is
-    matched to column col[i]; when several matchings are optimal (ties),
-    any one of them may be returned.
+    O(N^3).  ``_reduction`` starts it: a column reduction, then two rounds
+    of augmenting row reduction, so only the rows they leave free need a
+    path.  Each path is a Dijkstra search over reduced costs, and the duals
+    are updated once per path, not once per scanned column.  Returns ``col``
+    such that row i is matched to column col[i]; when several matchings are
+    optimal (ties), any one of them may be returned.
 
     A scan runs four vector calls over rows of ``cost``; the matching
     (``col``, ``row``) and the row duals ``u`` are Python lists, since the
@@ -159,13 +202,7 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
         raise NonFiniteError("min_cost_assignment: cost contains non-finite entries")
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    col = [-1] * n  # col[i] = column of row i, -1 = free
-    row = [-1] * n  # row[j] = row of column j, -1 = free
-    u = [0.0] * n
-    v = cost.min(axis=0)
-    for j, i in enumerate(cost.argmin(axis=0).tolist()):
-        if col[i] < 0:
-            col[i], row[j] = j, i
+    col, row, u, v = _reduction(cost)
 
     cost_rows = list(cost)
     dist = np.empty(n)  # shortest path cost to each unscanned column

@@ -48,6 +48,12 @@ MUTANTS = {
         "i = rows[int(seen[: len(rows), j].argmin())]",
         "i = rows[len(rows) - 1 - int(seen[len(rows) - 1 :: -1, j].argmin())]",
     ),
+    # the row reduction's duals are not set: matched rows keep u = 0
+    "solver-arr-stale-duals": (
+        "src/lnlab/numerics.py",
+        "u = [cost_rows[i].item(j) - v.item(j) if j >= 0 else 0.0 for i, j in enumerate(col)]",
+        "u = [0.0] * n",
+    ),
     # the cost matrix takes no absolute value
     "cost-no-abs": (
         "src/lnlab/numerics.py",

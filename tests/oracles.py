@@ -8,12 +8,14 @@ Jacobians, which it builds from its VJPs, and the per-token LN VJP loops the
 closed-form LN Jacobian (itself pinned against finite differences) to pin
 the column kernels; brute-force enumeration solves small transport
 problems, the textbook Hungarian loop (one dual update per scanned column)
-pins the shortest-augmenting-path solver on larger ones, the same solver
-keeping a predecessor array (``pred_min_cost_assignment``) pins which
+pins the shortest-augmenting-path solver on larger ones, its shortest-path
+phase keeping a predecessor array (``pred_min_cost_assignment``) pins which
 optimal matching it returns on ties, ``exact_matched_cost`` sums matched
 squared distances in rational arithmetic to say which of two matchings is
 cheaper, and extended-precision arithmetic recomputes the scalar
-kernels.  Four exceptions: ``cost_matrix_w2`` solves W_2 through the
+kernels.  Five exceptions: ``pred_min_cost_assignment`` starts from the
+library's own ``_reduction``, so that it differs from the solver only in
+how a path is read back; ``cost_matrix_w2`` solves W_2 through the
 library's ``transport_cost`` and ``min_cost_assignment`` on the full
 squared-distance matrix, to pin the Gram path of ``wasserstein_exact`` bit
 for bit; ``scripted_train_run``
@@ -73,6 +75,7 @@ from lnlab.numerics import (
     NonFiniteError,
     RngStream,
     ShapeMismatchError,
+    _reduction,
     as_matrix,
     min_cost_assignment,
     moments,
@@ -236,15 +239,16 @@ def scripted_min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 def pred_min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost perfect matching on a square cost matrix.
 
-    Shortest augmenting paths over dual potentials u, v (Jonker & Volgenant
-    1987; Crouse 2016, the form behind scipy's ``linear_sum_assignment``),
-    O(N^3).  A column reduction starts it: ``v`` is the column minima,
-    ``u = 0``, and each column is matched to its argmin row while that row
-    is free, so only the rows left free need a path.  Each path is a
-    Dijkstra search over reduced costs, and the duals are updated once per
-    path, not once per scanned column.  Returns ``col`` such that row i is
-    matched to column col[i]; when several matchings are optimal (ties),
-    any one of them may be returned.
+    The shortest-path phase of ``min_cost_assignment`` (Jonker & Volgenant
+    1987; Crouse 2016), started from the same partial matching and duals,
+    those of the library's ``_reduction`` (column reduction, two rounds of
+    augmenting row reduction, duals from complementary slackness), so that
+    the two differ only in how a path is read back: here a predecessor array
+    is updated on every strict decrease of a column's distance.  Each path
+    is a Dijkstra search over reduced costs, with the duals updated once per
+    path.  Returns ``col`` such that row i is matched to column col[i].
+    The start itself is pinned by brute force, by the Hungarian loop of
+    ``scripted_min_cost_assignment`` and by criterion 7, not here.
     """
     cost = as_matrix(cost)
     n, m = cost.shape
@@ -252,15 +256,12 @@ def pred_min_cost_assignment(cost: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(f"min_cost_assignment: cost must be square, got {cost.shape}")
     if not np.isfinite(cost).all():
         raise NonFiniteError("min_cost_assignment: cost contains non-finite entries")
-    col = np.full(n, -1, dtype=np.int64)  # col[i] = column of row i, -1 = free
     if n == 0:
-        return col
-    row = np.full(n, -1, dtype=np.int64)  # row[j] = row of column j, -1 = free
-    u = np.zeros(n)
-    v = cost.min(axis=0)
-    for j, i in enumerate(cost.argmin(axis=0).tolist()):
-        if col[i] < 0:
-            col[i], row[j] = j, i
+        return np.empty(0, dtype=np.int64)
+    col, row, u, v = _reduction(cost)
+    col = np.array(col, dtype=np.int64)  # col[i] = column of row i, -1 = free
+    row = np.array(row, dtype=np.int64)  # row[j] = row of column j, -1 = free
+    u = np.array(u)
 
     dist = np.empty(n)  # shortest path cost to each unscanned column
     open_v = np.empty(n)  # v, with -inf at scanned columns

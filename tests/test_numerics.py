@@ -197,6 +197,25 @@ def _certify_pushforward() -> tuple[np.ndarray, np.ndarray]:
     return mu_d, nu_d
 
 
+def _clouds(n: int, m: int, seed: int, offset: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two (n, m) standard normal clouds, both moved by ``offset`` in every
+    coordinate and the second by ``shift`` more."""
+    gen = np.random.default_rng(seed)
+    a = gen.normal(size=(n, m)) + offset
+    return a, gen.normal(size=(n, m)) + (offset + shift)
+
+
+def _solved(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``wasserstein_exact(a, b, 2.0)``, the matrix it handed its solver and
+    the matching the solver returned."""
+    solved = []
+    solve = numerics.min_cost_assignment
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "min_cost_assignment", lambda g: solved.append((g, solve(g))) or solved[-1][1])
+        w = wasserstein_exact(a, b, 2.0)
+    return (w,) + solved[0]
+
+
 class TestAssignment:
     def test_vs_bruteforce(self):
         for seed in range(150):
@@ -257,16 +276,37 @@ class TestAssignmentVsHungarian:
         expected = cost[rows, scripted_min_cost_assignment(cost)].sum()
         assert cost[rows, col].sum() == expected
 
+    @settings(max_examples=60)
+    @given(
+        st.builds(
+            _clouds,
+            st.integers(1, 64),
+            st.integers(1, 30),
+            st.integers(0, 2**32 - 1),
+            st.just(0.0),
+            st.floats(-5, 5),
+        )
+    )
+    def test_gram_costs_same_col(self, clouds):
+        # W_2's Gram ranking: its column minima pile onto few rows, which is
+        # where augmenting row reduction displaces rows
+        _, gram, col = _solved(*clouds)
+        assert np.array_equal(col, scripted_min_cost_assignment(gram))
+
     def test_certify_shaped_same_col(self):
+        # the Gram ranking that certify's W_2 hands the solver, then the full
+        # squared-distance matrix of the same clouds
+        _, gram, col = _solved(*_certify_pushforward())
+        assert np.array_equal(col, scripted_min_cost_assignment(gram))
         cost = transport_cost(*_certify_pushforward(), 2.0)
         assert np.array_equal(min_cost_assignment(cost), scripted_min_cost_assignment(cost))
 
 
 class TestAssignmentVsPredArray:
     """The solver against ``oracles.pred_min_cost_assignment``, the same
-    search keeping a predecessor array updated on every strict decrease:
-    reading predecessors from the scanned rows must pick the same column
-    for every row, ties included."""
+    search from the same start, keeping a predecessor array updated on every
+    strict decrease: reading predecessors from the scanned rows must pick
+    the same column for every row, ties included."""
 
     @settings(max_examples=150)
     @given(
@@ -379,24 +419,6 @@ class TestWassersteinExact:
         assert seen == [p] * calls
 
 
-def _clouds(n: int, m: int, seed: int, offset: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
-    """Two (n, m) standard normal clouds, both moved by ``offset`` in every
-    coordinate and the second by ``shift`` more."""
-    gen = np.random.default_rng(seed)
-    a = gen.normal(size=(n, m)) + offset
-    return a, gen.normal(size=(n, m)) + (offset + shift)
-
-
-def _solved(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """``wasserstein_exact(a, b, 2.0)`` and the matching its solver returned."""
-    cols = []
-    solve = numerics.min_cost_assignment
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numerics, "min_cost_assignment", lambda g: cols.append(solve(g)) or cols[-1])
-        w = wasserstein_exact(a, b, 2.0)
-    return w, cols[0]
-
-
 class TestWassersteinGram:
     """W_2 from the Gram product against ``oracles.cost_matrix_w2``, the
     same solver on the full squared-distance matrix."""
@@ -416,7 +438,7 @@ class TestWassersteinGram:
     @example(_clouds(MAX_OT_SAMPLES, 1, 2, -1e4, 1e4))  # the two matchings part
     def test_same_bits_as_the_cost_matrix(self, clouds):
         a, b = clouds
-        w, col = _solved(a, b)
+        w, _, col = _solved(a, b)
         ref_w, ref_col = cost_matrix_w2(a, b)
         rows = np.flatnonzero(col != ref_col)
         if rows.size == 0:
