@@ -24,9 +24,11 @@ Every bound check takes ``(inputs, params, cfg)`` and pushes each sample set
 through one stacked ``push_forward``, which keeps no tape, taking each input's
 norm on its own slice (a stacked norm can differ in the last bit).
 ``growth_checks`` gives the rows of ``peri_growth_check`` and
-``datawise_variance_check`` from one stack ``[x0, *inputs]``, so a model of
-the growth suite is pushed forward once.  The rescaling probe reads nothing
-of the tape's layout.
+``datawise_variance_check`` from one stack ``[x0, *inputs]``.  The growth and
+pathwise suites instead push many models' stacks as one population
+(``_population``), and take each model's rows from its own slices through the
+row functions that ``growth_checks`` and ``pathwise_stability_check`` call.
+The rescaling probe reads nothing of the tape's layout.
 """
 
 from __future__ import annotations
@@ -224,16 +226,32 @@ def growth_checks(
     gmax, bmax = _output_ln_gate(cfg, params, "growth_checks")
     _check_datawise(inputs, cfg, entry, "growth_checks")
     x0 = np.asarray(x0, dtype=np.float64)
-    stack = np.asarray(inputs, dtype=np.float64)
-    if x0.shape != (cfg.d, cfg.n) or stack.shape[1:] != (cfg.d, cfg.n):
+    samples = np.asarray(inputs, dtype=np.float64)
+    if x0.shape != (cfg.d, cfg.n) or samples.shape[1:] != (cfg.d, cfg.n):
         raise ShapeMismatchError(
             f"growth_checks: need a {cfg.d} x {cfg.n} x0 and (N, {cfg.d}, {cfg.n}) inputs, "
-            f"got {x0.shape} and {stack.shape}")
-    pushed = push_forward(np.concatenate([x0[None], stack]), params, cfg)
+            f"got {x0.shape} and {samples.shape}")
+    stack = np.concatenate([x0[None], samples])
+    return _growth_pair_rows(stack, entry, push_forward(stack, params, cfg), cfg, gmax, bmax, seed)
+
+
+def _growth_pair_rows(stack: np.ndarray, entry: tuple[int, int], pushed: np.ndarray, cfg: ModelConfig,
+                      gmax: float, bmax: float, seed: int) -> list[BoundReport]:
+    """``growth_checks``' rows of ``stack`` = ``[x0, *inputs]`` and its terminal
+    states ``pushed``: slice 0 gives the moments, slices 1..N the variance."""
+    x0, inputs = stack[0], stack[1:]
     return [
         *_growth_rows(x0, pushed[0], cfg, gmax, bmax, seed),
         _datawise_row(inputs, pushed[1:], cfg, gmax, bmax, entry, seed),
     ]
+
+
+def _pathwise_row(stack: np.ndarray, pushed: np.ndarray, cfg: ModelConfig,
+                  gmax: float, bmax: float, seed: int) -> BoundReport:
+    """The pathwise_stability row of the input pair ``stack`` and its terminal states ``pushed``."""
+    lhs = np.linalg.norm(pushed[0] - pushed[1])
+    rhs = np.linalg.norm(stack[0] - stack[1]) + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
+    return BoundReport.for_model("pathwise_stability", cfg, gmax, bmax, lhs, rhs, seed)
 
 
 def pathwise_stability_check(
@@ -245,13 +263,27 @@ def pathwise_stability_check(
 ) -> BoundReport:
     """Terminal Frobenius deviation of two inputs vs the pathwise bound."""
     gmax, bmax = _output_ln_gate(cfg, params, "pathwise_stability_check")
-    xa, xb = push_forward(np.stack([x0a, x0b]), params, cfg)
-    lhs = np.linalg.norm(xa - xb)
-    rhs = (
-        np.linalg.norm(np.asarray(x0a) - np.asarray(x0b))
-        + 4.0 * cfg.depth * cfg.delta_t * np.sqrt(cfg.nd) * gmax
-    )
-    return BoundReport.for_model("pathwise_stability", cfg, gmax, bmax, lhs, rhs, seed)
+    stack = np.stack([x0a, x0b])
+    return _pathwise_row(stack, push_forward(stack, params, cfg), cfg, gmax, bmax, seed)
+
+
+def _population(stacks: np.ndarray, cfgs: list[ModelConfig], blocks, check: str):
+    """``(X_D, gamma_max, beta_max)`` of ``model._push_population`` under ``cfgs``
+    (one delta_t): each member's extrema are ``output_ln_extrema`` of its own
+    model, the maxima over its own slices of its own blocks' output LNs."""
+    _admit(cfgs[0], check, "norm_out")
+    gmax, bmax = np.zeros(len(cfgs)), np.zeros(len(cfgs))
+
+    def folded(j: int, live: int) -> BlockParams:
+        b = blocks(j, live)
+        for site in (ATTN_OUT, FFN_OUT):
+            for most, t in ((gmax, b.ln[site].gamma), (bmax, b.ln[site].beta)):
+                own = np.maximum.reduce(np.abs(t).reshape(live, -1), axis=1)  # of each member's slice
+                np.maximum(most[:live], own, out=most[:live])
+        return b
+
+    pushed = model_mod._push_population(stacks, folded, [c.depth for c in cfgs], cfgs[0])
+    return pushed, gmax, bmax
 
 
 def wasserstein_stability_check(

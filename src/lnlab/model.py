@@ -40,11 +40,13 @@ sweep returns per-state parameter gradients with the same leading axes.
 Weights may carry leading axes as well (a tensor without them is shared):
 a block with ``(T, ...)`` tensors maps a d x n state to ``(T, d, n)``, each
 slice with the bits of its model alone, as ``gradcheck``'s finite differences
-use.  The materialized nd x nd sensitivities take one d x n state of one model.
+and the suites' populations of models of several depths use.  The
+materialized nd x nd sensitivities take one d x n state of one model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -221,6 +223,40 @@ def flat_to_params(flat: dict[str, np.ndarray], template: BlockParams) -> BlockP
     return BlockParams(attn, ffn, ln)
 
 
+def _init_layout(cfg: ModelConfig) -> list[tuple[tuple[int, ...], int]]:
+    """(shape, fan_in) of a block's weights in draw order: q, k, v, w, w1, w2."""
+    d, k, m, heads = cfg.d, cfg.k, cfg.m, cfg.heads
+    return [((heads, k, d), d)] * 3 + [((heads, d, k), k), ((m, d), d), ((d, m), m)]
+
+
+def _draw_rows(cfg: ModelConfig, streams: list[RngStream | None], gen: np.random.Generator,
+               weight_scale: float = 1.0) -> np.ndarray:
+    """(T, P) blocks' weights in draw order: row t is drawn by ``gen`` restarted at
+    ``streams[t]``, or from where ``gen`` stands at None.  One standard-normal draw
+    a row, scaled in place, gives the bits of one normal(0, scale / sqrt(fan_in)) a tensor."""
+    layout = _init_layout(cfg)
+    sizes = [math.prod(shape) for shape, _ in layout]
+    rows = np.empty((len(streams), sum(sizes)))
+    for row, stream in zip(rows, streams):
+        (gen if stream is None else stream._restart(gen)).standard_normal(out=row)
+    rows *= np.repeat([weight_scale / math.sqrt(fan) for _, fan in layout], sizes)
+    rows += 0.0  # normal(0.0, sd) returns 0.0 + sd * z, which is never -0.0
+    return rows
+
+
+def _block_of_rows(cfg: ModelConfig, rows: np.ndarray, ln_kind: str = norm.LAYERNORM) -> BlockParams:
+    """The block of ``_draw_rows``' rows (..., P): its weights are views with the
+    rows' leading axes, and gamma = 1, beta = 0."""
+    lead, start, weights = rows.shape[:-1], 0, []
+    for shape, _ in _init_layout(cfg):
+        weights.append(rows[..., start:start + math.prod(shape)].reshape(lead + shape))
+        start += math.prod(shape)
+    q, k, v, w, w1, w2 = weights
+    ln = {site: norm.LNParams(np.ones(lead + (cfg.d,)), np.zeros(lead + (cfg.d,)), cfg.epsilon, ln_kind)
+          for site in cfg.sites}
+    return BlockParams(attn_mod.AttentionParams(q, k, v, w), attn_mod.FfnParams(w1, w2, cfg.activation), ln)
+
+
 def random_block_params(
     cfg: ModelConfig,
     gen: np.random.Generator,
@@ -228,34 +264,21 @@ def random_block_params(
     ln_kind: str = norm.LAYERNORM,
 ) -> BlockParams:
     """Standard init: weights ~ normal(0, scale/sqrt(fan_in)), gamma=1, beta=0."""
-    d, k, m, heads = cfg.d, cfg.k, cfg.m, cfg.heads
-    sd = weight_scale / np.sqrt(d)
-    attn = attn_mod.AttentionParams(
-        q=gen.normal(0.0, sd, size=(heads, k, d)),
-        k=gen.normal(0.0, sd, size=(heads, k, d)),
-        v=gen.normal(0.0, sd, size=(heads, k, d)),
-        w=gen.normal(0.0, weight_scale / np.sqrt(k), size=(heads, d, k)),
-    )
-    ffn = attn_mod.FfnParams(
-        w1=gen.normal(0.0, sd, size=(m, d)),
-        w2=gen.normal(0.0, weight_scale / np.sqrt(m), size=(d, m)),
-        activation=cfg.activation,
-    )
-    ln = {
-        site: norm.LNParams(np.ones(d), np.zeros(d), cfg.epsilon, ln_kind)
-        for site in cfg.sites
-    }
-    return BlockParams(attn, ffn, ln)
+    return _block_of_rows(cfg, _draw_rows(cfg, [None], gen, weight_scale)[0], ln_kind)
 
 
 def random_model(
     cfg: ModelConfig, stream: RngStream, weight_scale: float = 1.0,
     ln_kind: str = norm.LAYERNORM,
 ) -> list[BlockParams]:
-    return [
-        random_block_params(cfg, stream.child(i).generator(), weight_scale, ln_kind)
-        for i in range(cfg.depth)
-    ]
+    """Block i is ``random_block_params`` of ``stream.child(i).generator()``."""
+    rows = _draw_rows(cfg, [stream.child(i) for i in range(cfg.depth)], stream.generator(), weight_scale)
+    return [_block_of_rows(cfg, row, ln_kind) for row in rows]
+
+
+def _random_blocks(cfg: ModelConfig, streams: list[RngStream], gen: np.random.Generator) -> BlockParams:
+    """Block t of ``random_model`` on ``streams[t]``, as tensors ``(T, 1, ...)`` for a population."""
+    return _block_of_rows(cfg, _draw_rows(cfg, streams, gen)[:, None])
 
 
 class SublayerTrace(NamedTuple):
@@ -335,6 +358,17 @@ def block_forward(X: np.ndarray, b: BlockParams, cfg: ModelConfig, index: int = 
     return ffn_trace.out, BlockTrace(attn_trace, ffn_trace)
 
 
+def _checked_block(x: np.ndarray, b: BlockParams, cfg: ModelConfig, i: int):
+    """``block_forward`` of block i; a non-finite state raises DivergenceError."""
+    try:
+        x, trace = block_forward(x, b, cfg, index=i)
+    except NonFiniteError as exc:
+        raise DivergenceError(f"block {i}: {exc}", block=i) from exc
+    if not np.isfinite(x).all():
+        raise DivergenceError(f"block {i} produced a non-finite state", block=i)
+    return x, trace
+
+
 def _checked_blocks(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig):
     """The checked block loop: validates the blocks and the input, then yields
     each block's trace in turn.  Raises DivergenceError with the first
@@ -347,12 +381,7 @@ def _checked_blocks(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig)
         validate_block(b, cfg, i)
     x = X0
     for i, b in enumerate(params):
-        try:
-            x, trace = block_forward(x, b, cfg, index=i)
-        except NonFiniteError as exc:
-            raise DivergenceError(f"block {i}: {exc}", block=i) from exc
-        if not np.isfinite(x).all():
-            raise DivergenceError(f"block {i} produced a non-finite state", block=i)
+        x, trace = _checked_block(x, b, cfg, i)
         yield trace
 
 
@@ -370,6 +399,24 @@ def push_forward(X0: np.ndarray, params: list[BlockParams], cfg: ModelConfig) ->
     for trace in _checked_blocks(np.asarray(X0, dtype=np.float64), params, cfg):
         pass
     return trace.ffn.out
+
+
+def _push_population(X0: np.ndarray, blocks, depths: list[int], cfg: ModelConfig) -> np.ndarray:
+    """``push_forward`` of member t's states ``X0[t]`` through its ``depths[t]`` (descending)
+    blocks: block j is ``blocks(j, live)``, stacked over the ``live`` members deeper
+    than j, which alone go on; each member leaves with its state when its depth ends."""
+    X0 = np.asarray(X0, dtype=np.float64)
+    if not np.isfinite(X0).all():
+        raise DivergenceError("input state is non-finite", block=-1)
+    out, x = np.empty_like(X0), X0
+    for j in range(depths[0]):
+        live = sum(depth > j for depth in depths)
+        out[live:len(x)] = x[live:]
+        b = blocks(j, live)
+        validate_block(b, cfg, j)
+        x, _ = _checked_block(x[:live], b, cfg, j)
+    out[:len(x)] = x
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -121,12 +121,22 @@ class RngStream:
     seed: int
     stream: int = 0
 
-    def generator(self) -> np.random.Generator:
-        key = np.array(
+    def _key(self) -> np.ndarray:
+        return np.array(
             [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
             dtype=np.uint64,
         )
-        return np.random.Generator(np.random.Philox(key=key))
+
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self._key()))
+
+    def _restart(self, gen: np.random.Generator) -> np.random.Generator:
+        """``gen``, a Philox generator, rewound to draw what ``generator()`` draws,
+        for a loop over many streams: a fresh generator costs several times as much."""
+        zero = np.zeros(4, dtype=np.uint64)
+        gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": self._key()},
+                                   "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return gen
 
     def child(self, index: int) -> "RngStream":
         """Derive a statistically independent substream."""

@@ -4,6 +4,8 @@ bound and invariance check, fanned out over per-instance RNG streams.
 Each suite takes an instance count and a master seed and draws instance i
 from its own child stream, so a run is reproducible bit-for-bit.  Models are
 drawn at ``ModelConfig``'s default dimensions unless a suite says otherwise.
+The growth and pathwise suites push the models of each delta_t as one
+population (``_peri_suite``), with the rows of each model pushed alone.
 """
 
 from __future__ import annotations
@@ -30,13 +32,61 @@ WITNESS_DEPTH = 32
 RESCALE_SCALES = ((10.0, 10.0), (1000.0, 0.01))
 
 
+def _peri_config(i: int, depths, delta_ts) -> ModelConfig:
+    """Instance i's peri config, with the depth and dt cycled."""
+    depth, delta_t = depths[i % len(depths)], delta_ts[(i // len(depths)) % len(delta_ts)]
+    return ModelConfig(depth=depth, delta_t=delta_t, placement=model_mod.PERI)
+
+
 def _peri_instance(seed: int, suite: int, i: int, depths, delta_ts):
     """Instance i of a random peri-model suite: (generator, config, model),
     drawn from the instance's child stream, with the depth and dt cycled."""
     stream = RngStream(seed, suite).child(i)
-    depth, delta_t = depths[i % len(depths)], delta_ts[(i // len(depths)) % len(delta_ts)]
-    cfg = ModelConfig(depth=depth, delta_t=delta_t, placement=model_mod.PERI)
+    cfg = _peri_config(i, depths, delta_ts)
     return stream.child(1).generator(), cfg, random_model(cfg, stream.child(2))
+
+
+# by suite stream id: the check's name, the states an instance pushes, the rows
+# of its pushed stack, and its per-model check
+_PERI_SUITES = {
+    0: ("growth_checks", 9, diag._growth_pair_rows,
+        lambda s, entry, params, cfg, i: diag.growth_checks(s[0], s[1:], params, cfg, entry, seed=i)),
+    1: ("pathwise_stability_check", 2,
+        lambda s, _, pushed, cfg, g, b, i: [diag._pathwise_row(s, pushed, cfg, g, b, i)],
+        lambda s, _, params, cfg, i: [diag.pathwise_stability_check(*s, params, cfg, seed=i)]),
+}
+
+
+def _peri_suite(suite: int, instances: int, seed: int, depths, delta_ts) -> list[diag.BoundReport]:
+    """The rows of peri-model suite ``suite`` in instance order, each instance drawn as
+    ``_peri_instance`` draws it.  Each delta_t's instances are pushed as one population,
+    deepest first (ties in instance order); if a push raises, the suite reruns the
+    per-model checks in index order, so the error is that of the first failing instance."""
+    name, states, rows, check = _PERI_SUITES[suite]
+    streams = [RngStream(seed, suite).child(i) for i in range(instances)]
+    cfgs = [_peri_config(i, depths, delta_ts) for i in range(instances)]
+    drawn = []
+    for stream, cfg in zip(streams, cfgs):  # the inputs, then the entry the growth rows read
+        gen = stream.child(1).generator()
+        stack = gen.normal(size=(states, cfg.d, cfg.n))
+        drawn.append((stack, (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))))
+    out, philox = [[]] * instances, RngStream(seed, suite).generator()  # restarted at every draw
+    try:
+        for dt in dict.fromkeys(cfg.delta_t for cfg in cfgs):
+            members = sorted([i for i in range(instances) if cfgs[i].delta_t == dt],
+                             key=lambda i: -cfgs[i].depth)
+            models = [streams[i].child(2) for i in members]
+            pushed, gmax, bmax = diag._population(
+                np.stack([drawn[i][0] for i in members]), [cfgs[i] for i in members],
+                lambda j, live: model_mod._random_blocks(
+                    cfgs[members[0]], [m.child(j) for m in models[:live]], philox),
+                name)
+            for t, i in enumerate(members):
+                out[i] = rows(*drawn[i], pushed[t], cfgs[i], float(gmax[t]), float(bmax[t]), i)
+    except (model_mod.DivergenceError, norm.DegenerateTokenError):
+        out = map_indexed(
+            lambda i: check(*drawn[i], random_model(cfgs[i], streams[i].child(2)), cfgs[i], i), instances)
+    return [r for sub in out for r in sub]
 
 
 def run_growth_suite(
@@ -46,28 +96,16 @@ def run_growth_suite(
     delta_ts: tuple[float, ...] = (1.0, 0.1),
 ) -> list[diag.BoundReport]:
     """Entry-moment and data-wise variance bounds over random peri models,
-    the latter on 8 input samples per model, all from one pushforward per model."""
-
-    def one(i: int) -> list[diag.BoundReport]:
-        gen, cfg, params = _peri_instance(seed, 0, i, depths, delta_ts)
-        x0 = gen.normal(size=(cfg.d, cfg.n))
-        inputs = gen.normal(size=(8, cfg.d, cfg.n))
-        entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
-        return diag.growth_checks(x0, inputs, params, cfg, entry, seed=i)
-
-    return [r for sub in map_indexed(one, instances) for r in sub]
+    the latter on 8 input samples per model, each model's x0 and inputs
+    pushed as one stack (``growth_checks``' rows)."""
+    return _peri_suite(0, instances, seed, depths, delta_ts)
 
 
 def run_pathwise_suite(
     instances: int, seed: int, delta_ts: tuple[float, ...] = (1.0, 0.1)
 ) -> list[diag.BoundReport]:
-    def one(i: int) -> diag.BoundReport:
-        gen, cfg, params = _peri_instance(seed, 1, i, (8, 16, 32), delta_ts)
-        x0a = gen.normal(size=(cfg.d, cfg.n))
-        x0b = gen.normal(size=(cfg.d, cfg.n))
-        return diag.pathwise_stability_check(x0a, x0b, params, cfg, seed=i)
-
-    return map_indexed(one, instances)
+    """Pathwise bounds over random peri models (``pathwise_stability_check``'s rows)."""
+    return _peri_suite(1, instances, seed, (8, 16, 32), delta_ts)
 
 
 def run_wasserstein_suite(

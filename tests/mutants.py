@@ -102,6 +102,18 @@ MUTANTS = {
         "var_rhs = (x0_frob + 2.0 * cfg.depth * cfg.delta_t * np.sqrt(nd)",
         "var_rhs = (x0_frob + 2.0 * cfg.depth * np.sqrt(nd)",
     ),
+    # a population member pushes one block past its depth before it leaves
+    "population-late-exit": (
+        "src/lnlab/model.py",
+        "live = sum(depth > j for depth in depths)",
+        "live = sum(depth >= j for depth in depths)",
+    ),
+    # every member's gamma_max and beta_max are taken over the whole population
+    "population-shared-extrema": (
+        "src/lnlab/diagnostics.py",
+        "np.maximum.reduce(np.abs(t).reshape(live, -1), axis=1)",
+        "np.abs(t).max()",
+    ),
     # the residual adds half the scaled sublayer output, at every dt
     "residual-half-update": (
         "src/lnlab/model.py",

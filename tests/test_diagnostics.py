@@ -322,13 +322,16 @@ class TestOneStackedPushforward:
         diag.wasserstein_stability_check(mu0[:2], mu0[:2] + 1.0, params, cfg)
         assert len(pushed) == 2
 
-    def test_growth_suite_pushes_each_model_once(self, monkeypatch):
+    def test_growth_suite_pushes_each_delta_t_group_once(self, monkeypatch):
         pushed = []
-        monkeypatch.setattr(diag, "push_forward",
-                            lambda *args: pushed.append(args) or push_forward(*args))
+        population = model._push_population
+        monkeypatch.setattr(model, "_push_population",
+                            lambda *args: pushed.append(args) or population(*args))
+        monkeypatch.setattr(diag, "push_forward", lambda *args: pytest.fail("a model pushed alone"))
         rows = suites.run_growth_suite(8, seed=5)
-        assert len(pushed) == 8
-        assert all(args[0].shape[0] == 9 for args in pushed)  # x0 and the 8 inputs
+        assert len(pushed) == 2  # instances 0-3 at dt = 1, 4-7 at dt = 0.1
+        # the 4 members deepest first, each pushing x0 and its 8 inputs
+        assert all(args[0].shape == (4, 9, 6, 4) and args[2] == [64, 32, 16, 8] for args in pushed)
         want = []
         for i in range(8):
             gen, cfg, params = suites._peri_instance(5, 0, i, (8, 16, 32, 64), (1.0, 0.1))
@@ -368,6 +371,110 @@ class TestOneStackedPushforward:
         with pytest.raises(error, match=match):
             diag.growth_checks(x0, inputs, params, cfg, entry)
         assert pushed == []
+
+
+def _suite_rows_alone(suite, indices, seed, depths, delta_ts):
+    """A peri-model suite's rows of the instances ``indices``, one model and one check each."""
+    rows = []
+    for i in indices:
+        gen, cfg, params = suites._peri_instance(seed, suite, i, depths, delta_ts)
+        x0 = gen.normal(size=(cfg.d, cfg.n))
+        if suite == 0:
+            inputs = gen.normal(size=(8, cfg.d, cfg.n))
+            entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
+            rows += diag.growth_checks(x0, inputs, params, cfg, entry, seed=i)
+        else:
+            rows.append(diag.pathwise_stability_check(x0, gen.normal(size=(cfg.d, cfg.n)), params, cfg, seed=i))
+    return rows
+
+
+class TestPopulation:
+    """The growth and pathwise suites push each delta_t group's models as one
+    population; every row equals the row of the model pushed alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(st.integers(1, 16), min_size=1, max_size=5).map(tuple),
+        st.lists(st.sampled_from([1.0, 0.5, 0.1]), min_size=1, max_size=4).map(tuple),
+        st.integers(0, 2**16),
+    )
+    @example(instances=12, depths=(3, 16, 3, 1), delta_ts=(0.5, 1.0, 0.5), seed=0)
+    def test_rows_equal_the_per_instance_checks(self, instances, depths, delta_ts, seed):
+        with pytest.MonkeyPatch.context() as mp:  # no replay: the population gives every row
+            mp.setattr(suites, "map_indexed", lambda *args: pytest.fail("replayed"))
+            got = [suites._peri_suite(suite, instances, seed, depths, delta_ts) for suite in (0, 1)]
+        for suite, rows in enumerate(got):
+            want = _suite_rows_alone(suite, range(instances), seed, depths, delta_ts)
+            assert [vars(r) for r in rows] == [vars(r) for r in want]
+            assert repr(rows) == repr(want)
+        assert got[0] == suites.run_growth_suite(instances, seed, depths, delta_ts)
+
+    def test_each_member_slice_is_its_random_model_tensors(self):
+        cfg = peri_cfg(depth=3, heads=2)
+        streams = [RngStream(9, 2).child(i).child(2) for i in range(4)]
+        models = [random_model(cfg, stream) for stream in streams]
+        gen = RngStream(0).generator()
+        for j in range(cfg.depth):
+            stacked = model.params_to_flat(model._random_blocks(cfg, [s.child(j) for s in streams], gen))
+            for t, params in enumerate(models):
+                for name, tensor in model.params_to_flat(params[j]).items():
+                    assert stacked[name].shape == (4, 1, *tensor.shape)
+                    assert np.array_equal(stacked[name][t, 0], tensor)
+
+    def test_members_keep_their_own_states_and_extrema(self):
+        depths = (5, 3, 3, 1)
+        cfgs = [peri_cfg(depth=depth, dt=0.5) for depth in depths]
+        gen = RngStream(50).generator()
+        models = [  # each member with its own LN gains and biases
+            [replace(b, ln={site: LNParams(gen.normal(1.0, 0.5, size=4), gen.normal(0.0, 0.5, size=4))
+                            for site in b.ln})
+             for b in random_model(cfg, RngStream(51, t))]
+            for t, cfg in enumerate(cfgs)
+        ]
+        stacks = gen.normal(size=(4, 3, 4, 3))
+
+        def blocks(j, live):
+            flats = [model.params_to_flat(params[j]) for params in models[:live]]
+            return model.flat_to_params({k: np.stack([f[k] for f in flats])[:, None] for k in flats[0]},
+                                        models[0][j])
+
+        pushed, gmax, bmax = diag._population(stacks, cfgs, blocks, "population")
+        for t, (cfg, params) in enumerate(zip(cfgs, models)):
+            assert np.array_equal(pushed[t], push_forward(stacks[t], params, cfg))
+            assert (gmax[t], bmax[t]) == diag.output_ln_extrema(params)
+        assert len(set(gmax)) == 4 and len(set(bmax)) == 4
+
+    @pytest.mark.parametrize("suite, depths", [(0, (8, 16, 32, 64)), (1, (8, 16, 32))])
+    def test_a_failing_suite_raises_the_first_instance_error(self, suite, depths, monkeypatch):
+        # instance 0 (depth 8) goes non-finite at block 5, instance 1 (depth
+        # 16) at block 2: the population, deepest first, meets block 2 first
+        seed = 3
+        poisoned = {RngStream(seed, suite).child(0).child(2).child(5),
+                    RngStream(seed, suite).child(1).child(2).child(2)}
+        draw = model._draw_rows
+
+        def poison(cfg, streams, gen, weight_scale=1.0):
+            rows = draw(cfg, streams, gen, weight_scale)
+            rows[[stream in poisoned for stream in streams]] = np.nan
+            return rows
+
+        monkeypatch.setattr(model, "_draw_rows", poison)
+        alone = []
+        for i in (0, 1):
+            with pytest.raises(model.DivergenceError) as exc:
+                _suite_rows_alone(suite, [i], seed, depths, (1.0, 0.1))
+            alone.append(exc.value)
+        assert [e.block for e in alone] == [5, 2]
+        replays = []
+        map_indexed = suites.map_indexed
+        monkeypatch.setattr(suites, "map_indexed", lambda fn, n: replays.append(n) or map_indexed(fn, n))
+        with pytest.raises(model.DivergenceError) as exc:
+            suites._peri_suite(suite, 4, seed, depths, (1.0, 0.1))
+        assert replays == [4]
+        got, want = exc.value, alone[0]
+        assert (type(got), got.block, getattr(got, "site", None), str(got)) == (
+            type(want), want.block, getattr(want, "site", None), str(want))
 
 
 class TestPlacementIsData:

@@ -182,6 +182,15 @@ class TestRngStream:
         first = RngStream(0, 0).generator().integers(0, 2**63)
         assert first == RngStream(0, 0).generator().integers(0, 2**63)
 
+    def test_restart_draws_what_a_fresh_generator_draws(self):
+        reused = RngStream(1).generator()
+        for stream in [RngStream(7, 3), RngStream(2**64 - 1, 5).child(9), RngStream(7, 3)]:
+            reused.normal(size=5)  # the draws before a restart leave nothing behind
+            fresh = stream.generator()
+            assert stream._restart(reused) is reused
+            assert np.array_equal(reused.normal(size=9), fresh.normal(size=9))
+            assert np.array_equal(reused.integers(0, 2**63, size=3), fresh.integers(0, 2**63, size=3))
+
 
 def _certify_pushforward() -> tuple[np.ndarray, np.ndarray]:
     """The pushed-forward W_2 problem of one ot-check instance at N = 256,
@@ -231,6 +240,23 @@ class TestAssignment:
             col = min_cost_assignment(cost)
             got = float(cost[np.arange(5), col].sum())
             assert got == pytest.approx(assignment_bruteforce(cost), abs=1e-12)
+
+    def test_vs_bruteforce_after_the_row_reduction(self):
+        # the rank-one Gram cost a_i^2 - 2 a_i b_j with rows at equal gaps,
+        # a_i = i, and every b_j past the last row: each column's minimum falls
+        # on that row, so the row reduction leaves rows for the shortest paths
+        left_free = 0
+        for n in (6, 7, 8):
+            for seed in range(20):
+                a = np.arange(n, dtype=np.float64)
+                b = np.random.default_rng(seed).uniform(n, 2 * n, size=n)
+                cost = (a * a)[:, None] - 2.0 * np.outer(a, b)
+                left_free += sum(j < 0 for j in numerics._reduction(cost)[0])
+                col = min_cost_assignment(cost)
+                assert sorted(col) == list(range(n))
+                got = float(cost[np.arange(n), col].sum())
+                assert got == pytest.approx(assignment_bruteforce(cost), abs=1e-9)
+        assert left_free > 60  # the path phase places more than one row a problem on average
 
     def test_rectangular_rejected(self):
         with pytest.raises(ShapeMismatchError):
