@@ -26,8 +26,9 @@ sublayer and one ``BlockTrace`` of two per block: per sublayer x, z, out,
 the intermediates the bare map's VJP reads (attention's per-head kz, qz,
 attn, vz; the FFN's pre and act) and the statistics (xhat, s) of each LN
 site it ran, which its VJP reads in place of the site's input.  A config's
-``stages`` and ``sites`` are worked out once per config, not per block, and
-the sweep keys each site's gradients from one table of names.
+``stages``, ``sites`` and parameter layout (``_layout``: a block's row of P
+doubles, which its tensors view) are worked out once per config, not per
+block, and the sweep keys each site's gradients from one table of names.
 ``states`` (X_0 ... X_D) is read from the traces, and
 ``model_forward`` copies only X_0.  Callers that read only X_D call
 ``push_forward`` instead: the same checked block loop and errors, holding one
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -198,7 +199,7 @@ def validate_block(b: BlockParams, cfg: ModelConfig, index: int) -> None:
 
 
 def params_to_flat(b: BlockParams) -> dict[str, np.ndarray]:
-    """Flatten a block's tensors into named arrays (views, not copies)."""
+    """Flatten a block's tensors into named arrays (views, not copies), in ``_layout``'s order."""
     flat = {"attn.q": b.attn.q, "attn.k": b.attn.k, "attn.v": b.attn.v, "attn.w": b.attn.w,
             "ffn.w1": b.ffn.w1, "ffn.w2": b.ffn.w2}
     for site in sorted(b.ln):
@@ -210,70 +211,85 @@ def params_to_flat(b: BlockParams) -> dict[str, np.ndarray]:
     return flat
 
 
+def _assemble(flat: dict[str, np.ndarray], activation: str, ln) -> BlockParams:
+    """The BlockParams of named arrays and each LN site's (site, epsilon, kind); no beta is zeros."""
+    attn = attn_mod.AttentionParams(flat["attn.q"], flat["attn.k"], flat["attn.v"], flat["attn.w"])
+    ffn = attn_mod.FfnParams(flat["ffn.w1"], flat["ffn.w2"], activation)
+    return BlockParams(attn, ffn, {site: norm.LNParams(flat[_LN_KEYS[site][0]], flat.get(_LN_KEYS[site][1]),
+                                                       epsilon, kind) for site, epsilon, kind in ln})
+
+
 def flat_to_params(flat: dict[str, np.ndarray], template: BlockParams) -> BlockParams:
-    """Rebuild a BlockParams from named arrays, shapes taken from ``template``."""
-    attn = attn_mod.AttentionParams(
-        flat["attn.q"], flat["attn.k"], flat["attn.v"], flat["attn.w"]
-    )
-    ffn = attn_mod.FfnParams(flat["ffn.w1"], flat["ffn.w2"], template.ffn.activation)
-    ln = {}
-    for site, p in template.ln.items():
-        gamma_key, beta_key = _LN_KEYS[site]
-        ln[site] = norm.LNParams(flat[gamma_key], flat.get(beta_key, p.beta), p.epsilon, p.kind)
-    return BlockParams(attn, ffn, ln)
+    """Rebuild a BlockParams from named arrays, its activation and LN sites taken from ``template``."""
+    return _assemble(flat, template.ffn.activation,
+                     [(site, p.epsilon, p.kind) for site, p in template.ln.items()])
 
 
-def _init_layout(cfg: ModelConfig) -> list[tuple[tuple[int, ...], int]]:
-    """(shape, fan_in) of a block's weights in draw order: q, k, v, w, w1, w2."""
+class _Slot(NamedTuple):  # a tensor of a block's row; an LN parameter has no fan-in and is not decayed
+    name: str
+    shape: tuple[int, ...]
+    span: slice
+    fan_in: int | None
+
+
+@lru_cache(maxsize=256)
+def _layout(cfg: ModelConfig, ln_kind: str = norm.LAYERNORM, weight_scale: float = 1.0):
+    """``cfg``'s block row: slots in ``params_to_flat``'s order, the weights' init scales, the LN values."""
     d, k, m, heads = cfg.d, cfg.k, cfg.m, cfg.heads
-    return [((heads, k, d), d)] * 3 + [((heads, d, k), k), ((m, d), d), ((d, m), m)]
+    inits = (1.0, 0.0) if ln_kind == norm.LAYERNORM else (1.0,)  # gamma, then beta unless RMSNorm
+    ln = [(key, init) for site in sorted(cfg.sites) for key, init in zip(_LN_KEYS[site], inits)]
+    weights = [("attn.q", (heads, k, d), d), ("attn.k", (heads, k, d), d), ("attn.v", (heads, k, d), d),
+               ("attn.w", (heads, d, k), k), ("ffn.w1", (m, d), d), ("ffn.w2", (d, m), m)]
+    scale = np.repeat([weight_scale / math.sqrt(fan_in) for _, _, fan_in in weights],
+                      [math.prod(shape) for _, shape, _ in weights])
+    slots, start = [], 0
+    for name, shape, fan_in in weights + [(key, (d,), None) for key, _ in ln]:
+        slots.append(_Slot(name, shape, slice(start, start + math.prod(shape)), fan_in))
+        start += math.prod(shape)
+    return tuple(slots), scale, np.repeat([init for _, init in ln], d)
 
 
 def _draw_rows(cfg: ModelConfig, streams: list[RngStream | None], gen: np.random.Generator,
-               weight_scale: float = 1.0) -> np.ndarray:
-    """(T, P) blocks' weights in draw order: row t is drawn by ``gen`` restarted at
-    ``streams[t]``, or from where ``gen`` stands at None.  One standard-normal draw
-    a row, scaled in place, gives the bits of one normal(0, scale / sqrt(fan_in)) a tensor."""
-    layout = _init_layout(cfg)
-    sizes = [math.prod(shape) for shape, _ in layout]
-    rows = np.empty((len(streams), sum(sizes)))
-    for row, stream in zip(rows, streams):
+               weight_scale: float = 1.0, ln_kind: str = norm.LAYERNORM) -> np.ndarray:
+    """(T, P) blocks' rows, gamma = 1 and beta = 0: row t's weights are one standard-normal
+    draw by ``gen`` restarted at ``streams[t]`` (None: where it stands), scaled in place,
+    which gives the bits of one normal(0, scale / sqrt(fan_in)) a tensor."""
+    slots, scale, fill = _layout(cfg, ln_kind, weight_scale)
+    rows = np.empty((len(streams), slots[-1].span.stop))
+    weights = rows[:, :scale.size]
+    for row, stream in zip(weights, streams):
         (gen if stream is None else stream._restart(gen)).standard_normal(out=row)
-    rows *= np.repeat([weight_scale / math.sqrt(fan) for _, fan in layout], sizes)
-    rows += 0.0  # normal(0.0, sd) returns 0.0 + sd * z, which is never -0.0
+    weights *= scale
+    weights += 0.0  # normal(0.0, sd) returns 0.0 + sd * z, which is never -0.0
+    rows[:, scale.size:] = fill
     return rows
 
 
 def _block_of_rows(cfg: ModelConfig, rows: np.ndarray, ln_kind: str = norm.LAYERNORM) -> BlockParams:
-    """The block of ``_draw_rows``' rows (..., P): its weights are views with the
-    rows' leading axes, and gamma = 1, beta = 0."""
-    lead, start, weights = rows.shape[:-1], 0, []
-    for shape, _ in _init_layout(cfg):
-        weights.append(rows[..., start:start + math.prod(shape)].reshape(lead + shape))
-        start += math.prod(shape)
-    q, k, v, w, w1, w2 = weights
-    ln = {site: norm.LNParams(np.ones(lead + (cfg.d,)), np.zeros(lead + (cfg.d,)), cfg.epsilon, ln_kind)
-          for site in cfg.sites}
-    return BlockParams(attn_mod.AttentionParams(q, k, v, w), attn_mod.FfnParams(w1, w2, cfg.activation), ln)
+    """The block of ``_draw_rows``' rows (..., P): every tensor a view with the rows' leading axes."""
+    flat = {s.name: rows[..., s.span].reshape(rows.shape[:-1] + s.shape) for s in _layout(cfg, ln_kind)[0]}
+    return _assemble(flat, cfg.activation, [(site, cfg.epsilon, ln_kind) for site in cfg.sites])
 
 
-def random_block_params(
-    cfg: ModelConfig,
-    gen: np.random.Generator,
-    weight_scale: float = 1.0,
-    ln_kind: str = norm.LAYERNORM,
-) -> BlockParams:
-    """Standard init: weights ~ normal(0, scale/sqrt(fan_in)), gamma=1, beta=0."""
-    return _block_of_rows(cfg, _draw_rows(cfg, [None], gen, weight_scale)[0], ln_kind)
+def random_block_params(cfg: ModelConfig, gen: np.random.Generator) -> BlockParams:
+    """Standard init from where ``gen`` stands: weights ~ normal(0, 1/sqrt(fan_in)), gamma=1, beta=0."""
+    return _block_of_rows(cfg, _draw_rows(cfg, [None], gen)[0])
+
+
+def _draw_model(cfg: ModelConfig, stream: RngStream, weight_scale: float = 1.0,
+                ln_kind: str = norm.LAYERNORM) -> tuple[np.ndarray, list[BlockParams]]:
+    """``random_model``'s (depth, P) rows and its blocks, which view them."""
+    rows = _draw_rows(cfg, [stream.child(i) for i in range(cfg.depth)], stream.generator(),
+                      weight_scale, ln_kind)
+    return rows, [_block_of_rows(cfg, row, ln_kind) for row in rows]
 
 
 def random_model(
     cfg: ModelConfig, stream: RngStream, weight_scale: float = 1.0,
     ln_kind: str = norm.LAYERNORM,
 ) -> list[BlockParams]:
-    """Block i is ``random_block_params`` of ``stream.child(i).generator()``."""
-    rows = _draw_rows(cfg, [stream.child(i) for i in range(cfg.depth)], stream.generator(), weight_scale)
-    return [_block_of_rows(cfg, row, ln_kind) for row in rows]
+    """Block i is ``random_block_params`` of ``stream.child(i).generator()``, at ``weight_scale``."""
+    return _draw_model(cfg, stream, weight_scale, ln_kind)[1]
 
 
 def _random_blocks(cfg: ModelConfig, streams: list[RngStream], gen: np.random.Generator) -> BlockParams:

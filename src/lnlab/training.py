@@ -8,9 +8,9 @@ off counter-based streams, so a TrainConfig determines its TrialOutcome
 bit for bit; its task (``make_task``) is drawn from the config it trains.
 ``TrainConfig``'s defaults are the ``train`` section of the CLI's config.
 
-Once per trial, ``train_run`` draws the model and the task, lays the drawn
-tensors out in one flat buffer of the P parameters, which the model's
-tensors view, and fills a buffer of per-entry decay factors.  Each step runs
+Once per trial, ``train_run`` draws the model and the task.  The model's
+rows of ``model._layout`` are the flat buffer of its P parameters, which its
+tensors view, and their fan-ins set the per-entry decay factors.  Each step runs
 its minibatch as one ``(B, d, n)`` stack: B samples drawn, each from its own
 stream, one forward pass (every block validated, every state checked
 finite) and one reverse sweep, with the per-sample parameter gradients
@@ -35,11 +35,10 @@ from .model import (
     NONFINITE_STATE,
     DivergenceError,
     ModelConfig,
-    flat_to_params,
+    _draw_model,
+    _layout,
     model_forward,
     param_gradients,
-    params_to_flat,
-    random_model,
 )
 from .normalization import DegenerateTokenError
 from .numerics import Moments, RngStream, moments
@@ -175,12 +174,6 @@ def make_task(tc: TrainConfig, stream: RngStream) -> Task:
     return Task(tc, stream.child(1), readout, target_map)
 
 
-def _is_weight_tensor(name: str) -> bool:
-    # decoupled decay shrinks the attention/FFN matrices; LN parameters are
-    # left undecayed, matching how decay is applied to norm layers in practice
-    return name.startswith(("attn.", "ffn."))
-
-
 # the predicate: loss non-finite, terminal norm over threshold, or an LN site
 # or relu derivative left undefined by the iterate
 _STOPS = (DivergenceError, DegenerateTokenError, ActivationKinkError)
@@ -241,21 +234,15 @@ def _batch_step(task: Task, params, tc: TrainConfig, step: int, keys, checkpoint
 
 def train_run(tc: TrainConfig) -> TrialOutcome:
     """SGD + momentum with decoupled decay, theta <- (1 - lr*wd) theta - lr*m, on one
-    flat buffer ``w`` of the drawn tensors in ``params_to_flat`` order, which the model views."""
+    flat buffer ``w``: the drawn model's (depth, P) rows, which its blocks view."""
     root = RngStream(tc.seed)
-    drawn = random_model(tc.cfg, root.child(0))
+    rows, params = _draw_model(tc.cfg, root.child(0))
     task = make_task(tc, root.child(1))
-    flats = [params_to_flat(b) for b in drawn]
-    keys = tuple(flats[0])
-    w = np.concatenate([t.ravel() for f in flats for t in f.values()])
-    shrink, m, params, o = np.empty_like(w), np.zeros_like(w), [], 0
-    for f, b in zip(flats, drawn):
-        views = {}
-        for k, t in f.items():
-            views[k] = w[o:o + t.size].reshape(t.shape)
-            shrink[o:o + t.size] = 1.0 - tc.lr * (tc.weight_decay if _is_weight_tensor(k) else 0.0)
-            o += t.size
-        params.append(flat_to_params(views, b))
+    slots = _layout(tc.cfg)[0]
+    keys = [s.name for s in slots]  # the gradient gathered in the rows' order
+    w, m = rows.reshape(-1), np.zeros(rows.size)  # a view: updating w moves every block
+    shrink = np.tile(np.repeat([1.0 - tc.lr * (tc.weight_decay if s.fan_in else 0.0) for s in slots],
+                               [math.prod(s.shape) for s in slots]), tc.cfg.depth)
 
     losses: list[float] = []
     checkpoints: list[tuple[int, tuple[Moments, ...]]] = []

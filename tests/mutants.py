@@ -147,8 +147,26 @@ MUTANTS = {
     # decay shrinks the LN gains and biases too
     "decay-mask": (
         "src/lnlab/training.py",
-        'return name.startswith(("attn.", "ffn."))',
-        "return True",
+        "(tc.weight_decay if s.fan_in else 0.0)",
+        "tc.weight_decay",
+    ),
+    # the gradient is gathered in name order, not in the order the rows lay the tensors out
+    "layout-gather-order": (
+        "src/lnlab/training.py",
+        "keys = [s.name for s in slots]",
+        "keys = sorted(s.name for s in slots)",
+    ),
+    # a bounds-suite population ordered shallowest first
+    "peri-suite-ascending-depth": (
+        "src/lnlab/suites.py",
+        "key=lambda i: -cfgs[i].depth",
+        "key=lambda i: cfgs[i].depth",
+    ),
+    # every instance in each delta_t's population, whatever its own delta_t
+    "peri-suite-one-group": (
+        "src/lnlab/suites.py",
+        "if cfgs[i].delta_t == dt]",
+        "if True]",
     ),
     # m <- momentum * (m + g) in place of momentum * m + g
     "momentum-update": (

@@ -90,7 +90,6 @@ from lnlab.training import (
     TrainConfig,
     TrialOutcome,
     _divergence_cause,
-    _is_weight_tensor,
     make_task,
 )
 
@@ -664,7 +663,8 @@ def scripted_train_run(tc: TrainConfig) -> TrialOutcome:
         for f, m, acc in zip(flats, momenta, grad_accum):
             for k in f:
                 m[k] = tc.momentum * m[k] + acc[k]
-                decay = tc.weight_decay if _is_weight_tensor(k) else 0.0
+                # decay shrinks the attention and FFN weights, never an LN parameter
+                decay = tc.weight_decay if k.startswith(("attn.", "ffn.")) else 0.0
                 f[k] = (1.0 - tc.lr * decay) * f[k] - tc.lr * m[k]
 
     final_loss = losses[-1] if losses else float("nan")

@@ -454,8 +454,8 @@ class TestPopulation:
                     RngStream(seed, suite).child(1).child(2).child(2)}
         draw = model._draw_rows
 
-        def poison(cfg, streams, gen, weight_scale=1.0):
-            rows = draw(cfg, streams, gen, weight_scale)
+        def poison(cfg, streams, gen, *args):
+            rows = draw(cfg, streams, gen, *args)
             rows[[stream in poisoned for stream in streams]] = np.nan
             return rows
 

@@ -296,6 +296,33 @@ class TestRandomModel:
             for b in tensors[i + 1:]:
                 assert not np.shares_memory(a, b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 3),
+        st.integers(1, 4), st.sampled_from(mdl.PLACEMENTS), st.sampled_from(["layernorm", "rmsnorm"]),
+        st.integers(0, 2**16),
+    )
+    def test_layout_rows_are_the_flat_tensors(self, d, n, k, m, heads, depth, placement, ln_kind, seed):
+        # an RMSNorm site has no beta in params_to_flat, though LNParams stores zeros for it
+        cfg = ModelConfig(d=d, n=n, k=k, m=m, heads=heads, depth=depth, placement=placement)
+        slots = mdl._layout(cfg, ln_kind)[0]
+        rows, blocks = mdl._draw_model(cfg, RngStream(seed), ln_kind=ln_kind)
+        assert [s.span.start for s in slots] == [0] + [s.span.stop for s in slots[:-1]]
+        assert rows.shape == (depth, slots[-1].span.stop)
+        for row, block, b in zip(rows, blocks, random_model(cfg, RngStream(seed), ln_kind=ln_kind)):
+            flat = params_to_flat(b)
+            assert [s.name for s in slots] == list(flat)
+            for s in slots:
+                tensor = row[s.span].reshape(s.shape)
+                assert np.array_equal(tensor, flat[s.name])
+                decayed = s.fan_in is not None  # what train_run's decay factors read
+                assert decayed == s.name.startswith(("attn.", "ffn."))
+                if not decayed:  # gamma = 1, beta = +0.0
+                    assert np.array_equal(tensor, np.full(d, float(s.name.endswith(".gamma"))))
+                    assert not np.signbit(tensor).any()
+            for tensor in params_to_flat(block).values():  # the blocks view the rows
+                assert np.shares_memory(tensor, row)
+
 
 class TestModelConfig:
     @pytest.mark.parametrize("field, value, match", [

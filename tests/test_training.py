@@ -202,14 +202,14 @@ class TestTrainRun:
 
     def test_nonfinite_state_names_block(self, monkeypatch):
         # an infinite attention weight in block 1 makes its output non-finite
-        real = training.random_model
+        real = training._draw_model
 
         def blown(cfg, stream):
-            params = real(cfg, stream)
+            rows, params = real(cfg, stream)
             params[1].attn.w[0, 0, 0] = float("inf")
-            return params
+            return rows, params
 
-        monkeypatch.setattr(training, "random_model", blown)
+        monkeypatch.setattr(training, "_draw_model", blown)
         out = train_run(small_tc(steps=3))
         assert out.diverged and out.first_divergence_step == 0
         assert (out.cause, out.block, out.site) == ("nonfinite_state", 1, None)
@@ -264,14 +264,14 @@ class TestTrainRun:
 
     def test_activation_kink_names_its_block(self, monkeypatch):
         # a zero row of ffn.w1 puts that row's relu pre-activation exactly on the kink
-        real = training.random_model
+        real = training._draw_model
 
         def kinked(cfg, stream):
-            params = real(cfg, stream)
+            rows, params = real(cfg, stream)
             params[1].ffn.w1[2, :] = 0.0
-            return params
+            return rows, params
 
-        monkeypatch.setattr(training, "random_model", kinked)
+        monkeypatch.setattr(training, "_draw_model", kinked)
         out = train_run(small_tc(cfg=replace(small_cfg(), activation="relu"), steps=3))
         assert out.diverged and out.first_divergence_step == 0
         assert (out.cause, out.block, out.site) == ("activation_kink", 1, None)
