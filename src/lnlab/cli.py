@@ -313,11 +313,8 @@ def cmd_bounds(cfg: dict) -> int:
     diag_cfg = cfg["diagnostics"]
     seed = cfg["seed"]
     n = diag_cfg["instances"]
-    reports = []
-    reports += suites.run_growth_suite(
-        n, seed, tuple(diag_cfg["depths"]), tuple(diag_cfg["delta_ts"])
-    )
-    reports += suites.run_pathwise_suite(n, seed, delta_ts=tuple(diag_cfg["delta_ts"]))
+    reports = suites._peri_suite(  # the growth and pathwise suites' rows, from one population per delta_t
+        (0, 1), n, seed, (tuple(diag_cfg["depths"]), suites._PATHWISE_DEPTHS), tuple(diag_cfg["delta_ts"]))
     reports += suites.run_chain_suite(n, seed, depth=diag_cfg["chain_depth"])
     rows = [r.to_row() for r in reports]
     write_report(rows, BOUNDS_COLUMNS, _out_path(cfg, "bounds"))

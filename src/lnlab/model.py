@@ -61,7 +61,6 @@ from .numerics import (
     RngStream,
     ShapeMismatchError,
     jacobian_from_vjp,
-    spectral_norm,
 )
 
 OFF = "off"
@@ -544,13 +543,18 @@ def param_gradients(tape: ForwardTape, upstream: np.ndarray) -> list[dict[str, n
 @dataclass(frozen=True)
 class ChainResult:
     states: tuple[np.ndarray, ...]
-    mean_abs: float
-    bound_rhs: float
+    mean_abs: float | np.ndarray  # arrays for a stack of chains
+    bound_rhs: float | np.ndarray
     factors: np.ndarray
 
     @property
     def x_final(self) -> np.ndarray:
         return self.states[-1]
+
+    def __getitem__(self, t) -> "ChainResult":
+        """Chain t of a stack of chains' result."""
+        return ChainResult(tuple(x[t] for x in self.states), float(self.mean_abs[t]),
+                           float(self.bound_rhs[t]), self.factors[t])
 
 
 def simplified_pre_chain(
@@ -573,9 +577,14 @@ def simplified_pre_chain(
         (1/sqrt(nd)) * prod_i (1 + sqrt(n) |gamma_i|_inf max_j |x_{i,j}|^-1 |W_i|_2) * |X_0|_F
 
     whose per-layer factors, with |x_{i,j}| = sqrt(d) s_{i,j}, are reported for growth inspection.
+    A stack of chains ``X0`` (..., d, n) takes each layer's weight, gamma, query and key with
+    the same leading axes and gives each chain the bits it has alone.  The result's states,
+    factors (..., depth), mean_abs and bound_rhs carry those axes, the last two (and the
+    factors' product) taken chain by chain; index it for one chain's result.  A degenerate
+    token in any chain raises at the first layer where one occurs.
     """
     X = np.asarray(X0, dtype=np.float64)
-    d, n = X.shape
+    lead, (d, n) = X.shape[:-2], X.shape[-2:]
     depth = len(weights)
     if len(gammas) != depth:
         raise ValueError(f"need one gamma per layer: {len(gammas)} != {depth}")
@@ -585,34 +594,36 @@ def simplified_pre_chain(
         raise ValueError(f"need one query and one key matrix per layer: "
                          f"{len(attn_q)} and {len(attn_k)} != {depth}")
     states = [X.copy()]
-    factors = np.empty(depth)
+    factors = np.empty((*lead, depth))
     for i in range(depth):
         w = np.asarray(weights[i], dtype=np.float64)
         gamma = np.asarray(gammas[i], dtype=np.float64)
-        if w.shape != (d, d) or gamma.shape != (d,):
-            raise ShapeMismatchError(
-                f"layer {i}: merged weight must be {d}x{d} and gamma ({d},), got {w.shape} and {gamma.shape}")
-        if attn_q is not None and not (np.ndim(attn_q[i]) == 2 and np.shape(attn_q[i])[1] == d
-                                       and np.shape(attn_k[i]) == np.shape(attn_q[i])
-                                       and np.shape(attn_q[i])[0] >= 1):
-            raise ShapeMismatchError(f"layer {i}: query and key must both be (k, {d}), "
-                                     f"got {np.shape(attn_q[i])} and {np.shape(attn_k[i])}")
+        if w.shape != (*lead, d, d) or gamma.shape != (*lead, d):
+            raise ShapeMismatchError(f"layer {i}: merged weight must be {(*lead, d, d)} and gamma "
+                                     f"{(*lead, d)}, got {w.shape} and {gamma.shape}")
+        q, k = (None, None) if attn_q is None else (np.asarray(attn_q[i]), np.asarray(attn_k[i]))
+        if q is not None and not (q.ndim == len(lead) + 2 and q.shape[:-2] == lead and q.shape[-1] == d
+                                  and k.shape == q.shape and q.shape[-2] >= 1):
+            raise ShapeMismatchError(f"layer {i}: query and key must both be ({''.join(f'{t}, ' for t in lead)}"
+                                     f"k, {d}), got {q.shape} and {k.shape}")
         rms = norm.LNParams(gamma, epsilon=0.0, kind=norm.RMSNORM)
         xhat, (_, s) = _ln_at_site(X, rms, i, ATTN_IN)
-        if attn_q is None:
+        if q is None:
             a = np.full((n, n), 1.0 / n)
         else:
-            scores = (attn_k[i] @ xhat).T @ (attn_q[i] @ xhat) / np.sqrt(attn_q[i].shape[0])
+            scores = np.swapaxes(k @ xhat, -1, -2) @ (q @ xhat) / np.sqrt(q.shape[-2])
             a = attn_mod.softmax_columns(scores)
-        factors[i] = 1.0 + (
+        factors[..., i] = 1.0 + (
             np.sqrt(n)
-            * np.max(np.abs(gamma))
-            * (1.0 / (np.sqrt(d) * s.min()))
-            * spectral_norm(w)
+            * np.max(np.abs(gamma), axis=-1)
+            * (1.0 / (np.sqrt(d) * s.min(axis=(-2, -1))))
+            * np.linalg.svd(w, compute_uv=False)[..., 0]
         )
         X = X + w @ xhat @ a
         states.append(X.copy())
-    nd = d * n
-    bound_rhs = float(np.prod(factors) * np.linalg.norm(states[0]) / np.sqrt(nd))
-    mean_abs = float(np.mean(np.abs(X)))
+    per_chain = [(np.mean(np.abs(X[ix])), np.prod(factors[ix]) * np.linalg.norm(states[0][ix]) / np.sqrt(d * n))
+                 for ix in np.ndindex(lead)]  # each chain's own slices, as alone
+    mean_abs, bound_rhs = np.reshape(np.transpose(per_chain), (2, *lead))
+    if not lead:
+        mean_abs, bound_rhs = float(mean_abs), float(bound_rhs)
     return ChainResult(tuple(states), mean_abs, bound_rhs, factors)

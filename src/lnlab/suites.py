@@ -5,7 +5,9 @@ Each suite takes an instance count and a master seed and draws instance i
 from its own child stream, so a run is reproducible bit-for-bit.  Models are
 drawn at ``ModelConfig``'s default dimensions unless a suite says otherwise.
 The growth and pathwise suites push the models of each delta_t as one
-population (``_peri_suite``), with the rows of each model pushed alone.
+population (``_peri_suite``; ``lnlab bounds`` pushes both suites' in one), and
+the chain suite runs its instances as one stack of chains; every row is the
+row of its instance run alone.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ WITNESS_SPECTRAL = 3.0
 WITNESS_DEPTH = 32
 # (c1, c2) rescalings of the rescale suite's sublayer weights
 RESCALE_SCALES = ((10.0, 10.0), (1000.0, 0.01))
+_PATHWISE_DEPTHS = (8, 16, 32)
 
 
 def _peri_config(i: int, depths, delta_ts) -> ModelConfig:
@@ -57,35 +60,44 @@ _PERI_SUITES = {
 }
 
 
-def _peri_suite(suite: int, instances: int, seed: int, depths, delta_ts) -> list[diag.BoundReport]:
-    """The rows of peri-model suite ``suite`` in instance order, each instance drawn as
-    ``_peri_instance`` draws it.  Each delta_t's instances are pushed as one population,
-    deepest first (ties in instance order); if a push raises, the suite reruns the
-    per-model checks in index order, so the error is that of the first failing instance."""
-    name, states, rows, check = _PERI_SUITES[suite]
-    streams = [RngStream(seed, suite).child(i) for i in range(instances)]
-    cfgs = [_peri_config(i, depths, delta_ts) for i in range(instances)]
+def _peri_suite(suites, instances: int, seed: int, depths, delta_ts) -> list[diag.BoundReport]:
+    """The rows of peri-model suite ``suites`` at ``depths``, or of a tuple of suites at a
+    tuple of their depths, suite by suite in instance order, each instance drawn as
+    ``_peri_instance`` draws it.  Each delta_t's instances of every suite are pushed as one
+    population, deepest first (ties in (suite, instance) order), each stack padded to the
+    widest with copies of its last state, which no row reads.  If a push raises, the
+    instances rerun their per-model checks one by one in that order, so the error is that of
+    the first failing instance of the first failing suite, as the suites run alone raise it."""
+    if isinstance(suites, int):
+        suites, depths = (suites,), (depths,)
+    members = [(suite, i) for suite in suites for i in range(instances)]
+    streams = [RngStream(seed, suite).child(i) for suite, i in members]
+    cfgs = [_peri_config(i, ds, delta_ts) for ds in depths for i in range(instances)]
     drawn = []
-    for stream, cfg in zip(streams, cfgs):  # the inputs, then the entry the growth rows read
+    for (suite, _), stream, cfg in zip(members, streams, cfgs):  # the inputs, then the entry the growth rows read
         gen = stream.child(1).generator()
-        stack = gen.normal(size=(states, cfg.d, cfg.n))
+        stack = gen.normal(size=(_PERI_SUITES[suite][1], cfg.d, cfg.n))
         drawn.append((stack, (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))))
-    out, philox = [[]] * instances, RngStream(seed, suite).generator()  # restarted at every draw
+    width = max(_PERI_SUITES[suite][1] for suite in suites)
+    out, philox = [[]] * len(members), RngStream(seed).generator()  # restarted at every draw
     try:
         for dt in dict.fromkeys(cfg.delta_t for cfg in cfgs):
-            members = sorted([i for i in range(instances) if cfgs[i].delta_t == dt],
-                             key=lambda i: -cfgs[i].depth)
-            models = [streams[i].child(2) for i in members]
+            group = sorted([k for k in range(len(members)) if cfgs[k].delta_t == dt],
+                           key=lambda k: -cfgs[k].depth)
+            models = [streams[k].child(2) for k in group]
             pushed, gmax, bmax = diag._population(
-                np.stack([drawn[i][0] for i in members]), [cfgs[i] for i in members],
+                np.stack([a[np.minimum(np.arange(width), len(a) - 1)] for a in (drawn[k][0] for k in group)]),
+                [cfgs[k] for k in group],
                 lambda j, live: model_mod._random_blocks(
-                    cfgs[members[0]], [m.child(j) for m in models[:live]], philox),
-                name)
-            for t, i in enumerate(members):
-                out[i] = rows(*drawn[i], pushed[t], cfgs[i], float(gmax[t]), float(bmax[t]), i)
+                    cfgs[group[0]], [m.child(j) for m in models[:live]], philox),
+                _PERI_SUITES[suites[0]][0])
+            for t, k in enumerate(group):
+                (suite, i), (stack, entry) = members[k], drawn[k]
+                out[k] = _PERI_SUITES[suite][2](stack, entry, pushed[t, :len(stack)], cfgs[k],
+                                                float(gmax[t]), float(bmax[t]), i)
     except (model_mod.DivergenceError, norm.DegenerateTokenError):
-        out = map_indexed(
-            lambda i: check(*drawn[i], random_model(cfgs[i], streams[i].child(2)), cfgs[i], i), instances)
+        out = map_indexed(lambda k: _PERI_SUITES[members[k][0]][3](
+            *drawn[k], random_model(cfgs[k], streams[k].child(2)), cfgs[k], members[k][1]), len(members))
     return [r for sub in out for r in sub]
 
 
@@ -105,7 +117,7 @@ def run_pathwise_suite(
     instances: int, seed: int, delta_ts: tuple[float, ...] = (1.0, 0.1)
 ) -> list[diag.BoundReport]:
     """Pathwise bounds over random peri models (``pathwise_stability_check``'s rows)."""
-    return _peri_suite(1, instances, seed, (8, 16, 32), delta_ts)
+    return _peri_suite(1, instances, seed, _PATHWISE_DEPTHS, delta_ts)
 
 
 def run_wasserstein_suite(
@@ -121,21 +133,29 @@ def run_wasserstein_suite(
 
 
 def run_chain_suite(instances: int, seed: int, depth: int = 16) -> list[diag.BoundReport]:
-    """Product bound on random simplified pre-norm chains."""
+    """Product bound on random simplified pre-norm chains, the instances run as one stack
+    of chains; if a token degenerates, the chains rerun one by one, so the error is that of
+    the first failing instance."""
     dims = ModelConfig()
     d, n, key_dim = dims.d, dims.n, dims.k
 
-    def one(i: int) -> diag.BoundReport:
+    def draw(i: int):
         gen = RngStream(seed, 3).child(i).generator()
         x0 = gen.normal(size=(d, n))
         ws = [gen.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)) for _ in range(depth)]
         gs = [np.abs(gen.normal(1.0, 0.2, size=d)) + 0.1 for _ in range(depth)]
         qs = [gen.normal(0.0, 1.0 / np.sqrt(d), size=(key_dim, d)) for _ in range(depth)]
         ks = [gen.normal(0.0, 1.0 / np.sqrt(d), size=(key_dim, d)) for _ in range(depth)]
-        chain = simplified_pre_chain(x0, ws, gs, qs, ks)
-        return diag.pre_exponential_bound(chain, seed=i)
+        return x0, ws, gs, qs, ks
 
-    return map_indexed(one, instances)
+    drawn = [draw(i) for i in range(instances)]
+    if not drawn:
+        return []
+    try:  # X0 as (instances, d, n), each per-layer list as (depth, instances, ...)
+        chain = simplified_pre_chain(*(np.stack(arrays, axis=min(k, 1)) for k, arrays in enumerate(zip(*drawn))))
+    except norm.DegenerateTokenError:
+        chain = map_indexed(lambda i: simplified_pre_chain(*drawn[i]), instances)
+    return [diag.pre_exponential_bound(chain[i], seed=i) for i in range(instances)]
 
 
 @dataclass(frozen=True)

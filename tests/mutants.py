@@ -159,14 +159,27 @@ MUTANTS = {
     # a bounds-suite population ordered shallowest first
     "peri-suite-ascending-depth": (
         "src/lnlab/suites.py",
-        "key=lambda i: -cfgs[i].depth",
-        "key=lambda i: cfgs[i].depth",
+        "key=lambda k: -cfgs[k].depth",
+        "key=lambda k: cfgs[k].depth",
     ),
     # every instance in each delta_t's population, whatever its own delta_t
     "peri-suite-one-group": (
         "src/lnlab/suites.py",
-        "if cfgs[i].delta_t == dt]",
+        "if cfgs[k].delta_t == dt]",
         "if True]",
+    ),
+    # a member's rows read the last slices of its padded stack: a pathwise pair reads
+    # two copies of its last state
+    "peri-suites-pad-rows": (
+        "src/lnlab/suites.py",
+        "pushed[t, :len(stack)]",
+        "pushed[t, width - len(stack):]",
+    ),
+    # a stack of chains takes each layer's smallest denominator over the whole stack
+    "chain-stack-shared-min": (
+        "src/lnlab/model.py",
+        "s.min(axis=(-2, -1))",
+        "s.min()",
     ),
     # m <- momentum * (m + g) in place of momentum * m + g
     "momentum-update": (

@@ -31,6 +31,8 @@ per-entry loop that ``gradcheck.fd_jacobian`` ran before it stacked its
 perturbed points: fed gradcheck's own maps one point at a time, it pins the
 stacked rows bit for bit.  ``richardson_scalar_grad`` extrapolates two
 central differences, for gradients too small for one difference to resolve.
+``scripted_pre_chain`` is the simplified pre-norm chain's layer loop on
+one chain, which pins each chain of a stacked run bit for bit.
 ``scripted_sample`` and ``scripted_loss_and_grad`` are the task's draw, loss
 and gradient through numpy's Python-level ``mean``, ``tile`` and
 ``zeros_like``, which pin the task's ufunc forms bit for bit;
@@ -52,6 +54,7 @@ import numpy as np
 from lnlab.attention import ActivationKinkError, AttentionParams, FfnParams, _check_state
 from lnlab.model import (
     BlockParams,
+    ChainResult,
     DivergenceError,
     ForwardTape,
     ModelConfig,
@@ -80,6 +83,7 @@ from lnlab.numerics import (
     min_cost_assignment,
     moments,
     softmax_columns,
+    spectral_norm,
     transport_cost,
 )
 from lnlab.training import (
@@ -548,6 +552,27 @@ def loglog_slope(xs, ys) -> float:
     ly = np.log(np.asarray(ys, dtype=np.float64))
     lx = lx - lx.mean()
     return float((lx @ (ly - ly.mean())) / (lx @ lx))
+
+
+def scripted_pre_chain(X0, weights, gammas, attn_q=None, attn_k=None) -> ChainResult:
+    """``simplified_pre_chain`` of one chain, layer by layer on 2-D arrays, through
+    ``spectral_norm`` and whole-array means and norms."""
+    X = np.asarray(X0, dtype=np.float64)
+    d, n = X.shape
+    states, factors = [X.copy()], np.empty(len(weights))
+    for i, (w, gamma) in enumerate(zip(weights, gammas)):
+        z, (_, s) = ln_forward_columns(X, LNParams(gamma, epsilon=0.0, kind=RMSNORM))
+        if attn_q is None:
+            a = np.full((n, n), 1.0 / n)
+        else:
+            a = softmax_columns((attn_k[i] @ z).T @ (attn_q[i] @ z) / np.sqrt(attn_q[i].shape[0]))
+        factors[i] = 1.0 + (
+            np.sqrt(n) * np.max(np.abs(gamma)) * (1.0 / (np.sqrt(d) * s.min())) * spectral_norm(w)
+        )
+        X = X + w @ z @ a
+        states.append(X.copy())
+    bound_rhs = float(np.prod(factors) * np.linalg.norm(states[0]) / np.sqrt(d * n))
+    return ChainResult(tuple(states), float(np.mean(np.abs(X))), bound_rhs, factors)
 
 
 def scripted_terminal_states(inputs, params, cfg) -> list[np.ndarray]:

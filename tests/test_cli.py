@@ -551,7 +551,7 @@ class TestExitCodes:
 
     def test_bounds_and_report_print_the_same_failing_row(self, tmp_path, monkeypatch, capsys):
         bad = BoundReport("peri_ma_growth", "peri", 8, 1.0, 1.0, 0.0, 5.0, 1.0, seed=3)
-        monkeypatch.setattr(suites, "run_growth_suite", lambda *args, **kwargs: [bad])
+        monkeypatch.setattr(suites, "_peri_suite", lambda *args, **kwargs: [bad])  # the growth and pathwise rows
 
         def failing_lines(text):
             return [line for line in text.splitlines() if "peri_ma_growth" in line]

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import scripted_terminal_states, zero_weight_block
+from oracles import scripted_pre_chain, scripted_terminal_states, zero_weight_block
 
 from lnlab import diagnostics as diag
 from lnlab import model, suites
@@ -16,8 +18,9 @@ from lnlab.model import (
     model_forward,
     push_forward,
     random_model,
+    simplified_pre_chain,
 )
-from lnlab.normalization import LNParams
+from lnlab.normalization import DegenerateTokenError, LNParams
 from lnlab.numerics import MAX_OT_SAMPLES, RngStream, ShapeMismatchError, moments, wasserstein_exact
 
 
@@ -477,6 +480,69 @@ class TestPopulation:
             type(want), want.block, getattr(want, "site", None), str(want))
 
 
+def _poison_draws(monkeypatch, poisoned):
+    """Every block whose stream is in ``poisoned`` draws NaN weights."""
+    draw = model._draw_rows
+
+    def poison(cfg, streams, gen, *args):
+        rows = draw(cfg, streams, gen, *args)
+        rows[[stream in poisoned for stream in streams]] = np.nan
+        return rows
+
+    monkeypatch.setattr(model, "_draw_rows", poison)
+
+
+class TestSharedPopulation:
+    """The bounds command's one call of both peri suites pushes each delta_t's growth and
+    pathwise models as one population; its rows are the one-suite calls' rows, in order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(st.integers(1, 16), min_size=1, max_size=5).map(tuple),
+        st.lists(st.integers(1, 16), min_size=1, max_size=5).map(tuple),
+        st.lists(st.sampled_from([1.0, 0.5, 0.1]), min_size=1, max_size=4).map(tuple),
+        st.integers(0, 2**16),
+    )
+    @example(instances=12, growth=(3, 16, 3, 1), pathwise=(16, 2, 16), delta_ts=(0.5, 1.0, 0.5), seed=0)
+    def test_rows_equal_the_one_suite_calls(self, instances, growth, pathwise, delta_ts, seed):
+        pushed, population = [], model._push_population
+        with pytest.MonkeyPatch.context() as mp:  # no replay: the population gives every row
+            mp.setattr(suites, "map_indexed", lambda *args: pytest.fail("replayed"))
+            mp.setattr(model, "_push_population", lambda *args: pushed.append(args) or population(*args))
+            got = suites._peri_suite((0, 1), instances, seed, (growth, pathwise), delta_ts)
+        cfgs = [suites._peri_config(i, depths, delta_ts) for depths in (growth, pathwise) for i in range(instances)]
+        groups = [sorted((c.depth for c in cfgs if c.delta_t == dt), reverse=True)
+                  for dt in dict.fromkeys(c.delta_t for c in cfgs)]  # one population per delta_t, 9 states wide
+        assert [(args[0].shape[:2], args[2]) for args in pushed] == [((len(g), 9), g) for g in groups]
+        want = [*_suite_rows_alone(0, range(instances), seed, growth, delta_ts),
+                *_suite_rows_alone(1, range(instances), seed, pathwise, delta_ts)]
+        assert [vars(r) for r in got] == [vars(r) for r in want]
+        assert got == suites._peri_suite(0, instances, seed, growth, delta_ts) + suites._peri_suite(
+            1, instances, seed, pathwise, delta_ts)
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["growth", "pathwise"])
+    def test_the_failing_suite_raises_its_first_instance_error(self, failing, monkeypatch):
+        # instance 2 of one suite goes non-finite at block 3, instance 3 at block 1; every
+        # instance of the other suite passes
+        seed, depths, delta_ts = 3, ((8, 16, 32, 64), (8, 16, 32)), (1.0, 0.1)
+        _poison_draws(monkeypatch, {RngStream(seed, failing).child(2).child(2).child(3),
+                                    RngStream(seed, failing).child(3).child(2).child(1)})
+        _suite_rows_alone(1 - failing, range(4), seed, depths[1 - failing], delta_ts)
+        with pytest.raises(model.DivergenceError) as alone:
+            _suite_rows_alone(failing, range(4), seed, depths[failing], delta_ts)
+        assert alone.value.block == 3
+        replays = []
+        map_indexed = suites.map_indexed
+        monkeypatch.setattr(suites, "map_indexed", lambda fn, n: replays.append(n) or map_indexed(fn, n))
+        with pytest.raises(model.DivergenceError) as exc:
+            suites._peri_suite((0, 1), 4, seed, depths, delta_ts)
+        assert replays == [8]  # growth's 4 instances, then pathwise's
+        got, want = exc.value, alone.value
+        assert (type(got), got.block, getattr(got, "site", None), str(got)) == (
+            type(want), want.block, getattr(want, "site", None), str(want))
+
+
 class TestPlacementIsData:
     """The checks admit a model by its stage row, not by its placement name."""
 
@@ -602,6 +668,58 @@ class TestPreExponentialAndWitness:
         reports = suites.run_chain_suite(25, seed=5)
         assert all(r.margin >= 0 for r in reports)
         assert all(r.check == "pre_exponential" for r in reports)
+
+    def test_chain_suite_rows_equal_the_per_chain_oracle(self):
+        rows = suites.run_chain_suite(6, seed=11, depth=5)
+        for i, row in enumerate(rows):
+            gen = RngStream(11, 3).child(i).generator()
+            d, n, k = ModelConfig().d, ModelConfig().n, ModelConfig().k
+            x0 = gen.normal(size=(d, n))
+            draws = [[gen.normal(*args) for _ in range(5)] for args in (
+                (0.0, 1.0 / np.sqrt(d), (d, d)), (1.0, 0.2, d), (0.0, 1.0 / np.sqrt(d), (k, d)),
+                (0.0, 1.0 / np.sqrt(d), (k, d)))]
+            draws[1] = [np.abs(g) + 0.1 for g in draws[1]]
+            chain = scripted_pre_chain(x0, *draws)
+            assert repr(row) == repr(diag.pre_exponential_bound(chain, seed=i))
+
+    def test_chain_suite_raises_the_first_instance_error(self, monkeypatch):
+        # instance 0 cancels to zero at layer 1 (gamma 1 at epsilon 0, W_0 = -I, uniform
+        # attention); instance 1, later, has a zero token at layer 0
+        cfg = ModelConfig()
+        d, n, k, depth = cfg.d, cfg.n, cfg.k, 3
+
+        def draws(i):
+            x0 = np.ones((d, n))
+            if i == 1:
+                x0[:, 2] = 0.0
+            ws = [-np.eye(d)] + [np.eye(d)] * (depth - 1)
+            return iter([x0, *ws, *[np.full(d, 0.9)] * depth, *[np.zeros((k, d))] * (2 * depth)])
+
+        class Scripted:  # instance i's generator hands out draws(i) in the suite's order
+            def __init__(self, *args, i=None):
+                self.i = i
+
+            def child(self, i):
+                return Scripted(i=i)
+
+            def generator(self):
+                it = draws(self.i)
+                return SimpleNamespace(normal=lambda *args, size: next(it))
+
+        monkeypatch.setattr(suites, "RngStream", Scripted)
+        instance = [list(draws(i)) for i in (0, 1)]
+        alone = []
+        for x0, *layers in instance:
+            ws, gs, qs, ks = (layers[j * depth:(j + 1) * depth] for j in range(4))
+            with pytest.raises(DegenerateTokenError) as exc:
+                simplified_pre_chain(x0, ws, [np.abs(g) + 0.1 for g in gs], qs, ks)
+            alone.append(exc.value)
+        assert [e.block for e in alone] == [1, 0]
+        with pytest.raises(DegenerateTokenError) as exc:
+            suites.run_chain_suite(4, seed=0, depth=depth)
+        got, want = exc.value, alone[0]
+        assert (type(got), got.block, got.site, got.token_index, str(got)) == (
+            type(want), want.block, want.site, want.token_index, str(want))
 
     def test_witness_ratios(self):
         outcomes = suites.divergence_witness(20)

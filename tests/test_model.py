@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -11,6 +11,7 @@ from oracles import (
     central_diff_scalar_grad,
     gradient_product,
     relative_error,
+    scripted_pre_chain,
     scripted_sublayer,
     zero_weight_block,
 )
@@ -33,7 +34,7 @@ from lnlab.model import (
     sublayer_sensitivity,
 )
 from lnlab.normalization import DegenerateTokenError, LNParams, ellipsoid_residual, ln_forward_columns
-from lnlab.numerics import RngStream, unvec, vec
+from lnlab.numerics import RngStream, spectral_norm, unvec, vec
 
 
 def cfg_for(placement, d=4, n=3, depth=2, dt=0.5, eps=1e-5, activation="tanh"):
@@ -659,3 +660,73 @@ class TestSimplifiedPreChain:
         with pytest.raises(DegenerateTokenError, match="token index 1") as exc:
             simplified_pre_chain(X0, [np.eye(2)], [np.ones(2)])
         assert (exc.value.block, exc.value.token_index) == (0, 1)
+
+
+class TestStackedPreChain:
+    """A stack of chains gives each chain the bits of the per-chain loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5), st.integers(2, 9), st.integers(1, 8), st.integers(0, 6),
+        st.sampled_from([None, 1, 3]), st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3]), st.integers(0, 2**16),
+    )
+    @example(chains=3, d=9, n=1, depth=4, key_dim=3, scale=1.0, seed=0)  # n = 1, d >= 8: pairwise sums
+    @example(chains=2, d=8, n=1, depth=3, key_dim=None, scale=1e3, seed=1)
+    def test_each_chain_equals_the_oracle(self, chains, d, n, depth, key_dim, scale, seed):
+        gen = RngStream(seed, 41).generator()
+        X0 = scale * gen.normal(size=(chains, d, n))
+        ws = gen.normal(0.0, 1.0 / np.sqrt(d), size=(depth, chains, d, d))
+        gs = np.abs(gen.normal(1.0, 0.2, size=(depth, chains, d))) + 0.1
+        qk = () if key_dim is None else tuple(gen.normal(0.0, 0.5, size=(2, depth, chains, key_dim, d)))
+        res = simplified_pre_chain(X0, ws, gs, *qk)
+        assert res.factors.shape == (chains, depth) and len(res.states) == depth + 1
+        assert res.mean_abs.shape == res.bound_rhs.shape == (chains,)
+        for t in range(chains):
+            one = [a[:, t] for a in (ws, gs, *qk)]
+            want = scripted_pre_chain(X0[t], *one)
+            for got in (res[t], simplified_pre_chain(X0[t], *one)):
+                assert all(np.array_equal(a, b) for a, b in zip(got.states, want.states, strict=True))
+                assert np.array_equal(got.factors, want.factors)
+                assert type(got.mean_abs) is type(got.bound_rhs) is float
+                assert (got.mean_abs, got.bound_rhs) == (want.mean_abs, want.bound_rhs)
+
+    def test_two_leading_axes(self):
+        gen = RngStream(43).generator()
+        X0 = gen.normal(size=(2, 3, 4, 3))
+        ws = gen.normal(0.0, 0.5, size=(5, 2, 3, 4, 4))
+        gs = np.abs(gen.normal(1.0, 0.2, size=(5, 2, 3, 4))) + 0.1
+        res = simplified_pre_chain(X0, ws, gs)
+        assert res.factors.shape == (2, 3, 5) and res.mean_abs.shape == (2, 3)
+        for ix in np.ndindex(2, 3):
+            want = scripted_pre_chain(X0[ix], *(a[(slice(None), *ix)] for a in (ws, gs)))
+            assert np.array_equal(res[ix].x_final, want.x_final) and res[ix].bound_rhs == want.bound_rhs
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 8), st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**16))
+    def test_stacked_svd_is_each_matrix_svd(self, chains, d, scale, seed):
+        w = scale * RngStream(seed, 42).generator().normal(size=(chains, d, d))
+        stacked = np.linalg.svd(w, compute_uv=False)
+        for t in range(chains):
+            assert np.array_equal(stacked[t], np.linalg.svd(w[t], compute_uv=False))
+            assert stacked[t, 0] == spectral_norm(w[t])
+
+    def test_a_chain_degenerate_anywhere_raises_at_the_first_such_layer(self):
+        # chain 0 cancels to zero at layer 1; chain 1 has a zero token at layer 0
+        X0 = np.ones((2, 4, 3))
+        X0[1, :, 2] = 0.0
+        ws = np.stack([-np.eye(4), np.eye(4)])[:, None].repeat(2, axis=1)
+        gs = np.ones((2, 2, 4))
+        with pytest.raises(DegenerateTokenError, match="token index 0") as first:
+            simplified_pre_chain(X0[0], ws[:, 0], gs[:, 0])
+        with pytest.raises(DegenerateTokenError, match="token index 2") as stacked:
+            simplified_pre_chain(X0, ws, gs)
+        assert (first.value.block, stacked.value.block) == (1, 0)
+
+    def test_stacked_shapes_refused(self):
+        X0 = np.ones((2, 3, 2))
+        with pytest.raises(mdl.ShapeMismatchError, match=r"^layer 0: merged weight must be \(2, 3, 3\)"):
+            simplified_pre_chain(X0, [np.eye(3)], [np.ones((2, 3))])
+        qs = [np.ones((3, 2, 3))]
+        with pytest.raises(mdl.ShapeMismatchError, match=r"^layer 0: query and key must both be \(2, k, 3\), "
+                                                         r"got \(3, 2, 3\) and \(3, 2, 3\)$"):
+            simplified_pre_chain(X0, [np.eye(3)[None].repeat(2, 0)], [np.ones((2, 3))], qs, qs)
