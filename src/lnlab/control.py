@@ -41,6 +41,9 @@ def hamiltonian_maximizer(
         raise ShapeMismatchError(
             f"adjoint field {P.shape} incompatible with gamma {gamma_out.shape} and beta {beta.shape}"
         )
+    for name, a in (("adjoint field", P), ("gamma", gamma_out), ("beta", beta)):
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"hamiltonian_maximizer: {name} has a non-finite entry")
     if np.any(gamma_out == 0.0):
         raise ValueError("hamiltonian_maximizer: gamma has a zero entry")
     d = P.shape[0]
@@ -95,6 +98,8 @@ def integrate_projected_flow(
     exactly h^2 * v^T Gamma^-2 v (second order in h), which is what the
     step-halving diagnostics measure.  Returns the (steps+1, d) trajectory.
     """
+    if not steps >= 0:
+        raise ValueError(f"integrate_projected_flow: steps must be >= 0, got {steps}")
     x = np.asarray(x0, dtype=np.float64)
     res0 = abs(ellipsoid_residual(x, p))
     if res0 > 1e-9:

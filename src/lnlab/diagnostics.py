@@ -22,13 +22,13 @@ the sensitivity is invariant, without it the update scales by c1 * c2.
 
 Every bound check takes ``(inputs, params, cfg)`` and pushes each sample set
 through one stacked ``push_forward``, which keeps no tape, taking each input's
-norm on its own slice (a stacked norm can differ in the last bit).
-``growth_checks`` gives the rows of ``peri_growth_check`` and
-``datawise_variance_check`` from one stack ``[x0, *inputs]``.  The growth and
-pathwise suites instead push many models' stacks as one population
-(``_population``), and take each model's rows from its own slices through the
-row functions that ``growth_checks`` and ``pathwise_stability_check`` call.
-The rescaling probe reads nothing of the tape's layout.
+norm on its own slice (a stacked norm can differ in the last bit).  The
+growth and pathwise suites call none of these checks: they push many models'
+stacks as one population (``_population``), a growth model's stack being
+``[x0, *inputs]``, and take each model's rows from its own slices through the
+row functions that ``peri_growth_check``, ``datawise_variance_check`` and
+``pathwise_stability_check`` call.  The rescaling probe reads nothing of the
+tape's layout.
 """
 
 from __future__ import annotations
@@ -170,14 +170,6 @@ def _growth_rows(
     ]
 
 
-def _check_datawise(inputs, cfg: ModelConfig, entry: tuple[int, int], check: str) -> None:
-    """Refuse fewer than 2 inputs or an entry outside the d x n state."""
-    if len(inputs) < 2:
-        raise ValueError(f"{check}: need at least 2 samples")
-    if not (0 <= entry[0] < cfg.d and 0 <= entry[1] < cfg.n):
-        raise IndexError(f"{check}: entry {entry} out of range for a {cfg.d} x {cfg.n} state")
-
-
 def _datawise_row(
     inputs, x_d: np.ndarray, cfg: ModelConfig, gmax: float, bmax: float,
     entry: tuple[int, int], seed: int,
@@ -207,38 +199,18 @@ def datawise_variance_check(
 ) -> BoundReport:
     """Variance of one terminal entry across N inputs vs the quadratic bound."""
     gmax, bmax = _output_ln_gate(cfg, params, "datawise_variance_check")
-    _check_datawise(inputs, cfg, entry, "datawise_variance_check")
+    if len(inputs) < 2:
+        raise ValueError("datawise_variance_check: need at least 2 samples")
+    if not (0 <= entry[0] < cfg.d and 0 <= entry[1] < cfg.n):
+        raise IndexError(f"datawise_variance_check: entry {entry} out of range for a {cfg.d} x {cfg.n} state")
     x_d = push_forward(np.stack(inputs), params, cfg)
     return _datawise_row(inputs, x_d, cfg, gmax, bmax, entry, seed)
 
 
-def growth_checks(
-    x0: np.ndarray,
-    inputs: np.ndarray | list[np.ndarray],
-    params: list[BlockParams],
-    cfg: ModelConfig,
-    entry: tuple[int, int],
-    seed: int = 0,
-) -> list[BoundReport]:
-    """``peri_growth_check`` of ``x0`` followed by ``datawise_variance_check``
-    of ``inputs``, with the same rows, from one push of the stack
-    ``[x0, *inputs]``: slice 0 gives the moments, slices 1..N the variance."""
-    gmax, bmax = _output_ln_gate(cfg, params, "growth_checks")
-    _check_datawise(inputs, cfg, entry, "growth_checks")
-    x0 = np.asarray(x0, dtype=np.float64)
-    samples = np.asarray(inputs, dtype=np.float64)
-    if x0.shape != (cfg.d, cfg.n) or samples.shape[1:] != (cfg.d, cfg.n):
-        raise ShapeMismatchError(
-            f"growth_checks: need a {cfg.d} x {cfg.n} x0 and (N, {cfg.d}, {cfg.n}) inputs, "
-            f"got {x0.shape} and {samples.shape}")
-    stack = np.concatenate([x0[None], samples])
-    return _growth_pair_rows(stack, entry, push_forward(stack, params, cfg), cfg, gmax, bmax, seed)
-
-
 def _growth_pair_rows(stack: np.ndarray, entry: tuple[int, int], pushed: np.ndarray, cfg: ModelConfig,
                       gmax: float, bmax: float, seed: int) -> list[BoundReport]:
-    """``growth_checks``' rows of ``stack`` = ``[x0, *inputs]`` and its terminal
-    states ``pushed``: slice 0 gives the moments, slices 1..N the variance."""
+    """``peri_growth_check``'s and ``datawise_variance_check``'s rows of ``stack`` = ``[x0, *inputs]``
+    and its terminal states ``pushed``: slice 0 gives the moments, slices 1..N the variance."""
     x0, inputs = stack[0], stack[1:]
     return [
         *_growth_rows(x0, pushed[0], cfg, gmax, bmax, seed),

@@ -5,9 +5,9 @@ Each suite takes an instance count and a master seed and draws instance i
 from its own child stream, so a run is reproducible bit-for-bit.  Models are
 drawn at ``ModelConfig``'s default dimensions unless a suite says otherwise.
 The growth and pathwise suites push the models of each delta_t as one
-population (``_peri_suite``; ``lnlab bounds`` pushes both suites' in one), and
-the chain suite runs its instances as one stack of chains; every row is the
-row of its instance run alone.
+population (``_peri_suite``; ``lnlab bounds`` pushes both suites' in one), with
+no per-model check, and the chain suite runs its instances as one stack of
+chains; every row is the row of its instance run alone.
 """
 
 from __future__ import annotations
@@ -49,27 +49,22 @@ def _peri_instance(seed: int, suite: int, i: int, depths, delta_ts):
     return stream.child(1).generator(), cfg, random_model(cfg, stream.child(2))
 
 
-# by suite stream id: the check's name, the states an instance pushes, the rows
-# of its pushed stack, and its per-model check
+# by suite stream id: the check named in a placement refusal, the states an instance
+# pushes, and the rows of its pushed stack
 _PERI_SUITES = {
-    0: ("growth_checks", 9, diag._growth_pair_rows,
-        lambda s, entry, params, cfg, i: diag.growth_checks(s[0], s[1:], params, cfg, entry, seed=i)),
-    1: ("pathwise_stability_check", 2,
-        lambda s, _, pushed, cfg, g, b, i: [diag._pathwise_row(s, pushed, cfg, g, b, i)],
-        lambda s, _, params, cfg, i: [diag.pathwise_stability_check(*s, params, cfg, seed=i)]),
+    0: ("peri_growth_check", 9, diag._growth_pair_rows),
+    1: ("pathwise_stability_check", 2, lambda s, _, x_d, cfg, g, b, i: [diag._pathwise_row(s, x_d, cfg, g, b, i)]),
 }
 
 
 def _peri_suite(suites, instances: int, seed: int, depths, delta_ts) -> list[diag.BoundReport]:
-    """The rows of peri-model suite ``suites`` at ``depths``, or of a tuple of suites at a
-    tuple of their depths, suite by suite in instance order, each instance drawn as
-    ``_peri_instance`` draws it.  Each delta_t's instances of every suite are pushed as one
-    population, deepest first (ties in (suite, instance) order), each stack padded to the
-    widest with copies of its last state, which no row reads.  If a push raises, the
-    instances rerun their per-model checks one by one in that order, so the error is that of
-    the first failing instance of the first failing suite, as the suites run alone raise it."""
-    if isinstance(suites, int):
-        suites, depths = (suites,), (depths,)
+    """The rows of the peri-model suites ``suites`` (a tuple) at their tuple of ``depths``,
+    suite by suite in instance order, each instance drawn as ``_peri_instance`` draws it.
+    Each delta_t's instances of every suite are pushed as one population, deepest first (ties
+    in (suite, instance) order), each stack padded to the widest with copies of its last
+    state, which no row reads.  If a push raises, every instance is pushed again as a
+    population of one, in that order, so the error is that of the first failing instance of
+    the first failing suite, as the suites run alone raise it."""
     members = [(suite, i) for suite in suites for i in range(instances)]
     streams = [RngStream(seed, suite).child(i) for suite, i in members]
     cfgs = [_peri_config(i, ds, delta_ts) for ds in depths for i in range(instances)]
@@ -80,24 +75,25 @@ def _peri_suite(suites, instances: int, seed: int, depths, delta_ts) -> list[dia
         drawn.append((stack, (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))))
     width = max(_PERI_SUITES[suite][1] for suite in suites)
     out, philox = [[]] * len(members), RngStream(seed).generator()  # restarted at every draw
+
+    def push(ks: list[int]) -> None:  # the members ks, of one delta_t, as one population
+        group = sorted(ks, key=lambda k: -cfgs[k].depth)
+        models = [streams[k].child(2) for k in group]
+        pushed, gmax, bmax = diag._population(
+            np.stack([a[np.minimum(np.arange(width), len(a) - 1)] for a in (drawn[k][0] for k in group)]),
+            [cfgs[k] for k in group],
+            lambda j, live: model_mod._random_blocks(cfgs[group[0]], [m.child(j) for m in models[:live]], philox),
+            _PERI_SUITES[suites[0]][0])
+        for t, k in enumerate(group):
+            (suite, i), (stack, entry) = members[k], drawn[k]
+            out[k] = _PERI_SUITES[suite][2](stack, entry, pushed[t, :len(stack)], cfgs[k],
+                                            float(gmax[t]), float(bmax[t]), i)
+
     try:
         for dt in dict.fromkeys(cfg.delta_t for cfg in cfgs):
-            group = sorted([k for k in range(len(members)) if cfgs[k].delta_t == dt],
-                           key=lambda k: -cfgs[k].depth)
-            models = [streams[k].child(2) for k in group]
-            pushed, gmax, bmax = diag._population(
-                np.stack([a[np.minimum(np.arange(width), len(a) - 1)] for a in (drawn[k][0] for k in group)]),
-                [cfgs[k] for k in group],
-                lambda j, live: model_mod._random_blocks(
-                    cfgs[group[0]], [m.child(j) for m in models[:live]], philox),
-                _PERI_SUITES[suites[0]][0])
-            for t, k in enumerate(group):
-                (suite, i), (stack, entry) = members[k], drawn[k]
-                out[k] = _PERI_SUITES[suite][2](stack, entry, pushed[t, :len(stack)], cfgs[k],
-                                                float(gmax[t]), float(bmax[t]), i)
+            push([k for k in range(len(members)) if cfgs[k].delta_t == dt])
     except (model_mod.DivergenceError, norm.DegenerateTokenError):
-        out = map_indexed(lambda k: _PERI_SUITES[members[k][0]][3](
-            *drawn[k], random_model(cfgs[k], streams[k].child(2)), cfgs[k], members[k][1]), len(members))
+        map_indexed(lambda k: push([k]), len(members))
     return [r for sub in out for r in sub]
 
 
@@ -109,15 +105,15 @@ def run_growth_suite(
 ) -> list[diag.BoundReport]:
     """Entry-moment and data-wise variance bounds over random peri models,
     the latter on 8 input samples per model, each model's x0 and inputs
-    pushed as one stack (``growth_checks``' rows)."""
-    return _peri_suite(0, instances, seed, depths, delta_ts)
+    pushed as one stack (the rows of ``peri_growth_check`` and ``datawise_variance_check``)."""
+    return _peri_suite((0,), instances, seed, (depths,), delta_ts)
 
 
 def run_pathwise_suite(
     instances: int, seed: int, delta_ts: tuple[float, ...] = (1.0, 0.1)
 ) -> list[diag.BoundReport]:
     """Pathwise bounds over random peri models (``pathwise_stability_check``'s rows)."""
-    return _peri_suite(1, instances, seed, _PATHWISE_DEPTHS, delta_ts)
+    return _peri_suite((1,), instances, seed, (_PATHWISE_DEPTHS,), delta_ts)
 
 
 def run_wasserstein_suite(

@@ -175,6 +175,12 @@ MUTANTS = {
         "pushed[t, :len(stack)]",
         "pushed[t, width - len(stack):]",
     ),
+    # a failed population is replayed one member at a time from the last member back
+    "peri-suite-replay-order": (
+        "src/lnlab/suites.py",
+        "lambda k: push([k])",
+        "lambda k: push([len(members) - 1 - k])",
+    ),
     # a stack of chains takes each layer's smallest denominator over the whole stack
     "chain-stack-shared-min": (
         "src/lnlab/model.py",

@@ -82,6 +82,15 @@ class TestHamiltonianMaximizer:
         with pytest.raises(ShapeMismatchError, match=r"gamma \(3,\) and beta \(1,\)"):
             hamiltonian_maximizer(np.eye(3), np.ones(3), np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["adjoint field", "gamma", "beta"])
+    def test_nonfinite_input_rejected(self, name, bad):
+        args = {"adjoint field": np.eye(3), "gamma": np.ones(3), "beta": np.zeros(3)}
+        args[name] = args[name].copy()
+        args[name].flat[1] = bad
+        with pytest.raises(NonFiniteError, match=f"^hamiltonian_maximizer: {name} has a non-finite entry$"):
+            hamiltonian_maximizer(*args.values())
+
 
 class TestProjection:
     def test_tangent_vector_unchanged(self):
@@ -201,6 +210,13 @@ class TestIntegrateProjectedFlow:
         x0 = np.array([np.sqrt(2.0), 0.0])
         with pytest.raises(NonFiniteError):
             integrate_projected_flow(x0, lambda x: np.array([np.nan, 0.0]), site, steps=1, h=0.1)
+
+    def test_negative_steps_rejected(self):
+        site = LNParams(np.ones(2), np.zeros(2), 0.0, "layernorm")
+        x0 = np.array([np.sqrt(2.0), 0.0])
+        with pytest.raises(ValueError, match="^integrate_projected_flow: steps must be >= 0, got -1$"):
+            integrate_projected_flow(x0, lambda x: pytest.fail("field called"), site, steps=-1, h=0.1)
+        assert integrate_projected_flow(x0, lambda x: pytest.fail("field called"), site, steps=0, h=0.1).shape == (1, 2)
 
 
 class TestSampler:

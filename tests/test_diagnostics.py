@@ -153,11 +153,25 @@ class TestDatawiseVariance:
             diag.datawise_variance_check(inputs, params, cfg, entry)
         assert pushed == []
 
-    def test_needs_two_samples(self):
-        cfg = peri_cfg()
-        params = random_model(cfg, RngStream(12))
-        with pytest.raises(ValueError, match="2 samples"):
-            diag.datawise_variance_check([np.ones((4, 3))], params, cfg, (0, 0))
+    @pytest.mark.parametrize(
+        "placement, samples, error, match",
+        [
+            ("peri", 1, ValueError, "^datawise_variance_check: need at least 2 samples$"),
+            ("pre", 4, PlacementError, "needs norm_out and not norm_sum"),
+            ("peri_and_sum", 4, PlacementError, "needs norm_out and not norm_sum"),
+        ],
+        ids=["one-input", "pre", "peri-and-sum"],
+    )
+    def test_refused_before_any_pushforward(self, placement, samples, error, match, monkeypatch):
+        pushed = []
+        monkeypatch.setattr(diag, "push_forward", lambda *args: pushed.append(args))
+        monkeypatch.setitem(model.STAGES, "peri_and_sum", Stages(True, True, True))
+        cfg = peri_cfg(depth=2, placement=placement)
+        params = random_model(cfg, RngStream(45))
+        inputs = RngStream(46).generator().normal(size=(samples, 4, 3))
+        with pytest.raises(error, match=match):
+            diag.datawise_variance_check(inputs, params, cfg, (0, 0))
+        assert pushed == []
 
 
 class TestPathwiseStability:
@@ -300,15 +314,13 @@ class TestOneStackedPushforward:
         entry = (int(gen.integers(d)), int(gen.integers(n)))
         x0 = gen.normal(size=(d, n))
         rows = [
-            *diag.growth_checks(x0, inputs, params, cfg, entry),
+            *diag.peri_growth_check(x0, params, cfg),
             diag.datawise_variance_check(inputs, params, cfg, entry),
             diag.pathwise_stability_check(inputs[0], inputs[1], params, cfg),
             diag.wasserstein_stability_check(mu0, nu0, params, cfg),
         ]
         want = _rows_from_oracle(x0, inputs, mu0, nu0, params, cfg, entry)
-        assert len(rows) == len(want) + 1
-        for got, row in zip(rows, [*want[:3], *want[2:]]):
-            assert vars(got) == vars(row)
+        assert [vars(r) for r in rows] == [vars(r) for r in want]
 
     def test_bad_sample_set_or_p_refused_before_any_pushforward(self, monkeypatch):
         pushed = []
@@ -344,37 +356,6 @@ class TestOneStackedPushforward:
             want += _growth_rows_from_oracle(x0, inputs, params, cfg, entry, seed=i)
         assert [vars(r) for r in rows] == [vars(r) for r in want]
 
-    @pytest.mark.parametrize(
-        "placement, x0_shape, inputs_shape, entry, error, match",
-        [
-            ("peri", (4, 3), (4, 4, 3), (4, 0), IndexError,
-             r"growth_checks: entry \(4, 0\) out of range for a 4 x 3 state$"),
-            ("peri", (4, 3), (4, 4, 3), (-1, 0), IndexError, "out of range"),
-            ("peri", (4, 3), (1, 4, 3), (0, 0), ValueError, "growth_checks: need at least 2 samples"),
-            ("pre", (4, 3), (4, 4, 3), (0, 0), PlacementError, "needs norm_out and not norm_sum"),
-            ("peri_and_sum", (4, 3), (4, 4, 3), (0, 0), PlacementError,
-             "needs norm_out and not norm_sum"),
-            ("peri", (3, 4), (4, 4, 3), (0, 0), ShapeMismatchError, "need a 4 x 3 x0"),
-            ("peri", (1, 4, 3), (4, 4, 3), (0, 0), ShapeMismatchError, "need a 4 x 3 x0"),
-            ("peri", (4, 3), (4, 3, 4), (0, 0), ShapeMismatchError, r"\(N, 4, 3\) inputs"),
-        ],
-        ids=["entry-row", "entry-negative", "one-input", "pre", "peri-and-sum",
-             "x0-transposed", "x0-stacked", "inputs-transposed"],
-    )
-    def test_growth_checks_refuse_before_any_pushforward(
-        self, placement, x0_shape, inputs_shape, entry, error, match, monkeypatch
-    ):
-        pushed = []
-        monkeypatch.setattr(diag, "push_forward", lambda *args: pushed.append(args))
-        monkeypatch.setitem(model.STAGES, "peri_and_sum", Stages(True, True, True))
-        cfg = peri_cfg(depth=2, placement=placement)
-        params = random_model(cfg, RngStream(45))
-        gen = RngStream(46).generator()
-        x0, inputs = gen.normal(size=x0_shape), gen.normal(size=inputs_shape)
-        with pytest.raises(error, match=match):
-            diag.growth_checks(x0, inputs, params, cfg, entry)
-        assert pushed == []
-
 
 def _suite_rows_alone(suite, indices, seed, depths, delta_ts):
     """A peri-model suite's rows of the instances ``indices``, one model and one check each."""
@@ -385,7 +366,8 @@ def _suite_rows_alone(suite, indices, seed, depths, delta_ts):
         if suite == 0:
             inputs = gen.normal(size=(8, cfg.d, cfg.n))
             entry = (int(gen.integers(cfg.d)), int(gen.integers(cfg.n)))
-            rows += diag.growth_checks(x0, inputs, params, cfg, entry, seed=i)
+            rows += diag.peri_growth_check(x0, params, cfg, seed=i)
+            rows.append(diag.datawise_variance_check(inputs, params, cfg, entry, seed=i))
         else:
             rows.append(diag.pathwise_stability_check(x0, gen.normal(size=(cfg.d, cfg.n)), params, cfg, seed=i))
     return rows
@@ -406,7 +388,7 @@ class TestPopulation:
     def test_rows_equal_the_per_instance_checks(self, instances, depths, delta_ts, seed):
         with pytest.MonkeyPatch.context() as mp:  # no replay: the population gives every row
             mp.setattr(suites, "map_indexed", lambda *args: pytest.fail("replayed"))
-            got = [suites._peri_suite(suite, instances, seed, depths, delta_ts) for suite in (0, 1)]
+            got = [suites._peri_suite((suite,), instances, seed, (depths,), delta_ts) for suite in (0, 1)]
         for suite, rows in enumerate(got):
             want = _suite_rows_alone(suite, range(instances), seed, depths, delta_ts)
             assert [vars(r) for r in rows] == [vars(r) for r in want]
@@ -473,7 +455,7 @@ class TestPopulation:
         map_indexed = suites.map_indexed
         monkeypatch.setattr(suites, "map_indexed", lambda fn, n: replays.append(n) or map_indexed(fn, n))
         with pytest.raises(model.DivergenceError) as exc:
-            suites._peri_suite(suite, 4, seed, depths, (1.0, 0.1))
+            suites._peri_suite((suite,), 4, seed, (depths,), (1.0, 0.1))
         assert replays == [4]
         got, want = exc.value, alone[0]
         assert (type(got), got.block, getattr(got, "site", None), str(got)) == (
@@ -518,8 +500,8 @@ class TestSharedPopulation:
         want = [*_suite_rows_alone(0, range(instances), seed, growth, delta_ts),
                 *_suite_rows_alone(1, range(instances), seed, pathwise, delta_ts)]
         assert [vars(r) for r in got] == [vars(r) for r in want]
-        assert got == suites._peri_suite(0, instances, seed, growth, delta_ts) + suites._peri_suite(
-            1, instances, seed, pathwise, delta_ts)
+        assert got == suites._peri_suite((0,), instances, seed, (growth,), delta_ts) + suites._peri_suite(
+            (1,), instances, seed, (pathwise,), delta_ts)
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["growth", "pathwise"])
     def test_the_failing_suite_raises_its_first_instance_error(self, failing, monkeypatch):
